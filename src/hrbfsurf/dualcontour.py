@@ -1,5 +1,7 @@
 """Dual-contouring variant over fixed-width voxels restricted to supported space.
 
+Extraction runs on an ``HrbfModel``: corner values come from the model's
+brick lattice (``LatticeTable``), edge intersections from ``axis_edge_roots``.
 A voxel participates only when all eight corner values are defined (covered by
 at least one kernel support) and carry different signs; regions without data
 therefore produce open mesh boundaries instead of fabricated geometry.  One
@@ -15,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import LatticeTable, axis_edge_roots
+from .model import HrbfModel, LatticeTable, axis_edge_roots
 from .pointset import QuadMesh
 
 _BITS = 20
@@ -44,7 +46,13 @@ _UV = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
 
 
 def _pack(coords):
+    """One int64 key per integer coordinate triple in [-2**19, 2**19 - 1]."""
     c = np.asarray(coords, dtype=np.int64) + _BIAS
+    if c.size and (c.min() < 0 or c.max() > _MASK):
+        raise ValueError(
+            f"voxel coordinates must lie in [-2**{_BITS - 1}, 2**{_BITS - 1} - 1]: "
+            f"the voxel width must exceed 2**-{_BITS - 1} of the input's extent"
+        )
     return (c[..., 0] << (2 * _BITS)) | (c[..., 1] << _BITS) | c[..., 2]
 
 
@@ -72,12 +80,6 @@ class VoxelGrid:
         return self.origin + np.asarray(coords, dtype=np.float64) * self.width
 
 
-@dataclass
-class EdgeIntersection:
-    position: np.ndarray
-    normal: np.ndarray
-
-
 class ActiveSetOverflow(MemoryError):
     def __init__(self, width, suggested):
         super().__init__(
@@ -91,52 +93,8 @@ def _sign_change(values):
     return (values.min(axis=1) < 0.0) & (values.max(axis=1) >= 0.0)
 
 
-class _CornerCache:
-    def __init__(self, field, origin, width):
-        self.field = field
-        self.origin = origin
-        self.width = width
-        self.values = {}
-
-    def fetch(self, keys):
-        """Values for packed corner keys, evaluating uncached ones in one batch."""
-        flat = keys.ravel()
-        uniq = np.unique(flat)
-        known = self.values
-        missing = [k for k in uniq.tolist() if k not in known]
-        if missing:
-            coords = _unpack(np.asarray(missing, dtype=np.int64))
-            pos = self.origin + coords * self.width
-            vals, _, defined = self.field.evaluate(pos)
-            vals = np.where(defined, vals, np.nan)
-            for k, v in zip(missing, vals.tolist()):
-                known[k] = v
-        out = np.fromiter((known[k] for k in flat.tolist()), dtype=np.float64, count=flat.size)
-        return out.reshape(keys.shape)
-
-
-class _LatticeCornerCache:
-    """Packed-key front end over a precomputed lattice value table."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def fetch(self, keys):
-        return self.table.fetch(_unpack(keys))
-
-
-def _make_corner_cache(field, origin, width, workers=1):
-    model = getattr(field, "model", None)
-    if model is not None:
-        try:
-            return _LatticeCornerCache(LatticeTable(model, origin, width, workers=workers))
-        except MemoryError:
-            pass  # lattice too large; fall back to on-demand evaluation
-    return _CornerCache(field, origin, width)
-
-
 def collect_active_voxels(
-    field,
+    model: HrbfModel,
     centers,
     normals,
     width,
@@ -146,9 +104,10 @@ def collect_active_voxels(
 ) -> VoxelGrid:
     """Find sign-change voxels with fully defined corners near the centers.
 
-    Seeds are the voxels containing each center and probes offset along its
-    normal by up to seed_steps voxel widths (the zero level set can sit away
-    from noisy points); the active set then grows by face-adjacency.
+    Corner values come from the model's brick lattice.  Seeds are the voxels
+    containing each center and probes offset along its normal by up to
+    seed_steps voxel widths (the zero level set can sit away from noisy
+    points); the active set then grows by face-adjacency.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -163,9 +122,9 @@ def collect_active_voxels(
     seed_coords = np.floor((np.concatenate(seeds) - origin) / width).astype(np.int64)
     frontier = np.unique(_pack(seed_coords))
 
-    cache = _make_corner_cache(field, origin, width, workers)
+    table = LatticeTable(model, origin, width, workers=workers)
     tested = set()
-    active_keys, active_coords, active_vals = [], [], []
+    active_coords, active_vals = [], []
     n_active = 0
     face_neighbors = np.array(
         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64
@@ -177,11 +136,9 @@ def collect_active_voxels(
         if len(fresh) == 0:
             break
         coords = _unpack(fresh)
-        corner_keys = _pack(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
-        vals = cache.fetch(corner_keys)
+        vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
         ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
         if ok.any():
-            active_keys.append(fresh[ok])
             active_coords.append(coords[ok])
             active_vals.append(vals[ok])
             n_active += int(ok.sum())
@@ -202,60 +159,13 @@ def collect_active_voxels(
     )
 
 
-def edge_root(field, a, b, tol) -> EdgeIntersection:
-    """Bisection root on segment [a, b]; endpoints must have opposite signs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    va = field.values(a[None])[0]
-    vb = field.values(b[None])[0]
-    if not (np.isfinite(va) and np.isfinite(vb)) or (va < 0) == (vb < 0):
-        raise ValueError("endpoints must be defined with opposite signs")
-    if va >= 0:
-        a, b, va, vb = b, a, vb, va
-    mid, vm = a, va
-    for _ in range(BISECTION_ITERS):
-        mid = 0.5 * (a + b)
-        vm = field.values(mid[None])[0]
-        if np.isfinite(vm) and abs(vm) <= tol:
-            break
-        if np.isfinite(vm) and vm < 0:
-            a = mid
-        else:
-            b = mid
-    _, grads, _ = field.evaluate(mid[None], want_gradient=True)
-    g = grads[0]
-    norm = np.linalg.norm(g)
-    if not np.isfinite(norm) or norm < 1e-12:
-        edge_dir = b - a
-        edge_dir = edge_dir / max(np.linalg.norm(edge_dir), 1e-300)
-        g, norm = edge_dir, 1.0  # f increases from the negative toward b
-    return EdgeIntersection(position=mid, normal=g / norm)
+def _batch_edge_roots(model: HrbfModel, p_neg, p_pos, tol, workers=1):
+    """Roots and unit normals on sign-change edges; p_neg holds the negative endpoints.
 
-
-def _batch_edge_roots(field, p_neg, p_pos, tol, workers=1):
-    """Vectorized bisection; p_neg holds the negative-sign endpoints."""
-    model = getattr(field, "model", None)
-    if model is not None:
-        mid, grads = axis_edge_roots(
-            model, p_neg, p_pos, tol, iters=BISECTION_ITERS, workers=workers
-        )
-    else:
-        a = p_neg.copy()
-        b = p_pos.copy()
-        mid = 0.5 * (a + b)
-        active = np.ones(len(a), dtype=bool)
-        for _ in range(BISECTION_ITERS):
-            if not active.any():
-                break
-            mid = np.where(active[:, None], 0.5 * (a + b), mid)
-            vm = field.values(mid)
-            neg = np.isfinite(vm) & (vm < 0)
-            # undefined midpoints (rare near support boundaries) shrink from
-            # the positive side, same as a non-negative sample
-            a = np.where((active & neg)[:, None], mid, a)
-            b = np.where((active & ~neg)[:, None], mid, b)
-            active &= ~(np.isfinite(vm) & (np.abs(vm) <= tol))
-        _, grads, _ = field.evaluate(mid, want_gradient=True)
+    Where no support covers a root, or the gradient vanishes, the normal is the
+    edge direction.
+    """
+    mid, grads = axis_edge_roots(model, p_neg, p_pos, tol, iters=BISECTION_ITERS, workers=workers)
     norms = np.linalg.norm(grads, axis=1)
     bad = ~np.isfinite(norms) | (norms < 1e-12)
     if bad.any():
@@ -266,28 +176,7 @@ def _batch_edge_roots(field, p_neg, p_pos, tol, workers=1):
     return mid, grads / norms[:, None]
 
 
-def place_vertex(positions, normals, box=None, reg=QEF_REG):
-    """Minimize sum((v - q_j) . n_j)^2, pulled toward the intersection centroid.
-
-    The Tikhonov term reg * count keeps rank-deficient configurations (planes,
-    single intersections) well posed; the result is clamped to ``box``.
-    """
-    q = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-    if len(q) == 0:
-        raise ValueError("need at least one intersection")
-    lam = reg * len(q)
-    m = n.T @ n + lam * np.eye(3)
-    centroid = q.mean(axis=0)
-    rhs = n.T @ np.einsum("ij,ij->i", n, q) + lam * centroid
-    v = np.linalg.solve(m, rhs)
-    if box is not None:
-        lo, hi = box
-        v = np.clip(v, lo, hi)
-    return v
-
-
-def contour(field, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
+def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
     """Vertices from QEF minimization plus one quad per interior isosurface edge."""
     w = grid.width
     if grid.n_active == 0:
@@ -334,7 +223,7 @@ def contour(field, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
 
     p_neg = np.where((u_vlo < 0)[:, None], a_pos, b_pos)
     p_pos = np.where((u_vlo < 0)[:, None], b_pos, a_pos)
-    roots, root_normals = _batch_edge_roots(field, p_neg, p_pos, tol_factor * w, workers)
+    roots, root_normals = _batch_edge_roots(model, p_neg, p_pos, tol_factor * w, workers)
 
     # QEF accumulation per voxel over (voxel, unique edge) incidences
     ne = len(uniq_keys)
@@ -399,43 +288,8 @@ def contour(field, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
     return QuadMesh(verts, faces, vertex_normals=vnorm)
 
 
-def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
-    """Quads from precomputed voxel vertices (one per active voxel)."""
-    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    if len(vertices) != grid.n_active:
-        raise ValueError("one vertex per active voxel required")
-    vox_index = {k: i for i, k in enumerate(_pack(grid.coords).tolist())}
-    corner_coords = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
-    seen = set()
-    faces = []
-    for ca, cb, axis in _EDGES:
-        va = grid.corner_values[:, ca]
-        vb = grid.corner_values[:, cb]
-        hit = np.flatnonzero((va < 0) != (vb < 0))
-        for row in hit:
-            lo = corner_coords[row, ca]
-            key = int(_pack(lo)) * 4 + int(axis)
-            if key in seen:
-                continue
-            seen.add(key)
-            u, v = _UV[axis]
-            quad = []
-            for du, dv in _RING:
-                c = lo.copy()
-                c[u] += du
-                c[v] += dv
-                quad.append(vox_index.get(int(_pack(c))))
-            if any(qv is None for qv in quad):
-                continue
-            if not (vb[row] > va[row]):
-                quad = quad[::-1]
-            faces.append(quad)
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
-    return QuadMesh(vertices, faces, vertex_normals)
-
-
 def extract_surface(
-    field,
+    model: HrbfModel,
     centers,
     normals,
     width,
@@ -443,8 +297,8 @@ def extract_surface(
     max_active=DEFAULT_MAX_ACTIVE,
     workers=1,
 ) -> QuadMesh:
-    grid = collect_active_voxels(field, centers, normals, width, seed_steps, max_active, workers)
-    return contour(field, grid, workers=workers)
+    grid = collect_active_voxels(model, centers, normals, width, seed_steps, max_active, workers)
+    return contour(model, grid, workers=workers)
 
 
 def _face_edges(faces):

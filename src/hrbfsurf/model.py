@@ -7,8 +7,7 @@ support contains x.  Outside every support the function is undefined.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,6 @@ class HrbfModel:
     eta: float
     b_coeffs: np.ndarray  # (n, 3)
     rho_max: float
-    tree: cKDTree = field(repr=False, default=None)
     bands: RadiusBands = field(repr=False, default=None)
 
     @property
@@ -197,7 +195,6 @@ def build_model(ps, tp: TuningParams) -> HrbfModel:
         eta=tp.eta,
         b_coeffs=b,
         rho_max=float(np.max(tp.rho)),
-        tree=cKDTree(points),
         bands=RadiusBands(points, tp.rho),
     )
 
@@ -214,7 +211,6 @@ def model_from_arrays(centers, normals, rho, eta) -> HrbfModel:
         eta=float(eta),
         b_coeffs=quasi_coefficients(normals, rho, eta),
         rho_max=float(rho.max()),
-        tree=cKDTree(centers),
         bands=RadiusBands(centers, rho),
     )
 
@@ -252,50 +248,6 @@ def _gather_pairs(model: HrbfModel, x):
         keep = d2 < model.rho[cidx] ** 2
         qidx, cidx = qidx[keep], cidx[keep]
     return x, qidx, cidx
-
-
-class FrozenPairs:
-    """Candidate pairs gathered once for queries that move less than ``slack``.
-
-    Used by the isosurface bisection: all midpoints of an edge stay within
-    half a voxel width of the edge midpoint, so one widened query per edge
-    covers every iteration without touching the kd-tree again.
-    """
-
-    def __init__(self, model: HrbfModel, anchors, slack):
-        self.model = model
-        anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 3)
-        self.nq = len(anchors)
-        self.qidx, self.cidx = _candidate_pairs(model, anchors, slack)
-
-    def evaluate(self, x, want_gradient=False, active=None):
-        """Values at x (row-aligned with the anchors); inactive rows get nan."""
-        model = self.model
-        x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-        qidx, cidx = self.qidx, self.cidx
-        if active is not None:
-            sel = active[qidx]
-            qidx, cidx = qidx[sel], cidx[sel]
-        offs = x[qidx] - model.centers[cidx]
-        d2 = np.einsum("ij,ij->i", offs, offs)
-        keep = d2 < model.rho[cidx] ** 2
-        qidx, cidx, offs = qidx[keep], cidx[keep], offs[keep]
-        rho = model.rho[cidx]
-        b = model.b_coeffs[cidx]
-        g = kernel.gradient(offs, rho)
-        values = -np.bincount(qidx, weights=np.einsum("ij,ij->i", b, g), minlength=self.nq)
-        covered = np.bincount(qidx, minlength=self.nq)
-        values[covered == 0] = np.nan
-        if active is not None:
-            values[~active] = np.nan
-        if not want_gradient:
-            return values
-        grads = np.empty((self.nq, 3))
-        hb = np.einsum("ijk,ik->ij", kernel.hessian(offs, rho), b)
-        for a in range(3):
-            grads[:, a] = -np.bincount(qidx, weights=hb[:, a], minlength=self.nq)
-        grads[covered == 0] = np.nan
-        return values, grads
 
 
 _EDGE_PAIRS = 1 << 20  # candidate pairs per chunk; bounds the per-pair scratch arrays
@@ -369,8 +321,6 @@ def axis_edge_roots(model: HrbfModel, p_neg, p_pos, tol, iters=32, workers=1):
         for sl in slices:
             run(sl)
         return roots, grads
-
-    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for job in [pool.submit(run, sl) for sl in slices]:
@@ -452,7 +402,6 @@ def _edge_roots_chunk(model, p_neg, p_pos, qidx, cidx, tol, iters):
     return roots, grads
 
 
-_LATTICE_CELL_CAP = 80_000_000
 _BRICK = 4  # lattice cells along each edge of a brick
 _FILL_BRICKS = 1024  # bricks per fill batch; bounds the pair lists
 _FILL_PAIRS = 4096  # (brick, kernel) pairs per evaluation step; bounds the scratch arrays
@@ -470,10 +419,11 @@ class LatticeTable:
     support, and every cell sums its kernels in ascending index order,
     starting from 0.0.  Values therefore depend neither on which bricks are
     filled together nor on the worker count.  Cells outside every support
-    hold nan.
+    hold nan.  Memory grows with the filled bricks, not with the bounding
+    box: filled bricks are kept as a sorted index of flat brick numbers.
     """
 
-    def __init__(self, model: HrbfModel, origin, width, cell_cap=_LATTICE_CELL_CAP, workers=1):
+    def __init__(self, model: HrbfModel, origin, width, workers=1):
         origin = np.asarray(origin, dtype=np.float64)
         centers, rho = model.centers, model.rho
         lo = np.ceil((centers - rho[:, None] - origin) / width).astype(np.int64)
@@ -481,9 +431,6 @@ class LatticeTable:
         gmin = lo.min(axis=0)
         gmax = hi.max(axis=0)
         shape = gmax - gmin + 1
-        ncells = int(shape[0]) * int(shape[1]) * int(shape[2])
-        if ncells > cell_cap:
-            raise MemoryError(f"lattice of {ncells} cells exceeds the cap {cell_cap}")
         self.gmin = gmin
         self.shape = shape
         self._model = model
@@ -498,18 +445,23 @@ class LatticeTable:
         self._rho_sq = np.array([r**2 for r in rho])
         self._scale = 20.0 / self._rho_sq
         self._nb = -(-shape // _BRICK)  # bricks per axis
-        self._slot = np.full(int(np.prod(self._nb)), -1, dtype=np.int64)
+        # sorted flat numbers of the filled bricks and their store rows; the
+        # sentinel key lies above every brick number, so a search always lands
+        # on an entry
+        self._keys = np.array([np.iinfo(np.int64).max])
+        self._rows = np.array([-1])
         self._store = np.empty((0, _BRICK**3))
         self._n_filled = 0
 
     @property
     def values_flat(self):
         """Values at every cell of the table, flat in C order over ``shape``."""
-        self._fill(np.flatnonzero(self._slot < 0))
+        bricks = np.arange(int(np.prod(self._nb)))
+        self._fill(bricks[self._rows_of(bricks) < 0])
         nx, ny, nz = (int(v) for v in self._nb)
         b = _BRICK
         dense = (
-            self._store[self._slot]
+            self._store[self._rows_of(bricks)]
             .reshape(nx, ny, nz, b, b, b)
             .transpose(0, 3, 1, 4, 2, 5)
             .reshape(nx * b, ny * b, nz * b)
@@ -525,13 +477,22 @@ class LatticeTable:
         out = np.full(len(c), np.nan)
         brick, local = np.divmod(c[inside], _BRICK)
         brick = np.ravel_multi_index(tuple(brick.T), tuple(self._nb))
-        self._fill(np.unique(brick[self._slot[brick] < 0]))
+        rows = self._rows_of(brick)
+        missing = rows < 0
+        if missing.any():
+            self._fill(np.unique(brick[missing]))
+            rows[missing] = self._rows_of(brick[missing])
         local = (local[:, 0] * _BRICK + local[:, 1]) * _BRICK + local[:, 2]
-        out[inside] = self._store[self._slot[brick], local]
+        out[inside] = self._store[rows, local]
         return out.reshape(coords.shape[:-1])
 
+    def _rows_of(self, bricks):
+        """Store row of each flat brick number, -1 where the brick is not filled."""
+        at = np.searchsorted(self._keys, bricks)
+        return np.where(self._keys[at] == bricks, self._rows[at], -1)
+
     def _fill(self, bricks):
-        """Evaluate the given unfilled bricks (flat brick indices)."""
+        """Evaluate unfilled bricks, given as ascending flat brick numbers."""
         n = len(bricks)
         if n == 0:
             return
@@ -545,8 +506,6 @@ class LatticeTable:
             for batch in batches:
                 run(*batch)
         else:
-            from concurrent.futures import ThreadPoolExecutor
-
             with ThreadPoolExecutor(max_workers=self._workers) as pool:
                 for job in [pool.submit(run, *batch) for batch in batches]:
                     job.result()
@@ -557,7 +516,10 @@ class LatticeTable:
             grown[:n0] = self._store[:n0]
             self._store = grown
         self._store[n0:n1] = vals
-        self._slot[bricks] = np.arange(n0, n1)
+        # ascending bricks keep the index sorted when inserted at their search positions
+        at = np.searchsorted(self._keys, bricks)
+        self._keys = np.insert(self._keys, at, bricks)
+        self._rows = np.insert(self._rows, at, np.arange(n0, n1))
         self._n_filled = n1
 
     def _batch_values(self, bricks):
@@ -647,18 +609,8 @@ def _eval_chunk(model: HrbfModel, x, want_gradient):
     return values, grads, defined
 
 
-# Fork-shared state for worker processes; set in the parent before the pool
-# is created so children inherit it without pickling the model per task.
-_WORKER_MODEL = None
-
-
-def _worker_eval(args):
-    x, want_gradient = args
-    return _eval_chunk(_WORKER_MODEL, x, want_gradient)
-
-
 class ImplicitField:
-    """Batched evaluator for the quasi-interpolant, optionally multi-process.
+    """Batched evaluator for the quasi-interpolant, optionally multi-threaded.
 
     Chunk boundaries are fixed, and per-query accumulation runs in center
     index order, so results are bitwise identical for any worker count.
@@ -667,12 +619,7 @@ class ImplicitField:
     def __init__(self, model: HrbfModel, workers=1):
         self.model = model
         self.workers = max(1, int(workers))
-        self._pool = None
-        if self.workers > 1:
-            global _WORKER_MODEL
-            _WORKER_MODEL = model
-            ctx = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx)
+        self._pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
 
     def close(self):
         if self._pool is not None:
@@ -694,7 +641,7 @@ class ImplicitField:
         if self._pool is None or len(chunks) == 1:
             parts = [_eval_chunk(self.model, c, want_gradient) for c in chunks]
         else:
-            parts = list(self._pool.map(_worker_eval, [(c, want_gradient) for c in chunks]))
+            parts = list(self._pool.map(lambda c: _eval_chunk(self.model, c, want_gradient), chunks))
         values = np.concatenate([p[0] for p in parts])
         defined = np.concatenate([p[2] for p in parts])
         grads = np.concatenate([p[1] for p in parts]) if want_gradient else None

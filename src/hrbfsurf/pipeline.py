@@ -13,7 +13,7 @@ from . import exact
 from .covers import CoverParams, select_centers, selected_pointset
 from .dualcontour import boundary_edge_count, extract_surface, remove_small_fragments
 from .metrics import NoiseSpec, estimate_normals_pca, inject_noise, two_sided_distance
-from .model import ImplicitField, build_model, tune_parameters, verify_error_bound
+from .model import build_model, tune_parameters, verify_error_bound
 from .octree import build_octree
 from .pointset import HermitePointSet, QuadMesh, load_points, normalize_to_unit_box, save_mesh
 
@@ -84,12 +84,11 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     )
     model = _timed(diag, "coefficients", build_model, working, tp)
 
-    with ImplicitField(model, workers=cfg.threads) as fld:
-        mesh = _timed(
-            diag, "extract", extract_surface, fld,
-            model.centers, model.normals, cfg.voxel_width,
-            workers=cfg.threads,
-        )
+    mesh = _timed(
+        diag, "extract", extract_surface, model,
+        model.centers, model.normals, cfg.voxel_width,
+        workers=cfg.threads,
+    )
     diag["n_active_voxels"] = mesh.n_vertices
     mesh = _timed(diag, "fragments", remove_small_fragments, mesh, cfg.min_fragment_faces)
     diag["n_vertices"] = mesh.n_vertices

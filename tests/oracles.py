@@ -1,0 +1,115 @@
+"""Scalar reference implementations that the vectorised extraction is checked against.
+
+``edge_root`` bisects one edge on any object with ``values`` and ``evaluate``
+(an ``ImplicitField`` or an analytic field), ``place_vertex`` solves one
+voxel's quadric, and ``emit_quads`` builds the quads edge by edge from a dict
+of active voxels.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hrbfsurf.dualcontour import (
+    BISECTION_ITERS,
+    QEF_REG,
+    _CORNER_OFFSETS,
+    _EDGES,
+    _RING,
+    _UV,
+    VoxelGrid,
+    _pack,
+)
+from hrbfsurf.pointset import QuadMesh
+
+
+@dataclass
+class EdgeIntersection:
+    position: np.ndarray
+    normal: np.ndarray
+
+
+def edge_root(field, a, b, tol) -> EdgeIntersection:
+    """Bisection root on segment [a, b]; endpoints must have opposite signs."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    va = field.values(a[None])[0]
+    vb = field.values(b[None])[0]
+    if not (np.isfinite(va) and np.isfinite(vb)) or (va < 0) == (vb < 0):
+        raise ValueError("endpoints must be defined with opposite signs")
+    if va >= 0:
+        a, b, va, vb = b, a, vb, va
+    mid, vm = a, va
+    for _ in range(BISECTION_ITERS):
+        mid = 0.5 * (a + b)
+        vm = field.values(mid[None])[0]
+        if np.isfinite(vm) and abs(vm) <= tol:
+            break
+        if np.isfinite(vm) and vm < 0:
+            a = mid
+        else:
+            b = mid
+    _, grads, _ = field.evaluate(mid[None], want_gradient=True)
+    g = grads[0]
+    norm = np.linalg.norm(g)
+    if not np.isfinite(norm) or norm < 1e-12:
+        edge_dir = b - a
+        edge_dir = edge_dir / max(np.linalg.norm(edge_dir), 1e-300)
+        g, norm = edge_dir, 1.0  # f increases from the negative toward b
+    return EdgeIntersection(position=mid, normal=g / norm)
+
+
+def place_vertex(positions, normals, box=None, reg=QEF_REG):
+    """Minimize sum((v - q_j) . n_j)^2, pulled toward the intersection centroid.
+
+    The Tikhonov term reg * count keeps rank-deficient configurations (planes,
+    single intersections) well posed; the result is clamped to ``box``.
+    """
+    q = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+    if len(q) == 0:
+        raise ValueError("need at least one intersection")
+    lam = reg * len(q)
+    m = n.T @ n + lam * np.eye(3)
+    centroid = q.mean(axis=0)
+    rhs = n.T @ np.einsum("ij,ij->i", n, q) + lam * centroid
+    v = np.linalg.solve(m, rhs)
+    if box is not None:
+        lo, hi = box
+        v = np.clip(v, lo, hi)
+    return v
+
+
+def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
+    """Quads from precomputed voxel vertices (one per active voxel)."""
+    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    if len(vertices) != grid.n_active:
+        raise ValueError("one vertex per active voxel required")
+    vox_index = {k: i for i, k in enumerate(_pack(grid.coords).tolist())}
+    corner_coords = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
+    seen = set()
+    faces = []
+    for ca, cb, axis in _EDGES:
+        va = grid.corner_values[:, ca]
+        vb = grid.corner_values[:, cb]
+        hit = np.flatnonzero((va < 0) != (vb < 0))
+        for row in hit:
+            lo = corner_coords[row, ca]
+            key = int(_pack(lo)) * 4 + int(axis)
+            if key in seen:
+                continue
+            seen.add(key)
+            u, v = _UV[axis]
+            quad = []
+            for du, dv in _RING:
+                c = lo.copy()
+                c[u] += du
+                c[v] += dv
+                quad.append(vox_index.get(int(_pack(c))))
+            if any(qv is None for qv in quad):
+                continue
+            if not (vb[row] > va[row]):
+                quad = quad[::-1]
+            faces.append(quad)
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
+    return QuadMesh(vertices, faces, vertex_normals)

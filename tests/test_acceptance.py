@@ -242,7 +242,7 @@ def test_criterion_8_thread_scaling():
         with ImplicitField(model, workers=workers) as fld:
             vals, _, defined = fld.evaluate(queries)
             mesh = extract_surface(
-                fld, model.centers, model.normals, 0.012, workers=workers
+                model, model.centers, model.normals, 0.012, workers=workers
             )
         elapsed = time.perf_counter() - t0
         digest = hashlib.sha256()

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hrbfsurf.dualcontour import (
+    _CORNER_OFFSETS,
+    _EDGES,
     ActiveSetOverflow,
     QuadMesh,
     VoxelGrid,
@@ -14,17 +16,18 @@ from hrbfsurf.dualcontour import (
     boundary_edge_count,
     collect_active_voxels,
     contour,
-    edge_root,
-    emit_quads,
     extract_surface,
     face_components,
-    place_vertex,
     remove_small_fragments,
 )
+from hrbfsurf.model import ImplicitField, model_from_arrays
+from hrbfsurf.sampling import sphere_points
+
+from oracles import edge_root, emit_quads, place_vertex
 
 
 class SphereField:
-    """Analytic signed distance to a sphere; no kernel model attached."""
+    """Analytic signed distance to a sphere, for the scalar oracle's own tests."""
 
     def __init__(self, radius=1.0):
         self.radius = radius
@@ -52,6 +55,18 @@ def test_pack_unpack_roundtrip(coords):
     assert len(np.unique(keys)) == len({tuple(c) for c in coords})
 
 
+def test_pack_rejects_out_of_range():
+    # past 2**19 cells a coordinate would alias onto another key
+    with pytest.raises(ValueError, match="voxel width"):
+        _pack([[2**19, 0, 0]])
+
+
+@pytest.fixture(scope="module")
+def sphere_model():
+    ps = sphere_points(1500, seed=1)
+    return model_from_arrays(ps.points, ps.normals, 0.3, 1.0)
+
+
 def test_edge_root_on_sphere():
     f = SphereField(1.0)
     hit = edge_root(f, [0.9, 0.0, 0.0], [1.1, 0.0, 0.0], tol=1e-12)
@@ -68,19 +83,18 @@ def test_edge_root_rejects_same_sign():
         edge_root(f, [0.1, 0.0, 0.0], [0.2, 0.0, 0.0], tol=1e-9)
 
 
-def test_batch_edge_roots_match_scalar():
-    f = SphereField(1.0)
+def test_batch_edge_roots_match_scalar(sphere_model):
     rng = np.random.default_rng(0)
     d = rng.normal(size=(50, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     p_neg = 0.92 * d
     p_pos = 1.07 * d
-    roots, normals = _batch_edge_roots(f, p_neg, p_pos, tol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(roots, axis=1), 1.0, atol=1e-7)
-    np.testing.assert_allclose(normals, d, atol=1e-7)
-    for i in (0, 17, 49):
-        hit = edge_root(f, p_neg[i], p_pos[i], tol=1e-12)
+    roots, normals = _batch_edge_roots(sphere_model, p_neg, p_pos, tol=1e-12)
+    field = ImplicitField(sphere_model)
+    for i in range(len(d)):
+        hit = edge_root(field, p_neg[i], p_pos[i], tol=1e-12)
         np.testing.assert_allclose(roots[i], hit.position, atol=1e-9)
+        np.testing.assert_allclose(normals[i], hit.normal, atol=1e-9)
 
 
 def test_place_vertex_three_planes():
@@ -111,14 +125,13 @@ def test_voxel_grid_corner_position():
 
 
 @pytest.fixture(scope="module")
-def sphere_grid_and_mesh():
-    f = SphereField(1.0)
+def sphere_grid_and_mesh(sphere_model):
     centers = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
                         [0, 0, 1.0], [0, 0, -1.0]])
     normals = centers.copy()
-    grid = collect_active_voxels(f, centers, normals, width=0.1)
-    mesh = contour(f, grid)
-    return f, grid, mesh
+    grid = collect_active_voxels(sphere_model, centers, normals, width=0.1)
+    mesh = contour(sphere_model, grid)
+    return sphere_model, grid, mesh
 
 
 def test_active_voxels_straddle_surface(sphere_grid_and_mesh):
@@ -163,20 +176,43 @@ def test_contour_matches_emit_quads(sphere_grid_and_mesh):
     assert canon(got) == canon(want)
 
 
-def test_extract_surface_deterministic():
-    f = SphereField(1.0)
+def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
+    # the vectorised QEF against the scalar one, voxel by voxel, over the
+    # same edge intersections that contour computes
+    model, grid, mesh = sphere_grid_and_mesh
+    w = grid.width
+    corners = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
+    rows, p_neg, p_pos = [], [], []
+    for ca, cb, axis in _EDGES:
+        va, vb = grid.corner_values[:, ca], grid.corner_values[:, cb]
+        for row in np.flatnonzero((va < 0) != (vb < 0)):
+            a = grid.corner_position(corners[row, ca])
+            b = a.copy()
+            b[axis] += w
+            rows.append(row)
+            p_neg.append(a if va[row] < 0 else b)
+            p_pos.append(b if va[row] < 0 else a)
+    rows = np.array(rows)
+    roots, normals = _batch_edge_roots(model, np.array(p_neg), np.array(p_pos), 1e-4 * w)
+    for row in range(grid.n_active):
+        lo = grid.corner_position(grid.coords[row])
+        sel = rows == row
+        want = place_vertex(roots[sel], normals[sel], box=(lo, lo + w))
+        np.testing.assert_allclose(mesh.vertices[row], want, atol=1e-9)
+
+
+def test_extract_surface_deterministic(sphere_model):
     centers = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    m1 = extract_surface(f, centers, centers, width=0.15)
-    m2 = extract_surface(f, centers, centers, width=0.15)
+    m1 = extract_surface(sphere_model, centers, centers, width=0.15)
+    m2 = extract_surface(sphere_model, centers, centers, width=0.15)
     assert m1.vertices.tobytes() == m2.vertices.tobytes()
     assert m1.faces.tobytes() == m2.faces.tobytes()
 
 
-def test_active_set_overflow():
-    f = SphereField(1.0)
+def test_active_set_overflow(sphere_model):
     centers = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(ActiveSetOverflow) as exc:
-        collect_active_voxels(f, centers, centers, width=0.02, max_active=50)
+        collect_active_voxels(sphere_model, centers, centers, width=0.02, max_active=50)
     assert exc.value.suggested_width > 0.02
 
 

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hrbfsurf import kernel
 from hrbfsurf.model import (
     ETA_MARGIN,
-    FrozenPairs,
     GROWTH_FACTOR,
     ImplicitField,
     LatticeTable,
     RHO_HARD_CAP,
+    _BRICK,
     _candidate_pairs,
     _eval_chunk,
     axis_edge_roots,
@@ -180,18 +181,6 @@ class TestEvaluation:
         assert g1.tobytes() == g2.tobytes()
         assert np.array_equal(d1, d2)
 
-    def test_frozen_pairs_matches_direct(self, sphere_model):
-        _, _, model = sphere_model
-        rng = np.random.default_rng(4)
-        anchors = random_unit_vectors(500, rng)
-        slack = 0.01
-        fp = FrozenPairs(model, anchors, slack)
-        x = anchors + rng.uniform(-slack / 2, slack / 2, (500, 3))
-        got_v, got_g = fp.evaluate(x, want_gradient=True)
-        ref_v, ref_g, defined = _eval_chunk(model, x, True)
-        np.testing.assert_allclose(got_v, ref_v, atol=1e-14, equal_nan=True)
-        np.testing.assert_allclose(got_g, ref_g, atol=1e-12, equal_nan=True)
-
 
 class TestCandidatePairs:
     def test_pairs_cover_supports_and_are_sorted(self):
@@ -295,10 +284,49 @@ class TestIsosurfaceHelpers:
         out = table.fetch(np.array([[-(10**6), 0, 0]]) )
         assert np.isnan(out[0])
 
-    def test_lattice_table_cell_cap(self, sphere_model):
+    def test_lattice_table_far_beyond_dense_size(self, sphere_model):
+        # about 1e9 cells: only the bricks that fetch touches may be filled
         _, _, model = sphere_model
-        with pytest.raises(MemoryError):
-            LatticeTable(model, model.centers.min(axis=0), 0.001, cell_cap=1000)
+        w = 0.001
+        origin = model.centers.min(axis=0) - 2 * w
+        table = LatticeTable(model, origin, w)
+        assert np.prod(table.shape.astype(float)) > 5e8
+        rng = np.random.default_rng(10)
+        x = model.centers[rng.integers(0, model.n_centers, 300)]
+        x = x + rng.normal(scale=0.01, size=x.shape)
+        cells = np.floor((x - origin) / w).astype(np.int64)
+        got = table.fetch(cells)
+        ref, _, defined = _eval_chunk(model, origin + cells * w, False)
+        assert defined.sum() > 250
+        assert np.array_equal(defined, np.isfinite(got))
+        np.testing.assert_allclose(got[defined], ref[defined], atol=1e-14)
+        touched = np.unique((cells - table.gmin) // _BRICK, axis=0)
+        assert table._n_filled == len(touched)
+
+
+@pytest.fixture(scope="module")
+def small_table_reference():
+    rng = np.random.default_rng(12)
+    pts = random_unit_vectors(30, rng)
+    model = model_from_arrays(pts, pts, 0.35, 1.0)
+    origin = np.full(3, -1.2)
+    return model, origin, LatticeTable(model, origin, 0.1).values_flat
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(st.integers(0, 10**9), min_size=1, max_size=200), min_size=1, max_size=6
+    )
+)
+def test_lattice_fetch_order_bitwise(small_table_reference, batches):
+    # bricks filled in any order and any grouping hold the same bits
+    model, origin, ref = small_table_reference
+    table = LatticeTable(model, origin, 0.1)
+    for batch in batches:
+        flat = np.array(batch) % len(ref)
+        cells = np.stack(np.unravel_index(flat, tuple(table.shape)), axis=1)
+        assert table.fetch(table.gmin + cells).tobytes() == ref[flat].tobytes()
 
 
 def test_build_model_consistency(sphere_model):
