@@ -187,7 +187,6 @@ def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> Qu
 
     # unique sign-change edges; key packs the lower corner and the axis
     vox_rows, edge_keys, p_lo_list, v_lo_list, v_hi_list, axes = [], [], [], [], [], []
-    corner_coords = coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
     for ca, cb, axis in _EDGES:
         va = vals[:, ca]
         vb = vals[:, cb]
@@ -195,7 +194,7 @@ def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> Qu
         if not hit.any():
             continue
         rows = np.flatnonzero(hit)
-        lo = corner_coords[rows, ca]
+        lo = coords[rows] + _CORNER_OFFSETS[ca]
         edge_keys.append(_pack(lo) * 4 + axis)
         vox_rows.append(rows)
         p_lo_list.append(lo)

@@ -1,10 +1,16 @@
 """Desk-scale exact HRBF solver used as the oracle for error-bound checks.
 
-Assembles the regularized 4n x 4n block system over compact supports as a
-sparse matrix and solves it directly.  Row-block i stacks the value and
+Assembles the regularized 4n x 4n block system A + eta I = D + dA over
+compact supports as a sparse matrix.  Row-block i stacks the value and
 gradient constraints at point i; column-block j carries kernel j (support
-rho_j).  The diagonal blocks reduce to diag(1, 20/rho^2, ...) + eta I, the
-same matrix the quasi-solution inverts in closed form.
+rho_j).  The diagonal blocks reduce to D = diag(1, 20/rho^2, ...) + eta I,
+the same matrix the quasi-solution D^-1 y inverts in closed form.
+
+When q = ||D^-1 dA||inf < 1, which the tuned eta guarantees, the system is
+solved by the Neumann series that starts at the quasi-solution (Jacobi
+iteration, Saad, Iterative Methods for Sparse Linear Systems, ch. 4); it
+converges for any such q.  Otherwise (eta = 0, small eta overrides) it is
+factored by sparse LU.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ class ExactSystem:
     eta: float
     rho: np.ndarray
     delta_a_inf: float  # ||A + eta I - D||inf, exact from assembled blocks
+    contraction: float  # q = ||D^-1 dA||inf, exact; <= d_inv_inf * delta_a_inf
     d_diag: np.ndarray = field(repr=False, default=None)  # diagonal of D
 
     @property
@@ -53,6 +60,11 @@ class ExactSolveResult:
     residual_inf: float
     delta_a_inf: float
     d_inv_inf: float
+    # ||lambda_1 - lambda_0||inf / (1 - q) >= ||lambda_0 - lambda||inf for the
+    # quasi-solution lambda_0 = D^-1 y; inf when q >= 1
+    bound_a_posteriori: float
+    method: str  # "neumann" or "lu"
+    iterations: int  # Neumann steps taken; 0 for LU
 
     @property
     def a_coeffs(self):
@@ -111,11 +123,15 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     for a in (1, 2, 3):
         d_diag[a::4] = 20.0 / rho**2 + eta
     delta = mat - sp.diags(d_diag)
-    delta_a_inf = float(np.max(np.abs(delta).sum(axis=1))) if delta.nnz else 0.0
+    row_sums = np.asarray(np.abs(delta).sum(axis=1)).ravel()
+    delta_a_inf = float(row_sums.max())
+    contraction = float((row_sums / d_diag).max())
 
     y = np.zeros(4 * n)
     y.reshape(-1, 4)[:, 1:] = normals
-    return ExactSystem(n=n, matrix=mat, y=y, eta=eta, rho=rho, delta_a_inf=delta_a_inf, d_diag=d_diag)
+    return ExactSystem(
+        n=n, matrix=mat, y=y, eta=eta, rho=rho, delta_a_inf=delta_a_inf, contraction=contraction, d_diag=d_diag
+    )
 
 
 def condition_estimate(sys: ExactSystem, lu=None):
@@ -130,13 +146,55 @@ def condition_estimate(sys: ExactSystem, lu=None):
     return float(spla.onenormest(sys.matrix) * spla.onenormest(inv_op))
 
 
+_STOP_ULPS = 4.0  # Neumann stop: error estimate within this many ulps of ||lambda||inf
+
+
+def _neumann_ceiling(q):
+    """Steps after which q^(k+1) / (1 - q) <= eps: the Neumann error bound
+    relative to ||lambda_0||inf has reached rounding level, for 0 <= q < 1."""
+    eps = np.finfo(np.float64).eps
+    return int(np.ceil(np.log(eps * (1.0 - q)) / np.log(max(q, eps)))) + 3
+
+
+def _neumann(sys: ExactSystem):
+    """lambda_{k+1} = lambda_k + D^-1 (y - (A + eta I) lambda_k) from lambda_0 = D^-1 y.
+
+    Stops on the a-posteriori estimate ||lambda - lambda_k|| <= q/(1-q)
+    ||lambda_k - lambda_{k-1}||, or at ``_neumann_ceiling(q)`` steps.
+    Returns (lambda, steps, ||lambda_1 - lambda_0||inf).
+    """
+    q = sys.contraction
+    eps = np.finfo(np.float64).eps
+    lam = sys.y / sys.d_diag
+    for k in range(1, _neumann_ceiling(q) + 1):
+        step = (sys.y - sys.matrix @ lam) / sys.d_diag
+        lam = lam + step
+        size = float(np.max(np.abs(step)))
+        if k == 1:
+            first_step = size
+        if q / (1.0 - q) * size <= _STOP_ULPS * eps * float(np.max(np.abs(lam))):
+            break
+    return lam, k, first_step
+
+
 def solve(sys: ExactSystem, residual_tol=1e-9, cond_limit=None) -> ExactSolveResult:
-    """Direct sparse solve of (A + eta I) lambda = y."""
-    try:
-        lu = spla.splu(sys.matrix.tocsc())
-        lam = lu.solve(sys.y)
-    except RuntimeError as exc:  # singular factorization
-        raise IllConditionedError(f"factorization failed: {exc}", np.inf) from exc
+    """Solve (A + eta I) lambda = y: Neumann series when q < 1, sparse LU otherwise.
+
+    Both paths must pass the residual gate; ``cond_limit`` bounds the 1-norm
+    condition estimate, which factors the matrix on the Neumann path.
+    """
+    lu = None
+    q = sys.contraction
+    if q < 1.0:
+        lam, iterations, first_step = _neumann(sys)
+        method, bound = "neumann", first_step / (1.0 - q)
+    else:
+        try:
+            lu = spla.splu(sys.matrix.tocsc())
+            lam = lu.solve(sys.y)
+        except RuntimeError as exc:  # singular factorization
+            raise IllConditionedError(f"factorization failed: {exc}", np.inf) from exc
+        method, iterations, bound = "lu", 0, np.inf
     residual = float(np.max(np.abs(sys.matrix @ lam - sys.y)))
     scale = 1.0 + float(np.max(np.abs(sys.y)))
     if not np.all(np.isfinite(lam)) or residual > residual_tol * scale:
@@ -153,6 +211,9 @@ def solve(sys: ExactSystem, residual_tol=1e-9, cond_limit=None) -> ExactSolveRes
         residual_inf=residual,
         delta_a_inf=sys.delta_a_inf,
         d_inv_inf=sys.d_inv_inf,
+        bound_a_posteriori=bound,
+        method=method,
+        iterations=iterations,
     )
 
 

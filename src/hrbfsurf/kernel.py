@@ -25,15 +25,6 @@ import numpy as np
 
 
 @dataclass
-class KernelEval:
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    support: float
-    inside_support: bool
-
-
-@dataclass
 class DerivativeBounds:
     first: float  # max |d phi / dx| = 135/(64 rho), attained at r = rho/4 on an axis
     second_diag: float  # max |d2 phi / dx2| = 20/rho^2, attained at r = 0
@@ -76,22 +67,6 @@ def hessian(offsets, rho):
     h = outer_coef[..., None, None] * (offsets[..., :, None] * offsets[..., None, :])
     h += diag_term[..., None, None] * np.eye(3)
     return h
-
-
-def evaluate(center, rho, x, want_gradient=True, want_hessian=True) -> KernelEval:
-    """Scalar evaluation of phi and its requested derivatives at x."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    center = np.asarray(center, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    d = x - center
-    r2 = float(d @ d)
-    if r2 >= rho * rho:
-        return KernelEval(0.0, np.zeros(3), np.zeros((3, 3)), rho, False)
-    val = float(value(d[None], rho)[0])
-    grad = gradient(d[None], rho)[0] if want_gradient else np.zeros(3)
-    hess = hessian(d[None], rho)[0] if want_hessian else np.zeros((3, 3))
-    return KernelEval(val, grad, hess, rho, True)
 
 
 def derivative_bounds(rho) -> DerivativeBounds:

@@ -104,6 +104,7 @@ class BoundReport:
     measured_inf_error: float
     applicable: bool
     holds: bool
+    bound_a_posteriori: float  # from the exact solve's first Neumann step; inf when q >= 1
 
 
 def tune_parameters(
@@ -668,7 +669,11 @@ def quasi_lambda(model: HrbfModel):
 
 
 def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result) -> BoundReport:
-    """Check the constant error bound of the quasi-solution against an exact solve."""
+    """Check the constant error bound of the quasi-solution against an exact solve.
+
+    ``applicable``/``holds`` refer to the a-priori bound; the a-posteriori
+    bound of ``exact_result`` is carried alongside.
+    """
     a_bar = tp.a_bar
     eta = tp.eta
     contraction = a_bar / (1.0 + eta)
@@ -682,4 +687,5 @@ def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result) -> Boun
         measured_inf_error=measured,
         applicable=applicable,
         holds=bool(applicable and measured <= bound),
+        bound_a_posteriori=float(exact_result.bound_a_posteriori),
     )

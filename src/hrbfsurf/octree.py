@@ -1,8 +1,8 @@
 """Octree over input points with leaf statistics and neighbor queries.
 
 The octree hierarchy supplies per-leaf diagonal lengths used for support-size
-tuning.  Radius and k-nearest-neighbor queries are served by a cKDTree built
-over the same points; results follow the strict open-ball convention
+tuning.  k-nearest-neighbor and strict-count queries are served by a cKDTree
+built over the same points; counts follow the strict open-ball convention
 (distance < radius) matching the kernel's open support.
 """
 
@@ -87,19 +87,6 @@ def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
         root_size=size,
         tree=cKDTree(points),
     )
-
-
-def radius_query(idx: PointOctree, center, radius):
-    """Indices with ||p - center|| strictly below radius, ascending."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=np.float64)
-    cand = idx.tree.query_ball_point(center, radius)
-    cand = np.asarray(sorted(cand), dtype=np.int64)
-    if len(cand) == 0:
-        return cand
-    d = np.linalg.norm(idx.points[cand] - center, axis=1)
-    return cand[d < radius]
 
 
 def knn_query(idx: PointOctree, center, k, exclude_self=False):

