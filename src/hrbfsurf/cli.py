@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import exact
 from .covers import CoverParams, select_centers
 from .octree import build_octree
 from .pipeline import (
@@ -44,7 +45,7 @@ def build_parser():
     p = sub.add_parser("verify-bound", help="exact-solver check of the quasi-solution bound")
     p.add_argument("input")
     p.add_argument("--csv", default=None)
-    p.add_argument("--exact-cap", type=int, default=5000)
+    p.add_argument("--exact-cap", type=int, default=exact.DEFAULT_POINT_CAP)
     _add_common(p)
 
     p = sub.add_parser("noise-bench", help="noise-robustness benchmark against a reference mesh")
@@ -55,12 +56,13 @@ def build_parser():
     p.add_argument("--samples", type=int, default=20000)
     _add_common(p)
 
+    cover = CoverParams()
     p = sub.add_parser("select-centers", help="spherical-cover center selection dump")
     p.add_argument("input")
     p.add_argument("--csv", required=True)
-    p.add_argument("--g-min", type=float, default=1.5)
-    p.add_argument("--q-err", type=float, default=5e-4)
-    p.add_argument("--candidates", type=int, default=15)
+    p.add_argument("--g-min", type=float, default=cover.g_min)
+    p.add_argument("--q-err", type=float, default=cover.q_err)
+    p.add_argument("--candidates", type=int, default=cover.varpi)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -20,13 +20,9 @@ from scipy.sparse.csgraph import connected_components
 from .model import HrbfModel, LatticeTable, axis_edge_roots
 from .pointset import QuadMesh
 
-_BITS = 20
-_BIAS = 1 << (_BITS - 1)
-_MASK = (1 << _BITS) - 1
-
-BISECTION_ITERS = 32
 QEF_REG = 1e-3
 DEFAULT_MAX_ACTIVE = 5_000_000
+SEED_STEPS = 3  # normal probes per side when seeding the active-voxel search
 
 # corner index = dx*4 + dy*2 + dz
 _CORNER_OFFSETS = np.array(
@@ -45,39 +41,22 @@ _RING = np.array([[-1, -1], [0, -1], [0, 0], [-1, 0]], dtype=np.int64)
 _UV = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
 
 
-def _pack(coords):
-    """One int64 key per integer coordinate triple in [-2**19, 2**19 - 1]."""
-    c = np.asarray(coords, dtype=np.int64) + _BIAS
-    if c.size and (c.min() < 0 or c.max() > _MASK):
-        raise ValueError(
-            f"voxel coordinates must lie in [-2**{_BITS - 1}, 2**{_BITS - 1} - 1]: "
-            f"the voxel width must exceed 2**-{_BITS - 1} of the input's extent"
-        )
-    return (c[..., 0] << (2 * _BITS)) | (c[..., 1] << _BITS) | c[..., 2]
-
-
-def _unpack(keys):
-    keys = np.asarray(keys, dtype=np.int64)
-    out = np.empty(keys.shape + (3,), dtype=np.int64)
-    out[..., 0] = (keys >> (2 * _BITS)) & _MASK
-    out[..., 1] = (keys >> _BITS) & _MASK
-    out[..., 2] = keys & _MASK
-    return out - _BIAS
-
-
 @dataclass
 class VoxelGrid:
-    width: float
-    origin: np.ndarray  # lattice anchor; corner (i,j,k) sits at origin + (i,j,k)*w
+    table: LatticeTable  # corner (i,j,k) sits at table.origin + (i,j,k)*w
     coords: np.ndarray  # (M, 3) integer coords of active voxels
     corner_values: np.ndarray  # (M, 8)
+
+    @property
+    def width(self):
+        return self.table.width
 
     @property
     def n_active(self):
         return len(self.coords)
 
     def corner_position(self, coords):
-        return self.origin + np.asarray(coords, dtype=np.float64) * self.width
+        return self.table.origin + np.asarray(coords, dtype=np.float64) * self.width
 
 
 class ActiveSetOverflow(MemoryError):
@@ -98,33 +77,35 @@ def collect_active_voxels(
     centers,
     normals,
     width,
-    seed_steps=3,
     max_active=DEFAULT_MAX_ACTIVE,
     workers=1,
 ) -> VoxelGrid:
     """Find sign-change voxels with fully defined corners near the centers.
 
-    Corner values come from the model's brick lattice.  Seeds are the voxels
-    containing each center and probes offset along its normal by up to
-    seed_steps voxel widths (the zero level set can sit away from noisy
-    points); the active set then grows by face-adjacency.
+    Corner values come from the model's brick lattice, whose value store is
+    emptied before returning: the grid keeps the corner values it needs.
+    Seeds are the voxels containing each center and probes offset along its
+    normal by up to SEED_STEPS voxel widths (the zero level set can sit away
+    from noisy points); the active set then grows by face-adjacency.  A voxel
+    is keyed by its lower corner in the table; voxels whose lower corner lies
+    outside the table have an undefined corner and are never tested.
     """
     if width <= 0:
         raise ValueError("width must be positive")
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     origin = centers.min(axis=0) - 2.0 * width  # global lattice anchor
+    table = LatticeTable(model, origin, width, workers=workers)
 
     seeds = [centers]
-    for t in range(1, seed_steps + 1):
+    for t in range(1, SEED_STEPS + 1):
         seeds.append(centers + t * width * normals)
         seeds.append(centers - t * width * normals)
     seed_coords = np.floor((np.concatenate(seeds) - origin) / width).astype(np.int64)
-    frontier = np.unique(_pack(seed_coords))
+    frontier = np.unique(table.keys(seed_coords))
 
-    table = LatticeTable(model, origin, width, workers=workers)
-    tested = set()
-    active_coords, active_vals = [], []
+    tested = {-1}  # the key of every voxel outside the table
+    active_coords, active_vals = [np.empty((0, 3), np.int64)], [np.empty((0, 8))]
     n_active = 0
     face_neighbors = np.array(
         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64
@@ -133,39 +114,28 @@ def collect_active_voxels(
     while len(frontier):
         fresh = np.asarray([k for k in frontier.tolist() if k not in tested], dtype=np.int64)
         tested.update(fresh.tolist())
-        if len(fresh) == 0:
-            break
-        coords = _unpack(fresh)
+        coords = table.coords(fresh)
         vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
         ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
-        if ok.any():
-            active_coords.append(coords[ok])
-            active_vals.append(vals[ok])
-            n_active += int(ok.sum())
-            if n_active > max_active:
-                raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
-            nxt = coords[ok][:, None, :] + face_neighbors[None, :, :]
-            frontier = np.unique(_pack(nxt.reshape(-1, 3)))
-        else:
-            frontier = np.empty(0, dtype=np.int64)
+        active_coords.append(coords[ok])
+        active_vals.append(vals[ok])
+        n_active += int(ok.sum())
+        if n_active > max_active:
+            raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
+        frontier = np.unique(table.keys(coords[ok][:, None, :] + face_neighbors[None, :, :]))
 
-    if n_active == 0:
-        return VoxelGrid(width, origin, np.empty((0, 3), np.int64), np.empty((0, 8)))
-    return VoxelGrid(
-        width,
-        origin,
-        np.concatenate(active_coords),
-        np.concatenate(active_vals),
-    )
+    table.clear()
+    return VoxelGrid(table, np.concatenate(active_coords), np.concatenate(active_vals))
 
 
-def _batch_edge_roots(model: HrbfModel, p_neg, p_pos, tol, workers=1):
-    """Roots and unit normals on sign-change edges; p_neg holds the negative endpoints.
+def _batch_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, workers=1):
+    """Roots and unit normals on sign-change lattice edges with lower corners
+    ``corner``; p_neg holds the negative endpoints.
 
     Where no support covers a root, or the gradient vanishes, the normal is the
     edge direction.
     """
-    mid, grads = axis_edge_roots(model, p_neg, p_pos, tol, iters=BISECTION_ITERS, workers=workers)
+    mid, grads = axis_edge_roots(table, corner, p_neg, p_pos, tol, workers=workers)
     norms = np.linalg.norm(grads, axis=1)
     bad = ~np.isfinite(norms) | (norms < 1e-12)
     if bad.any():
@@ -176,8 +146,9 @@ def _batch_edge_roots(model: HrbfModel, p_neg, p_pos, tol, workers=1):
     return mid, grads / norms[:, None]
 
 
-def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
+def contour(grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
     """Vertices from QEF minimization plus one quad per interior isosurface edge."""
+    table = grid.table
     w = grid.width
     if grid.n_active == 0:
         return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
@@ -185,7 +156,7 @@ def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> Qu
     vals = grid.corner_values
     m_vox = len(coords)
 
-    # unique sign-change edges; key packs the lower corner and the axis
+    # unique sign-change edges, keyed by the lower corner's table key and the axis
     vox_rows, edge_keys, p_lo_list, v_lo_list, v_hi_list, axes = [], [], [], [], [], []
     for ca, cb, axis in _EDGES:
         va = vals[:, ca]
@@ -195,7 +166,7 @@ def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> Qu
             continue
         rows = np.flatnonzero(hit)
         lo = coords[rows] + _CORNER_OFFSETS[ca]
-        edge_keys.append(_pack(lo) * 4 + axis)
+        edge_keys.append(table.keys(lo) * 4 + axis)
         vox_rows.append(rows)
         p_lo_list.append(lo)
         v_lo_list.append(va[rows])
@@ -222,7 +193,7 @@ def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> Qu
 
     p_neg = np.where((u_vlo < 0)[:, None], a_pos, b_pos)
     p_pos = np.where((u_vlo < 0)[:, None], b_pos, a_pos)
-    roots, root_normals = _batch_edge_roots(model, p_neg, p_pos, tol_factor * w, workers)
+    roots, root_normals = _batch_edge_roots(table, u_lo, p_neg, p_pos, tol_factor * w, workers)
 
     # QEF accumulation per voxel over (voxel, unique edge) incidences
     ne = len(uniq_keys)
@@ -256,7 +227,7 @@ def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> Qu
     vnorm[lens > 0] /= lens[lens > 0, None]
 
     # quads: all four voxels around an interior edge must be active
-    pk = _pack(coords)
+    pk = table.keys(coords)
     sort_order = np.argsort(pk)
     sorted_keys = pk[sort_order]
 
@@ -276,7 +247,7 @@ def contour(model: HrbfModel, grid: VoxelGrid, tol_factor=1e-4, workers=1) -> Qu
         ring = np.zeros((4, 3), dtype=np.int64)
         ring[:, u] = _RING[:, 0]
         ring[:, v] = _RING[:, 1]
-        quad_rows = lookup(_pack(lo[:, None, :] + ring[None, :, :]))
+        quad_rows = lookup(table.keys(lo[:, None, :] + ring[None, :, :]))
         complete = np.all(quad_rows >= 0, axis=1)  # else open boundary
         quad_rows = quad_rows[complete]
         flip = ~increasing[complete]
@@ -292,12 +263,11 @@ def extract_surface(
     centers,
     normals,
     width,
-    seed_steps=3,
     max_active=DEFAULT_MAX_ACTIVE,
     workers=1,
 ) -> QuadMesh:
-    grid = collect_active_voxels(model, centers, normals, width, seed_steps, max_active, workers)
-    return contour(model, grid, workers=workers)
+    grid = collect_active_voxels(model, centers, normals, width, max_active, workers)
+    return contour(grid, workers=workers)
 
 
 def _face_edges(faces):

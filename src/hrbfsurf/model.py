@@ -7,6 +7,7 @@ support contains x.  Outside every support the function is undefined.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ RHO_HARD_CAP = 4.0  # < sqrt(20); reachable only on pathologically sparse input
 GROWTH_FACTOR = 1.05
 ETA_MARGIN = 1e-5
 _EVAL_CHUNK = 16384  # fixed so chunking (hence output) is worker-count independent
+BISECTION_ITERS = 32
 
 
 @dataclass
@@ -32,9 +34,6 @@ class TuningParams:
     rho_max: float
     eta: float
     uniform_support: bool
-    # counts with radii one growth step larger; kept for diagnostics because
-    # the enlargement stops one increment before exceeding m
-    overshoot_counts: np.ndarray | None = None
 
     @property
     def a_bar(self):
@@ -135,7 +134,6 @@ def tune_parameters(
     m = int(counts.max())
 
     rho = np.full(n, rho0)
-    overshoot = counts.astype(np.int64).copy()
     active = np.ones(n, dtype=bool)
     # 1.05^420 * rho0 overflows any sane cap; the loop exits on the cap first.
     for _ in range(420):
@@ -147,7 +145,6 @@ def tune_parameters(
         over = cnt > m
         capped = trial >= RHO_HARD_CAP
         ai = np.flatnonzero(active)
-        overshoot[ai[over]] = cnt[over]
         grow = ~over
         rho[ai[grow]] = trial[grow]
         active[ai[over | (capped & grow)]] = False
@@ -169,7 +166,6 @@ def tune_parameters(
         rho_max=rho_max,
         eta=eta,
         uniform_support=noisy_mode,
-        overshoot_counts=overshoot,
     )
     if eta_override is None:
         tp.check()
@@ -252,7 +248,6 @@ def _gather_pairs(model: HrbfModel, x):
 
 
 _EDGE_PAIRS = 1 << 20  # candidate pairs per chunk; bounds the per-pair scratch arrays
-_EDGE_BRICK = 8  # side of a segment brick, in half segment lengths
 
 
 def _cuts(offsets, budget):
@@ -261,48 +256,40 @@ def _cuts(offsets, budget):
     return np.unique(np.concatenate([[0], found, [len(offsets) - 1]]))
 
 
-def _segment_bricks(model: HrbfModel, mid, half):
-    """Group segments by the cubic brick holding their midpoint.
+def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, iters=BISECTION_ITERS, workers=1):
+    """Bisection roots on lattice edges; p_neg holds the negative endpoints.
 
-    Returns (brick of each segment, CSR offsets, kernels): the kernels of
-    brick k, ascending, are kernels[offsets[k]:offsets[k + 1]] and include
-    every kernel whose support meets a segment of that brick.
-    """
-    side = _EDGE_BRICK * half if half > 0.0 else float(model.rho.min())
-    cell = np.floor(mid / side).astype(np.int64)
-    cmin = cell.min(axis=0)
-    dims = tuple(int(d) for d in cell.max(axis=0) - cmin + 1)
-    bricks, brick_of = np.unique(
-        np.ravel_multi_index(tuple((cell - cmin).T), dims), return_inverse=True
-    )
-    centre = (np.stack(np.unravel_index(bricks, dims), axis=1) + cmin + 0.5) * side
-    rows, kernels = _candidate_pairs(model, centre, half + 0.5 * np.sqrt(3.0) * side)
-    offsets = np.searchsorted(rows, np.arange(len(bricks) + 1))
-    return brick_of.ravel(), offsets, kernels
-
-
-def axis_edge_roots(model: HrbfModel, p_neg, p_pos, tol, iters=32, workers=1):
-    """Bisection roots on short segments; p_neg holds the negative endpoints.
-
-    Candidates are gathered once per brick of segments (every midpoint stays
-    on its segment), and the iteration reduces to scalar work per (segment,
+    ``corner`` holds the integer lattice coords of each edge's lower end,
+    which must lie inside the table.  An edge lies in the closed cube of the
+    brick holding its lower corner, so that brick's kernel listing supplies
+    its candidates, and the iteration reduces to scalar work per (edge,
     kernel) pair: with u = p_neg - c and g = p_pos - p_neg, the squared
-    distance along the segment is |u|^2 + 2<u,g>s + |g|^2 s^2 and <b, x-c> is
+    distance along the edge is |u|^2 + 2<u,g>s + |g|^2 s^2 and <b, x-c> is
     <b,u> + <b,g>s, so each midpoint costs one sqrt per pair instead of a
-    fresh neighbor search.  Each segment sums its kernels in ascending index
+    fresh neighbor search.  Each edge sums its kernels in ascending index
     order.
 
     Returns (roots, gradients); gradients are nan where no support covers the
-    root (callers substitute the segment direction).
+    root (callers substitute the edge direction).
     """
+    model = table.model
     p_neg = np.asarray(p_neg, dtype=np.float64).reshape(-1, 3)
     p_pos = np.asarray(p_pos, dtype=np.float64).reshape(-1, 3)
     n = len(p_neg)
     if n == 0:
         return np.empty((0, 3)), np.empty((0, 3))
-    seg = p_pos - p_neg
-    half = 0.5 * float(np.sqrt(np.einsum("ij,ij->i", seg, seg).max()))
-    brick_of, offsets, kernels = _segment_bricks(model, 0.5 * (p_neg + p_pos), half)
+    cells = np.asarray(corner, dtype=np.int64).reshape(-1, 3) - table.gmin
+    bricks, brick_of = np.unique(
+        np.ravel_multi_index(tuple((cells // _BRICK).T), tuple(table._nb)), return_inverse=True
+    )
+    counts, kernels = [], []
+    for b0 in range(0, len(bricks), _FILL_BRICKS):
+        batch = bricks[b0 : b0 + _FILL_BRICKS]
+        _, rows, kern = table._brick_kernels(batch)
+        counts.append(np.bincount(rows, minlength=len(batch)))
+        kernels.append(kern)
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    kernels = np.concatenate(kernels)
     first = offsets[brick_of]
     count = offsets[brick_of + 1] - first
     roots = np.empty((n, 3))
@@ -330,7 +317,7 @@ def axis_edge_roots(model: HrbfModel, p_neg, p_pos, tol, iters=32, workers=1):
 
 
 def _edge_roots_chunk(model, p_neg, p_pos, qidx, cidx, tol, iters):
-    """Roots and gradients for one chunk from its candidate (segment, kernel) pairs."""
+    """Roots and gradients for one chunk from its candidate (edge, kernel) pairs."""
     n = len(p_neg)
     seg = p_pos - p_neg
     # np.take and integer indices copy rows far faster than fancy or boolean
@@ -404,7 +391,7 @@ def _edge_roots_chunk(model, p_neg, p_pos, qidx, cidx, tol, iters):
 
 
 _BRICK = 4  # lattice cells along each edge of a brick
-_FILL_BRICKS = 1024  # bricks per fill batch; bounds the pair lists
+_FILL_BRICKS = 1024  # bricks per kernel listing; bounds the pair lists
 _FILL_PAIRS = 4096  # (brick, kernel) pairs per evaluation step; bounds the scratch arrays
 
 
@@ -422,6 +409,10 @@ class LatticeTable:
     filled together nor on the worker count.  Cells outside every support
     hold nan.  Memory grows with the filled bricks, not with the bounding
     box: filled bricks are kept as a sorted index of flat brick numbers.
+
+    Cells are keyed by their flat C-order index over ``shape`` (``keys``), so
+    key order is lexicographic coordinate order; edge keys append the axis,
+    which bounds the table at 2**63 / 4 cells.
     """
 
     def __init__(self, model: HrbfModel, origin, width, workers=1):
@@ -432,11 +423,15 @@ class LatticeTable:
         gmin = lo.min(axis=0)
         gmax = hi.max(axis=0)
         shape = gmax - gmin + 1
+        if 4 * math.prod(int(v) for v in shape) >= 2**63:
+            raise ValueError(
+                f"voxel width {width:g} is too fine: {shape.tolist()} cells overflow int64 edge keys"
+            )
+        self.model = model
+        self.origin = origin
+        self.width = width
         self.gmin = gmin
         self.shape = shape
-        self._model = model
-        self._origin = origin
-        self._width = width
         self._workers = workers
         self._lo = lo - gmin  # cell coordinates relative to the table
         self._hi = hi - gmin
@@ -446,6 +441,10 @@ class LatticeTable:
         self._rho_sq = np.array([r**2 for r in rho])
         self._scale = 20.0 / self._rho_sq
         self._nb = -(-shape // _BRICK)  # bricks per axis
+        self.clear()
+
+    def clear(self):
+        """Drop every filled brick; later reads fill them again."""
         # sorted flat numbers of the filled bricks and their store rows; the
         # sentinel key lies above every brick number, so a search always lands
         # on an entry
@@ -453,6 +452,17 @@ class LatticeTable:
         self._rows = np.array([-1])
         self._store = np.empty((0, _BRICK**3))
         self._n_filled = 0
+
+    def keys(self, coords):
+        """Flat C-order index over ``shape`` of integer lattice coords (..., 3); -1 outside."""
+        c = np.asarray(coords, dtype=np.int64) - self.gmin
+        inside = np.all((c >= 0) & (c < self.shape), axis=-1)
+        flat = (c[..., 0] * self.shape[1] + c[..., 1]) * self.shape[2] + c[..., 2]
+        return np.where(inside, flat, -1)
+
+    def coords(self, keys):
+        """Integer lattice coords (..., 3) of keys inside the table; inverse of ``keys``."""
+        return np.stack(np.unravel_index(keys, tuple(self.shape)), axis=-1) + self.gmin
 
     @property
     def values_flat(self):
@@ -523,23 +533,47 @@ class LatticeTable:
         self._rows = np.insert(self._rows, at, np.arange(n0, n1))
         self._n_filled = n1
 
+    def _brick_kernels(self, bricks):
+        """First cells of a batch of bricks and their (row, kernel) pairs.
+
+        A kernel is listed for a brick when its support can meet the brick's
+        closed cube [first, first + 4] of cells, so one list serves the
+        brick's own cells and every lattice edge whose lower corner lies in
+        the brick.  The search at the cube centre and the gap test against the
+        cube are both widened by a relative 1e-9 so that rounding never drops
+        a pair; callers apply their exact tests.  Pairs are sorted by row,
+        then by kernel.
+        """
+        first = np.stack(np.unravel_index(bricks, tuple(self._nb)), axis=1) * _BRICK
+        centre = self.origin + (self.gmin + first + 0.5 * _BRICK) * self.width
+        rows, kern = _candidate_pairs(self.model, centre, 0.5 * np.sqrt(3.0) * _BRICK * self.width)
+        first_r = np.take(first, rows, axis=0)
+        gap = self._gap_sq(first_r, first_r + _BRICK, kern)
+        keep = np.flatnonzero(gap < (self.model.rho[kern] * (1.0 + 1e-9)) ** 2)
+        return first, rows[keep], kern[keep]
+
+    def _gap_sq(self, a0, a1, kern):
+        """Squared distance from each kernel's center to the cell box [a0, a1].
+
+        Rounding is monotone in the box corners, so a box inside another
+        never reads farther away.
+        """
+        c = np.take(self.model.centers, kern, axis=0)
+        near = self.origin + (self.gmin + a0) * self.width - c
+        far = self.origin + (self.gmin + a1) * self.width - c
+        gap = np.maximum(near, 0.0) ** 2 + np.minimum(far, 0.0) ** 2
+        return gap[:, 0] + gap[:, 1] + gap[:, 2]
+
     def _batch_values(self, bricks):
         """(len(bricks), 64) values of a batch of bricks."""
-        first = np.stack(np.unravel_index(bricks, tuple(self._nb)), axis=1) * _BRICK
-        w = self._width
-        centre = self._origin + (self.gmin + first + 0.5 * (_BRICK - 1)) * w
-        rows, kern = _candidate_pairs(self._model, centre, 0.5 * np.sqrt(3.0) * (_BRICK - 1) * w)
+        first, rows, kern = self._brick_kernels(bricks)
         # keep a pair only if a cell of the brick inside the kernel's box can
         # lie inside its support: per-axis gaps to that block bound the cell
-        # offsets from below and are rounded the same way
+        # offsets from below
         first_r = np.take(first, rows, axis=0)
         a0 = np.maximum(first_r, np.take(self._lo, kern, axis=0))
         a1 = np.minimum(first_r + _BRICK - 1, np.take(self._hi, kern, axis=0))
-        c = np.take(self._model.centers, kern, axis=0)
-        near = self._origin + (self.gmin + a0) * w - c
-        far = self._origin + (self.gmin + a1) * w - c
-        gap = np.maximum(near, 0.0) ** 2 + np.minimum(far, 0.0) ** 2
-        keep = np.all(a0 <= a1, axis=1) & (gap[:, 0] + gap[:, 1] + gap[:, 2] < self._rho_sq[kern])
+        keep = np.all(a0 <= a1, axis=1) & (self._gap_sq(a0, a1, kern) < self._rho_sq[kern])
         keep = np.flatnonzero(keep)
         rows, kern = rows[keep], kern[keep]
         offsets = np.searchsorted(rows, np.arange(len(bricks) + 1))
@@ -555,13 +589,13 @@ class LatticeTable:
 
         Arrays run (x, y, z, pair) so that numpy's inner loops span the pairs.
         """
-        model = self._model
+        model = self.model
         npair = len(kern)
         off, sq = [], []
         for a in range(3):
             cells = np.arange(_BRICK)[:, None] + first[rows, a]  # (4, pairs)
             off.append(
-                self._origin[a] + (self.gmin[a] + cells) * self._width - model.centers[kern, a]
+                self.origin[a] + (self.gmin[a] + cells) * self.width - model.centers[kern, a]
             )
             # squares outside the kernel's box are inf: a kernel reaches its box only
             inbox = (cells >= self._lo[kern, a]) & (cells <= self._hi[kern, a])

@@ -21,10 +21,7 @@ MAX_DEPTH = 21
 class PointOctree:
     points: np.ndarray  # (n, 3)
     leaf_capacity: int
-    leaf_point_indices: list  # one index array per leaf
     leaf_diagonals: np.ndarray  # (n_leaves,)
-    root_lo: np.ndarray
-    root_size: float
     tree: cKDTree = field(repr=False, default=None)
 
     @property
@@ -51,7 +48,6 @@ def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
     size = float((hi - lo).max())
     if size == 0.0:
         size = 1.0  # all points coincident; single degenerate leaf cube
-    leaf_indices = []
     leaf_diagonals = []
 
     # Iterative subdivision; child order is fixed so the result is
@@ -60,7 +56,6 @@ def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
     while stack:
         idx, node_lo, node_size, depth = stack.pop()
         if len(idx) <= leaf_capacity or depth >= MAX_DEPTH:
-            leaf_indices.append(idx)
             leaf_diagonals.append(node_size * np.sqrt(3.0))
             continue
         half = node_size / 2.0
@@ -81,10 +76,7 @@ def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
     return PointOctree(
         points=points,
         leaf_capacity=leaf_capacity,
-        leaf_point_indices=leaf_indices,
         leaf_diagonals=np.array(leaf_diagonals),
-        root_lo=lo,
-        root_size=size,
         tree=cKDTree(points),
     )
 

@@ -38,8 +38,7 @@ class ReconConfig:
     min_fragment_faces: int = 10
     threads: int = 1
     seed: int = 0
-    leaf_capacity: int = 16
-    exact_cap: int = 5000
+    exact_cap: int = exact.DEFAULT_POINT_CAP
 
     def __post_init__(self):
         if self.s < 1.0:
@@ -68,12 +67,12 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
 
     working = norm_ps
     if cfg.center_select:
-        idx0 = _timed(diag, "octree", build_octree, working, cfg.leaf_capacity)
+        idx0 = _timed(diag, "octree", build_octree, working)
         cover = _timed(diag, "center_select", select_centers, working, idx0, CoverParams(), cfg.seed)
         diag["n_selected_centers"] = cover.n_centers
         working = selected_pointset(cover)
 
-    idx = _timed(diag, "octree_centers", build_octree, working, cfg.leaf_capacity)
+    idx = _timed(diag, "octree_centers", build_octree, working)
     tp = _timed(
         diag, "tune", tune_parameters, working, idx,
         cfg.s, cfg.noisy_mode, cfg.eta_override, cfg.threads,
@@ -121,7 +120,7 @@ def run_reconstruct(cfg: ReconConfig):
 def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
     """Tune, build the quasi-solution, exact-solve, and report the error bound."""
     norm_ps, _ = normalize_to_unit_box(ps)
-    idx = build_octree(norm_ps, cfg.leaf_capacity)
+    idx = build_octree(norm_ps)
     tp = tune_parameters(norm_ps, idx, cfg.s, cfg.noisy_mode, cfg.eta_override)
     model = build_model(norm_ps, tp)
     sys = exact.assemble(norm_ps, tp.rho, tp.eta, cap=cfg.exact_cap)
@@ -192,7 +191,6 @@ def run_noise_bench(
             min_fragment_faces=cfg.min_fragment_faces,
             threads=cfg.threads,
             seed=cfg.seed,
-            leaf_capacity=cfg.leaf_capacity,
         )
         noisy = inject_noise(ps, NoiseSpec(delta, seed=cfg.seed + int(delta)))
         if delta > 0:

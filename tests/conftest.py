@@ -33,3 +33,29 @@ def sphere_model(sphere_ps):
 def random_unit_vectors(n, rng):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def sign_change_edges(table, cells):
+    """Lattice edges from ``cells`` along +x, +y and +z whose ends are defined
+    and differ in sign: (lower corners, negative ends, positive ends)."""
+    cells = np.unique(np.asarray(cells, dtype=np.int64).reshape(-1, 3), axis=0)
+    corner, p_neg, p_pos = [], [], []
+    for axis in range(3):
+        upper = cells + np.eye(3, dtype=np.int64)[axis]
+        va, vb = table.fetch(cells), table.fetch(upper)
+        hit = np.isfinite(va) & np.isfinite(vb) & ((va < 0) != (vb < 0))
+        a = table.origin + cells[hit] * table.width
+        b = table.origin + upper[hit] * table.width
+        neg = (va[hit] < 0)[:, None]
+        corner.append(cells[hit])
+        p_neg.append(np.where(neg, a, b))
+        p_pos.append(np.where(neg, b, a))
+    return np.concatenate(corner), np.concatenate(p_neg), np.concatenate(p_pos)
+
+
+def cells_near(points, origin, width, reach):
+    """Lattice cells within ``reach`` cells (per axis) of the cell holding each point."""
+    base = np.floor((np.asarray(points) - origin) / width).astype(np.int64)
+    span = np.arange(-reach, reach + 1)
+    offsets = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+    return (base[:, None, :] + offsets[None, :, :]).reshape(-1, 3)

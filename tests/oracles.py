@@ -3,8 +3,9 @@
 ``edge_root`` bisects one edge on any object with ``values`` and ``evaluate``
 (an ``ImplicitField`` or an analytic field), ``place_vertex`` solves one
 voxel's quadric, and ``emit_quads`` builds the quads edge by edge from a dict
-of active voxels.  ``kernel_evaluate`` evaluates one kernel at one point, and
-``radius_query`` lists the indexed points strictly inside one ball.
+of active voxels.  ``kernel_evaluate`` evaluates one kernel at one point,
+``radius_query`` lists the indexed points strictly inside one ball, and
+``octree_leaves`` subdivides a point set recursively into octree leaves.
 """
 
 from dataclasses import dataclass
@@ -12,17 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hrbfsurf import kernel
-from hrbfsurf.dualcontour import (
-    BISECTION_ITERS,
-    QEF_REG,
-    _CORNER_OFFSETS,
-    _EDGES,
-    _RING,
-    _UV,
-    VoxelGrid,
-    _pack,
-)
-from hrbfsurf.octree import PointOctree
+from hrbfsurf.dualcontour import QEF_REG, _CORNER_OFFSETS, _EDGES, _RING, _UV, VoxelGrid
+from hrbfsurf.model import BISECTION_ITERS
+from hrbfsurf.octree import MAX_DEPTH, PointOctree
 from hrbfsurf.pointset import QuadMesh
 
 
@@ -88,7 +81,7 @@ def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     if len(vertices) != grid.n_active:
         raise ValueError("one vertex per active voxel required")
-    vox_index = {k: i for i, k in enumerate(_pack(grid.coords).tolist())}
+    vox_index = {tuple(c): i for i, c in enumerate(grid.coords.tolist())}
     corner_coords = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
     seen = set()
     faces = []
@@ -98,7 +91,7 @@ def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
         hit = np.flatnonzero((va < 0) != (vb < 0))
         for row in hit:
             lo = corner_coords[row, ca]
-            key = int(_pack(lo)) * 4 + int(axis)
+            key = (tuple(lo.tolist()), int(axis))
             if key in seen:
                 continue
             seen.add(key)
@@ -108,7 +101,7 @@ def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
                 c = lo.copy()
                 c[u] += du
                 c[v] += dv
-                quad.append(vox_index.get(int(_pack(c))))
+                quad.append(vox_index.get(tuple(c.tolist())))
             if any(qv is None for qv in quad):
                 continue
             if not (vb[row] > va[row]):
@@ -154,3 +147,30 @@ def radius_query(idx: PointOctree, center, radius):
         return cand
     d = np.linalg.norm(idx.points[cand] - center, axis=1)
     return cand[d < radius]
+
+
+def octree_leaves(points, leaf_capacity):
+    """(point indices, diagonal) of each leaf, in the order ``build_octree`` lists them.
+
+    A cube splits at its midpoint while it holds more than leaf_capacity
+    points and lies above MAX_DEPTH; empty octants make no leaf.  Children
+    are visited from octant 7 down to 0, octant bits being (x, y, z) >= mid.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    lo = points.min(axis=0)
+    size = float((points.max(axis=0) - lo).max()) or 1.0
+
+    def split(idx, node_lo, node_size, depth):
+        if len(idx) <= leaf_capacity or depth >= MAX_DEPTH:
+            return [(idx, node_size * np.sqrt(3.0))]
+        half = node_size / 2.0
+        leaves = []
+        for octant in range(7, -1, -1):
+            bits = np.array([(octant >> 2) & 1, (octant >> 1) & 1, octant & 1])
+            upper = points[idx] >= node_lo + half
+            sub = idx[np.all(upper == bits.astype(bool), axis=1)]
+            if len(sub):
+                leaves += split(sub, node_lo + bits * half, half, depth + 1)
+        return leaves
+
+    return split(np.arange(len(points)), lo, size, 0)

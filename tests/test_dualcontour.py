@@ -1,8 +1,8 @@
-"""Dual contouring pieces: packing, edge roots, QEF vertices, topology."""
+"""Dual contouring pieces: lattice keys, edge roots, QEF vertices, topology."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hrbfsurf.dualcontour import (
     _CORNER_OFFSETS,
@@ -11,8 +11,6 @@ from hrbfsurf.dualcontour import (
     QuadMesh,
     VoxelGrid,
     _batch_edge_roots,
-    _pack,
-    _unpack,
     boundary_edge_count,
     collect_active_voxels,
     contour,
@@ -20,9 +18,11 @@ from hrbfsurf.dualcontour import (
     face_components,
     remove_small_fragments,
 )
-from hrbfsurf.model import ImplicitField, model_from_arrays
+from hrbfsurf.model import ImplicitField, LatticeTable, model_from_arrays
+from hrbfsurf.pipeline import ReconConfig, StageError, reconstruct_points
 from hrbfsurf.sampling import sphere_points
 
+from conftest import cells_near, sign_change_edges
 from oracles import edge_root, emit_quads, place_vertex
 
 
@@ -43,28 +43,46 @@ class SphereField:
         return vals, grads, np.ones(len(x), dtype=bool)
 
 
-coord = st.integers(-(2**19) + 1, 2**19 - 1)
-
-
-@given(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=30))
-def test_pack_unpack_roundtrip(coords):
-    arr = np.array(coords, dtype=np.int64)
-    keys = _pack(arr)
-    np.testing.assert_array_equal(_unpack(keys), arr)
-    # packing is injective over the supported range
-    assert len(np.unique(keys)) == len({tuple(c) for c in coords})
-
-
-def test_pack_rejects_out_of_range():
-    # past 2**19 cells a coordinate would alias onto another key
-    with pytest.raises(ValueError, match="voxel width"):
-        _pack([[2**19, 0, 0]])
-
-
 @pytest.fixture(scope="module")
 def sphere_model():
     ps = sphere_points(1500, seed=1)
     return model_from_arrays(ps.points, ps.normals, 0.3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def key_table():
+    # a table of about 8^3 cells; offsets -3..12 reach past it on every side
+    model = model_from_arrays([[0.0, 0.0, 0.0], [0.3, 0.1, -0.2]], [[0.0, 0.0, 1.0]] * 2, 0.25, 1.0)
+    return LatticeTable(model, np.full(3, -0.4), 0.1)
+
+
+offset = st.integers(-3, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(offset, offset, offset), min_size=1, max_size=40))
+def test_table_keys_roundtrip_and_order(key_table, offsets):
+    table = key_table
+    coords = table.gmin + np.array(offsets, dtype=np.int64)
+    keys = table.keys(coords)
+    inside = np.all((coords >= table.gmin) & (coords < table.gmin + table.shape), axis=1)
+    assert np.all(keys[~inside] == -1)
+    assert np.all((keys[inside] >= 0) & (keys[inside] < np.prod(table.shape)))
+    c, k = coords[inside], keys[inside]
+    np.testing.assert_array_equal(table.coords(k), c)
+    # distinct cells get distinct keys, and key order is lexicographic order
+    assert len(np.unique(k)) == len(np.unique(c, axis=0))
+    by_coord = np.lexsort((c[:, 2], c[:, 1], c[:, 0]))
+    assert np.array_equal(k[by_coord], np.sort(k))
+
+
+def test_table_rejects_too_fine_width(sphere_model):
+    # edge keys (4 per cell) must fit in int64
+    with pytest.raises(ValueError, match="voxel width 1e-07"):
+        LatticeTable(sphere_model, sphere_model.centers.min(axis=0), 1e-7)
+    with pytest.raises(StageError, match="voxel width") as exc:
+        reconstruct_points(sphere_points(200, seed=2), ReconConfig(voxel_width=1e-7))
+    assert exc.value.stage == "extract"
 
 
 def test_edge_root_on_sphere():
@@ -84,14 +102,15 @@ def test_edge_root_rejects_same_sign():
 
 
 def test_batch_edge_roots_match_scalar(sphere_model):
-    rng = np.random.default_rng(0)
-    d = rng.normal(size=(50, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    p_neg = 0.92 * d
-    p_pos = 1.07 * d
-    roots, normals = _batch_edge_roots(sphere_model, p_neg, p_pos, tol=1e-12)
+    w = 0.05
+    origin = sphere_model.centers.min(axis=0) - 2 * w
+    table = LatticeTable(sphere_model, origin, w)
+    corner, p_neg, p_pos = sign_change_edges(table, cells_near(sphere_model.centers[:40], origin, w, 1))
+    rows = np.random.default_rng(0).choice(len(corner), 50, replace=False)
+    corner, p_neg, p_pos = corner[rows], p_neg[rows], p_pos[rows]
+    roots, normals = _batch_edge_roots(table, corner, p_neg, p_pos, tol=1e-12)
     field = ImplicitField(sphere_model)
-    for i in range(len(d)):
+    for i in range(len(corner)):
         hit = edge_root(field, p_neg[i], p_pos[i], tol=1e-12)
         np.testing.assert_allclose(roots[i], hit.position, atol=1e-9)
         np.testing.assert_allclose(normals[i], hit.normal, atol=1e-9)
@@ -119,8 +138,10 @@ def test_place_vertex_requires_points():
         place_vertex(np.empty((0, 3)), np.empty((0, 3)))
 
 
-def test_voxel_grid_corner_position():
-    g = VoxelGrid(0.5, np.array([1.0, 2.0, 3.0]), np.zeros((1, 3), np.int64), np.zeros((1, 8)))
+def test_voxel_grid_corner_position(sphere_model):
+    table = LatticeTable(sphere_model, np.array([1.0, 2.0, 3.0]), 0.5)
+    g = VoxelGrid(table, np.zeros((1, 3), np.int64), np.zeros((1, 8)))
+    assert g.width == 0.5
     np.testing.assert_allclose(g.corner_position([[2, 0, -2]]), [[2.0, 2.0, 2.0]])
 
 
@@ -130,7 +151,7 @@ def sphere_grid_and_mesh(sphere_model):
                         [0, 0, 1.0], [0, 0, -1.0]])
     normals = centers.copy()
     grid = collect_active_voxels(sphere_model, centers, normals, width=0.1)
-    mesh = contour(sphere_model, grid)
+    mesh = contour(grid)
     return sphere_model, grid, mesh
 
 
@@ -179,10 +200,10 @@ def test_contour_matches_emit_quads(sphere_grid_and_mesh):
 def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
     # the vectorised QEF against the scalar one, voxel by voxel, over the
     # same edge intersections that contour computes
-    model, grid, mesh = sphere_grid_and_mesh
+    _, grid, mesh = sphere_grid_and_mesh
     w = grid.width
     corners = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
-    rows, p_neg, p_pos = [], [], []
+    rows, lower, p_neg, p_pos = [], [], [], []
     for ca, cb, axis in _EDGES:
         va, vb = grid.corner_values[:, ca], grid.corner_values[:, cb]
         for row in np.flatnonzero((va < 0) != (vb < 0)):
@@ -190,10 +211,11 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
             b = a.copy()
             b[axis] += w
             rows.append(row)
+            lower.append(corners[row, ca])
             p_neg.append(a if va[row] < 0 else b)
             p_pos.append(b if va[row] < 0 else a)
     rows = np.array(rows)
-    roots, normals = _batch_edge_roots(model, np.array(p_neg), np.array(p_pos), 1e-4 * w)
+    roots, normals = _batch_edge_roots(grid.table, lower, np.array(p_neg), np.array(p_pos), 1e-4 * w)
     for row in range(grid.n_active):
         lo = grid.corner_position(grid.coords[row])
         sel = rows == row

@@ -26,7 +26,7 @@ from hrbfsurf.octree import build_octree, strict_counts
 from hrbfsurf.pointset import normalize_to_unit_box
 from hrbfsurf.sampling import sphere_points, two_density_sphere
 
-from conftest import random_unit_vectors, tuned_model
+from conftest import cells_near, random_unit_vectors, sign_change_edges, tuned_model
 
 
 class TestTuning:
@@ -208,21 +208,16 @@ class TestCandidatePairs:
 class TestIsosurfaceHelpers:
     def test_axis_edge_roots_match_scalar_bisection(self, sphere_model):
         _, _, model = sphere_model
-        rng = np.random.default_rng(7)
-        d = random_unit_vectors(200, rng)
-        w = 0.12  # wide enough to bracket the zero set of the sparse sample
-        p_in = d * 0.95
-        p_out = d * (0.95 + w)
-        v_in = _eval_chunk(model, p_in, False)[0]
-        v_out = _eval_chunk(model, p_out, False)[0]
-        keep = (v_in < 0) & (v_out >= 0)
-        p_neg, p_pos = p_in[keep], p_out[keep]
-        assert keep.sum() > 100
-        roots, grads = axis_edge_roots(model, p_neg, p_pos, tol=1e-13, iters=40)
+        w = 0.05
+        origin = model.centers.min(axis=0) - 2 * w
+        table = LatticeTable(model, origin, w)
+        corner, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        assert len(corner) > 100
+        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, tol=1e-13, iters=40)
         rv = _eval_chunk(model, roots, False)[0]
         assert np.nanmax(np.abs(rv)) < 1e-6
         # scalar oracle: plain bisection on the field evaluation
-        for i in range(0, keep.sum(), 25):
+        for i in range(0, len(corner), 25):
             a, b = p_neg[i].copy(), p_pos[i].copy()
             for _ in range(40):
                 mid = 0.5 * (a + b)
@@ -235,14 +230,44 @@ class TestIsosurfaceHelpers:
 
     def test_axis_edge_roots_worker_bitwise(self, sphere_model):
         _, _, model = sphere_model
-        rng = np.random.default_rng(8)
-        d = random_unit_vectors(70000, rng)
-        p_neg = d * 0.97
-        p_pos = d * 1.01
-        r1, g1 = axis_edge_roots(model, p_neg, p_pos, tol=1e-8, workers=1)
-        r2, g2 = axis_edge_roots(model, p_neg, p_pos, tol=1e-8, workers=3)
+        w = 0.02
+        origin = model.centers.min(axis=0) - 2 * w
+        table = LatticeTable(model, origin, w)
+        corner, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 4))
+        assert len(corner) > 30000  # about 2M edge-kernel pairs: several chunks
+        r1, g1 = axis_edge_roots(table, corner, p_neg, p_pos, tol=1e-8, workers=1)
+        r2, g2 = axis_edge_roots(table, corner, p_neg, p_pos, tol=1e-8, workers=3)
         assert r1.tobytes() == r2.tobytes()
         assert g1.tobytes() == g2.tobytes()
+
+    def test_brick_kernels_cover_edges(self):
+        # brute force: every kernel whose support meets an edge whose lower
+        # corner lies in a brick is listed for that brick, edges from local
+        # corner 3 into the next brick included
+        rng = np.random.default_rng(11)
+        centers = rng.uniform(0.0, 1.0, (150, 3))
+        model = model_from_arrays(centers, random_unit_vectors(150, rng), 0.07, 1.0)
+        w = 0.05
+        table = LatticeTable(model, np.full(3, -0.1), w)
+        bricks = np.arange(int(np.prod(table._nb)))
+        first, rows, kern = table._brick_kernels(bricks)
+        local = np.indices((_BRICK,) * 3).reshape(3, -1).T
+        beyond_block = 0
+        for row, brick_first in enumerate(first):
+            a = table.origin + (table.gmin + brick_first + local) * w  # (64, 3)
+            listed = set(kern[rows == row].tolist())
+            for axis in range(3):
+                g = np.zeros(3)
+                g[axis] = w
+                u = centers[None, :, :] - a[:, None, :]  # (edge, kernel, 3)
+                s_close = np.clip(u[..., axis] / w, 0.0, 1.0)
+                d = np.linalg.norm(u - s_close[..., None] * g, axis=2)
+                meets = d < model.rho[None, :]
+                assert set(np.flatnonzero(meets.any(axis=0)).tolist()) <= listed
+                # kernels met only by edges that leave the brick's own 4^3 block
+                inner = local[:, axis] < _BRICK - 1
+                beyond_block += np.count_nonzero(meets[~inner].any(axis=0) & ~meets[inner].any(axis=0))
+        assert beyond_block > 0
 
     def test_lattice_table_matches_field(self, sphere_model):
         _, _, model = sphere_model

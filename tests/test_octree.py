@@ -5,7 +5,7 @@ import pytest
 
 from hrbfsurf.octree import build_octree, knn_query, strict_counts
 
-from oracles import radius_query
+from oracles import octree_leaves, radius_query
 
 
 @pytest.fixture(scope="module")
@@ -19,32 +19,40 @@ def index(cloud):
     return build_octree(cloud, leaf_capacity=8)
 
 
+def _oracle_diagonals(leaves):
+    return np.array([diag for _, diag in leaves])
+
+
 def test_leaves_partition_points(cloud, index):
-    seen = np.concatenate(index.leaf_point_indices)
-    assert len(seen) == len(cloud)
+    leaves = octree_leaves(cloud, 8)
+    seen = np.concatenate([idx for idx, _ in leaves])
     assert np.array_equal(np.sort(seen), np.arange(len(cloud)))
-    for leaf in index.leaf_point_indices:
-        assert 1 <= len(leaf)
+    assert np.array_equal(index.leaf_diagonals, _oracle_diagonals(leaves))
 
 
 def test_leaf_capacity_respected(cloud, index):
     # depth cap can only matter for coincident points, not a random cloud
-    for leaf in index.leaf_point_indices:
-        assert len(leaf) <= 8
+    leaves = octree_leaves(cloud, 8)
+    assert all(1 <= len(idx) <= 8 for idx, _ in leaves)
+    assert np.array_equal(index.leaf_diagonals, _oracle_diagonals(leaves))
+    # a larger capacity gives fewer, larger leaves
+    coarse = build_octree(cloud, leaf_capacity=64)
+    assert np.array_equal(coarse.leaf_diagonals, _oracle_diagonals(octree_leaves(cloud, 64)))
+    assert len(coarse.leaf_diagonals) < len(index.leaf_diagonals)
 
 
-def test_mean_leaf_diagonal_positive(index):
+def test_mean_leaf_diagonal_positive(cloud, index):
     assert index.mean_leaf_diagonal > 0.0
     assert np.all(index.leaf_diagonals > 0.0)
-    assert index.leaf_diagonals.max() <= index.root_size * np.sqrt(3.0) + 1e-12
+    root_size = (cloud.max(axis=0) - cloud.min(axis=0)).max()
+    assert index.leaf_diagonals.max() <= root_size * np.sqrt(3.0) + 1e-12
 
 
 def test_build_deterministic(cloud):
     a = build_octree(cloud, leaf_capacity=8)
     b = build_octree(cloud, leaf_capacity=8)
-    assert len(a.leaf_point_indices) == len(b.leaf_point_indices)
-    for la, lb in zip(a.leaf_point_indices, b.leaf_point_indices):
-        assert np.array_equal(la, lb)
+    assert a.leaf_diagonals.tobytes() == b.leaf_diagonals.tobytes()
+    assert np.array_equal(a.leaf_diagonals, _oracle_diagonals(octree_leaves(cloud, 8)))
 
 
 def test_build_rejects_bad_input():
@@ -55,8 +63,12 @@ def test_build_rejects_bad_input():
 
 
 def test_coincident_points_terminate():
-    idx = build_octree(np.zeros((40, 3)), leaf_capacity=4)
-    assert sum(len(l) for l in idx.leaf_point_indices) == 40
+    # coincident points never separate: the depth cap ends the subdivision
+    pts = np.zeros((40, 3))
+    idx = build_octree(pts, leaf_capacity=4)
+    leaves = octree_leaves(pts, 4)
+    assert sum(len(i) for i, _ in leaves) == 40
+    assert np.array_equal(idx.leaf_diagonals, _oracle_diagonals(leaves))
 
 
 def test_radius_query_matches_brute_force(cloud, index):
