@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import HrbfModel, LatticeTable, axis_edge_roots
+from .model import ROOT_TOL, HrbfModel, LatticeTable, axis_edge_roots
 from .pointset import QuadMesh
 
 QEF_REG = 1e-3
@@ -128,14 +128,15 @@ def collect_active_voxels(
     return VoxelGrid(table, np.concatenate(active_coords), np.concatenate(active_vals))
 
 
-def _batch_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, workers=1):
+def _batch_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol, workers=1):
     """Roots and unit normals on sign-change lattice edges with lower corners
-    ``corner``; p_neg holds the negative endpoints.
+    ``corner``; p_neg holds the negative endpoints and f_neg, f_pos the values
+    at the two ends.  ``tol`` is a fraction of the edge length.
 
     Where no support covers a root, or the gradient vanishes, the normal is the
     edge direction.
     """
-    mid, grads = axis_edge_roots(table, corner, p_neg, p_pos, tol, workers=workers)
+    mid, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, tol, workers=workers)
     norms = np.linalg.norm(grads, axis=1)
     bad = ~np.isfinite(norms) | (norms < 1e-12)
     if bad.any():
@@ -146,7 +147,7 @@ def _batch_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, workers=1)
     return mid, grads / norms[:, None]
 
 
-def contour(grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
+def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     """Vertices from QEF minimization plus one quad per interior isosurface edge."""
     table = grid.table
     w = grid.width
@@ -191,9 +192,11 @@ def contour(grid: VoxelGrid, tol_factor=1e-4, workers=1) -> QuadMesh:
     b_pos = a_pos.copy()
     b_pos[np.arange(len(u_axis)), u_axis] += w
 
-    p_neg = np.where((u_vlo < 0)[:, None], a_pos, b_pos)
-    p_pos = np.where((u_vlo < 0)[:, None], b_pos, a_pos)
-    roots, root_normals = _batch_edge_roots(table, u_lo, p_neg, p_pos, tol_factor * w, workers)
+    lo_neg = u_vlo < 0
+    p_neg = np.where(lo_neg[:, None], a_pos, b_pos)
+    p_pos = np.where(lo_neg[:, None], b_pos, a_pos)
+    f_neg, f_pos = np.minimum(u_vlo, u_vhi), np.maximum(u_vlo, u_vhi)
+    roots, root_normals = _batch_edge_roots(table, u_lo, p_neg, p_pos, f_neg, f_pos, ROOT_TOL, workers)
 
     # QEF accumulation per voxel over (voxel, unique edge) incidences
     ne = len(uniq_keys)
@@ -285,7 +288,7 @@ def boundary_edge_count(mesh: QuadMesh):
     if mesh.n_faces == 0:
         return 0
     edges = _face_edges(mesh.faces)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
+    _, counts = np.unique(edges[:, 0] * mesh.n_vertices + edges[:, 1], return_counts=True)
     return int(np.count_nonzero(counts == 1))
 
 

@@ -39,7 +39,8 @@ def value(offsets, rho):
     t = r / rho
     inside = t < 1.0
     one_m = np.where(inside, 1.0 - t, 0.0)
-    return one_m**4 * (4.0 * t + 1.0)
+    # phi(0) = 1 is the maximum; rounding near r = 0 can exceed it by an ulp
+    return np.minimum(one_m**4 * (4.0 * t + 1.0), 1.0)
 
 
 def gradient(offsets, rho):

@@ -21,7 +21,8 @@ RHO_HARD_CAP = 4.0  # < sqrt(20); reachable only on pathologically sparse input
 GROWTH_FACTOR = 1.05
 ETA_MARGIN = 1e-5
 _EVAL_CHUNK = 16384  # fixed so chunking (hence output) is worker-count independent
-BISECTION_ITERS = 32
+ROOT_TOL = 1e-4  # edge-root stop, as a fraction of the edge length
+ROOT_STEPS = 32  # cap on field evaluations per edge root
 
 
 @dataclass
@@ -256,18 +257,20 @@ def _cuts(offsets, budget):
     return np.unique(np.concatenate([[0], found, [len(offsets) - 1]]))
 
 
-def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, iters=BISECTION_ITERS, workers=1):
-    """Bisection roots on lattice edges; p_neg holds the negative endpoints.
+def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol, workers=1):
+    """Roots on axis-aligned lattice edges; p_neg holds the negative endpoints.
 
     ``corner`` holds the integer lattice coords of each edge's lower end,
-    which must lie inside the table.  An edge lies in the closed cube of the
-    brick holding its lower corner, so that brick's kernel listing supplies
-    its candidates, and the iteration reduces to scalar work per (edge,
-    kernel) pair: with u = p_neg - c and g = p_pos - p_neg, the squared
-    distance along the edge is |u|^2 + 2<u,g>s + |g|^2 s^2 and <b, x-c> is
-    <b,u> + <b,g>s, so each midpoint costs one sqrt per pair instead of a
-    fresh neighbor search.  Each edge sums its kernels in ascending index
-    order.
+    which must lie inside the table, and ``f_neg``/``f_pos`` the field values
+    at the two ends.  ``tol`` is a fraction of the edge length: an edge stops
+    once its next step would move by at most that much.  An edge lies in the
+    closed cube of the brick holding its lower corner, so that brick's kernel
+    listing supplies its candidates, and the iteration reduces to scalar work
+    per (edge, kernel) pair: with u = p_neg - c and L the signed edge length
+    along its axis, the squared distance at parameter s is
+    |u|^2 + 2 u_a L s + L^2 s^2 and <b, x-c> is <b,u> + b_a L s, so each step
+    costs one sqrt per pair instead of a fresh neighbor search.  Each edge
+    sums its kernels in ascending index order.
 
     Returns (roots, gradients); gradients are nan where no support covers the
     root (callers substitute the edge direction).
@@ -275,6 +278,8 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, iters=BISECT
     model = table.model
     p_neg = np.asarray(p_neg, dtype=np.float64).reshape(-1, 3)
     p_pos = np.asarray(p_pos, dtype=np.float64).reshape(-1, 3)
+    f_neg = np.asarray(f_neg, dtype=np.float64).reshape(-1)
+    f_pos = np.asarray(f_pos, dtype=np.float64).reshape(-1)
     n = len(p_neg)
     if n == 0:
         return np.empty((0, 3)), np.empty((0, 3))
@@ -301,7 +306,9 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, iters=BISECT
         c = count[sl]
         qidx = np.repeat(np.arange(len(c)), c)
         cidx = kernels[np.arange(len(qidx)) + np.repeat(first[sl] - np.cumsum(c) + c, c)]
-        roots[sl], grads[sl] = _edge_roots_chunk(model, p_neg[sl], p_pos[sl], qidx, cidx, tol, iters)
+        roots[sl], grads[sl] = _edge_roots_chunk(
+            model, p_neg[sl], p_pos[sl], f_neg[sl], f_pos[sl], qidx, cidx, tol
+        )
 
     cuts = _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS)
     slices = [slice(a, b) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
@@ -316,70 +323,93 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, tol, iters=BISECT
     return roots, grads
 
 
-def _edge_roots_chunk(model, p_neg, p_pos, qidx, cidx, tol, iters):
-    """Roots and gradients for one chunk from its candidate (edge, kernel) pairs."""
+def _edge_roots_chunk(model, p_neg, p_pos, f_neg, f_pos, qidx, cidx, tol):
+    """Roots and gradients for one chunk from its candidate (edge, kernel) pairs.
+
+    The root of each edge is found on s in [0, 1] by regula falsi with the
+    Illinois modification (Dowell & Jarratt, BIT 1971), starting from the
+    linear interpolant of the end values.  A bisection step replaces it
+    wherever the last value is undefined or the regula-falsi point is not
+    finite or leaves the bracket.
+    """
     n = len(p_neg)
     seg = p_pos - p_neg
+    # edges are axis-aligned: one axis and its signed length describe the
+    # segment, so no per-pair copy of it is needed
+    axis = np.argmax(np.abs(seg), axis=1)
+    length = seg[np.arange(n), axis]
     # np.take and integer indices copy rows far faster than fancy or boolean
     # indexing on (k, 3) arrays
     u = np.take(p_neg, qidx, axis=0) - np.take(model.centers, cidx, axis=0)
-    g = np.take(seg, qidx, axis=0)
+    p_axis = axis[qidx]
+    p_len = length[qidx]
     aa = np.einsum("ij,ij->i", u, u)
-    bb = np.einsum("ij,ij->i", u, g)
-    gg = np.maximum(np.einsum("ij,ij->i", g, g), 1e-300)
+    bb = u[np.arange(len(qidx)), p_axis] * p_len
+    gg = np.maximum(p_len * p_len, 1e-300)
     # drop pairs whose support misses the whole segment: the minimum of the
     # distance quadratic over s in [0, 1] already exceeds rho
     s_close = np.clip(-bb / gg, 0.0, 1.0)
     d2_min = aa + (2.0 * bb + gg * s_close) * s_close
     near = np.flatnonzero(d2_min < model.rho[cidx] ** 2)
+    del s_close, d2_min
     qidx, cidx, aa, bb, gg = qidx[near], cidx[near], aa[near], bb[near], gg[near]
-    u, g = np.take(u, near, axis=0), np.take(g, near, axis=0)
+    p_axis, p_len = p_axis[near], p_len[near]
+    u = np.take(u, near, axis=0)
     b = np.take(model.b_coeffs, cidx, axis=0)
     cc = np.einsum("ij,ij->i", b, u)
-    dd = np.einsum("ij,ij->i", b, g)
+    dd = b[np.arange(len(qidx)), p_axis] * p_len
     rho = model.rho[cidx]
     scale = 20.0 / rho**2
 
     lo = np.zeros(n)
     hi = np.ones(n)
-    s_mid = np.full(n, 0.5)
+    f_lo = f_neg.copy()
+    f_hi = f_pos.copy()
+    s = -f_neg / (f_pos - f_neg)
+    kept = np.zeros(n, dtype=np.int8)  # end the last step kept: -1 lo, 1 hi
     active = np.ones(n, dtype=bool)
     pairs = (qidx, aa, bb, gg, rho, scale, cc, dd)
-    for _ in range(iters):
+    for _ in range(ROOT_STEPS):
         if not active.any():
             break
-        s_mid = np.where(active, 0.5 * (lo + hi), s_mid)
-        qs, p_aa, p_bb, p_gg, p_rho, p_scale, p_cc, p_dd = pairs
-        s = s_mid[qs]
-        t = np.sqrt(p_aa + (2.0 * p_bb + p_gg * s) * s) / p_rho
-        inside = t < 1.0
-        contrib = p_scale * np.where(inside, (1.0 - t) ** 3, 0.0) * (p_cc + p_dd * s)
-        vm = np.bincount(qs, weights=contrib, minlength=n)
-        cov = np.bincount(qs, weights=inside, minlength=n)
-        vm[cov == 0] = np.nan
-        neg = np.isfinite(vm) & (vm < 0.0)
-        # undefined midpoints (rare near support boundaries) shrink from the
-        # positive side, same as a non-negative sample
-        lo = np.where(active & neg, s_mid, lo)
-        hi = np.where(active & ~neg, s_mid, hi)
-        active &= ~(np.isfinite(vm) & (np.abs(vm) <= tol))
-        # pairs of finished segments only add to values nobody reads, so
-        # they are dropped once they make up a quarter of the work
-        live = np.flatnonzero(active[qs])
-        if len(live) < 0.75 * len(qs):
+        v = _edge_values(pairs, s, n)
+        # undefined values shrink the bracket from the positive side
+        neg = active & (v < 0.0)
+        pos = active & ~(v < 0.0)
+        # Illinois: an end kept twice in a row has its stored value halved
+        f_hi = np.where(neg & (kept == 1), 0.5 * f_hi, f_hi)
+        f_lo = np.where(pos & (kept == -1), 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(neg, s, lo), np.where(neg, v, f_lo)
+        hi, f_hi = np.where(pos, s, hi), np.where(pos, v, f_hi)  # nan where undefined
+        kept = np.where(neg, 1, np.where(pos, -1, kept))
+        # the regula-falsi point, or the midpoint where it is not finite or
+        # leaves the bracket
+        s_next = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        s_next = np.where((s_next >= lo) & (s_next <= hi), s_next, 0.5 * (lo + hi))
+        zero = v == 0.0
+        s_next = np.where(zero, s, s_next)
+        done = zero | (np.abs(s_next - s) <= tol)
+        s = np.where(active, s_next, s)
+        active &= ~done
+        # pairs of finished edges only add to values nobody reads, so they
+        # are dropped once they make up a quarter of the work
+        live = np.flatnonzero(active[pairs[0]])
+        if len(live) < 0.75 * len(pairs[0]):
             pairs = tuple(x[live] for x in pairs)
-    roots = p_neg + s_mid[:, None] * seg
+    roots = p_neg + s[:, None] * seg
 
     # gradient of the field at the roots from the same pair set:
     # sum scale * ((1-t)^3 b - 3 (1-t)^2 <b, x-c> (x-c) / (rho r))
-    s = s_mid[qidx]
+    s = s[qidx]
     r = np.sqrt(aa + (2.0 * bb + gg * s) * s)
     t = r / rho
     inside = t < 1.0
-    w2 = np.where(inside, (1.0 - t) ** 2, 0.0)
+    w1 = np.maximum(1.0 - t, 0.0)
+    w2 = w1**2
     radial = scale * 3.0 * w2 * (cc + dd * s) / (rho * np.maximum(r, 1e-300))
-    tang = scale * w2 * np.where(inside, 1.0 - t, 0.0)
-    xc = u + s[:, None] * g
+    tang = scale * w2 * w1
+    xc = u  # x - c = u + s L along the edge's axis
+    xc[np.arange(len(qidx)), p_axis] += s * p_len
     grads = np.empty((n, 3))
     for a in range(3):
         grads[:, a] = np.bincount(
@@ -388,6 +418,22 @@ def _edge_roots_chunk(model, p_neg, p_pos, qidx, cidx, tol, iters):
     covered = np.bincount(qidx, weights=inside, minlength=n)
     grads[covered == 0] = np.nan
     return roots, grads
+
+
+def _edge_values(pairs, s, n):
+    """Field values of n edges at parameters ``s``; nan where no support covers them.
+
+    Kept apart from the root loop so that its per-pair temporaries are freed
+    before the loop compacts the pairs.
+    """
+    qs, aa, bb, gg, rho, scale, cc, dd = pairs
+    s = s[qs]
+    t = np.sqrt(aa + (2.0 * bb + gg * s) * s) / rho
+    # 1 - t > 0 exactly when t < 1, so the clamp zeroes the pairs outside
+    contrib = scale * np.maximum(1.0 - t, 0.0) ** 3 * (cc + dd * s)
+    values = np.bincount(qs, weights=contrib, minlength=n)
+    values[np.bincount(qs, weights=t < 1.0, minlength=n) == 0] = np.nan
+    return values
 
 
 _BRICK = 4  # lattice cells along each edge of a brick

@@ -37,9 +37,10 @@ def random_unit_vectors(n, rng):
 
 def sign_change_edges(table, cells):
     """Lattice edges from ``cells`` along +x, +y and +z whose ends are defined
-    and differ in sign: (lower corners, negative ends, positive ends)."""
+    and differ in sign: (lower corners, negative ends, positive ends, values
+    at the negative ends, values at the positive ends)."""
     cells = np.unique(np.asarray(cells, dtype=np.int64).reshape(-1, 3), axis=0)
-    corner, p_neg, p_pos = [], [], []
+    corner, p_neg, p_pos, f_neg, f_pos = [], [], [], [], []
     for axis in range(3):
         upper = cells + np.eye(3, dtype=np.int64)[axis]
         va, vb = table.fetch(cells), table.fetch(upper)
@@ -50,7 +51,9 @@ def sign_change_edges(table, cells):
         corner.append(cells[hit])
         p_neg.append(np.where(neg, a, b))
         p_pos.append(np.where(neg, b, a))
-    return np.concatenate(corner), np.concatenate(p_neg), np.concatenate(p_pos)
+        f_neg.append(np.where(neg[:, 0], va[hit], vb[hit]))
+        f_pos.append(np.where(neg[:, 0], vb[hit], va[hit]))
+    return tuple(np.concatenate(x) for x in (corner, p_neg, p_pos, f_neg, f_pos))
 
 
 def cells_near(points, origin, width, reach):

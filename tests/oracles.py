@@ -14,9 +14,10 @@ import numpy as np
 
 from hrbfsurf import kernel
 from hrbfsurf.dualcontour import QEF_REG, _CORNER_OFFSETS, _EDGES, _RING, _UV, VoxelGrid
-from hrbfsurf.model import BISECTION_ITERS
 from hrbfsurf.octree import MAX_DEPTH, PointOctree
 from hrbfsurf.pointset import QuadMesh
+
+BISECTION_STEPS = 32  # the reference bisection's own cap, independent of the library's
 
 
 @dataclass
@@ -36,7 +37,7 @@ def edge_root(field, a, b, tol) -> EdgeIntersection:
     if va >= 0:
         a, b, va, vb = b, a, vb, va
     mid, vm = a, va
-    for _ in range(BISECTION_ITERS):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (a + b)
         vm = field.values(mid[None])[0]
         if np.isfinite(vm) and abs(vm) <= tol:

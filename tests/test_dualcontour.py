@@ -18,7 +18,7 @@ from hrbfsurf.dualcontour import (
     face_components,
     remove_small_fragments,
 )
-from hrbfsurf.model import ImplicitField, LatticeTable, model_from_arrays
+from hrbfsurf.model import ROOT_TOL, ImplicitField, LatticeTable, model_from_arrays
 from hrbfsurf.pipeline import ReconConfig, StageError, reconstruct_points
 from hrbfsurf.sampling import sphere_points
 
@@ -105,10 +105,10 @@ def test_batch_edge_roots_match_scalar(sphere_model):
     w = 0.05
     origin = sphere_model.centers.min(axis=0) - 2 * w
     table = LatticeTable(sphere_model, origin, w)
-    corner, p_neg, p_pos = sign_change_edges(table, cells_near(sphere_model.centers[:40], origin, w, 1))
-    rows = np.random.default_rng(0).choice(len(corner), 50, replace=False)
-    corner, p_neg, p_pos = corner[rows], p_neg[rows], p_pos[rows]
-    roots, normals = _batch_edge_roots(table, corner, p_neg, p_pos, tol=1e-12)
+    edges = sign_change_edges(table, cells_near(sphere_model.centers[:40], origin, w, 1))
+    rows = np.random.default_rng(0).choice(len(edges[0]), 50, replace=False)
+    corner, p_neg, p_pos, f_neg, f_pos = (x[rows] for x in edges)
+    roots, normals = _batch_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, tol=1e-12)
     field = ImplicitField(sphere_model)
     for i in range(len(corner)):
         hit = edge_root(field, p_neg[i], p_pos[i], tol=1e-12)
@@ -203,7 +203,7 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
     _, grid, mesh = sphere_grid_and_mesh
     w = grid.width
     corners = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
-    rows, lower, p_neg, p_pos = [], [], [], []
+    rows, lower, p_neg, p_pos, f_neg, f_pos = [], [], [], [], [], []
     for ca, cb, axis in _EDGES:
         va, vb = grid.corner_values[:, ca], grid.corner_values[:, cb]
         for row in np.flatnonzero((va < 0) != (vb < 0)):
@@ -214,8 +214,12 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
             lower.append(corners[row, ca])
             p_neg.append(a if va[row] < 0 else b)
             p_pos.append(b if va[row] < 0 else a)
+            f_neg.append(min(va[row], vb[row]))
+            f_pos.append(max(va[row], vb[row]))
     rows = np.array(rows)
-    roots, normals = _batch_edge_roots(grid.table, lower, np.array(p_neg), np.array(p_pos), 1e-4 * w)
+    roots, normals = _batch_edge_roots(
+        grid.table, lower, np.array(p_neg), np.array(p_pos), f_neg, f_pos, ROOT_TOL
+    )
     for row in range(grid.n_active):
         lo = grid.corner_position(grid.coords[row])
         sel = rows == row

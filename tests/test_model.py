@@ -11,6 +11,7 @@ from hrbfsurf.model import (
     ImplicitField,
     LatticeTable,
     RHO_HARD_CAP,
+    ROOT_TOL,
     _BRICK,
     _candidate_pairs,
     _eval_chunk,
@@ -211,9 +212,9 @@ class TestIsosurfaceHelpers:
         w = 0.05
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
-        corner, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
         assert len(corner) > 100
-        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, tol=1e-13, iters=40)
+        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, tol=1e-13)
         rv = _eval_chunk(model, roots, False)[0]
         assert np.nanmax(np.abs(rv)) < 1e-6
         # scalar oracle: plain bisection on the field evaluation
@@ -228,15 +229,57 @@ class TestIsosurfaceHelpers:
                     b = mid
             np.testing.assert_allclose(roots[i], 0.5 * (a + b), atol=1e-9)
 
+    def test_axis_edge_roots_within_root_tol(self, sphere_model):
+        # every root at the default stop lies inside its edge and within
+        # ROOT_TOL edge lengths of a 52-step bisection run to the end
+        _, _, model = sphere_model
+        w = 0.05
+        origin = model.centers.min(axis=0) - 2 * w
+        table = LatticeTable(model, origin, w)
+        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        roots, _ = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        s = np.einsum("ij,ij->i", roots - p_neg, p_pos - p_neg) / w**2
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        np.testing.assert_allclose(p_neg + s[:, None] * (p_pos - p_neg), roots, rtol=0, atol=1e-15)
+        a, b = p_neg.copy(), p_pos.copy()
+        for _ in range(52):
+            mid = 0.5 * (a + b)
+            v = _eval_chunk(model, mid, False)[0]
+            neg = np.isfinite(v) & (v < 0)
+            a = np.where(neg[:, None], mid, a)
+            b = np.where(neg[:, None], b, mid)
+        err = np.linalg.norm(roots - 0.5 * (a + b), axis=1)
+        assert err.max() <= ROOT_TOL * w
+
+    def test_axis_edge_roots_bisect_across_support_gap(self):
+        # two kernels whose supports leave a gap around x = 0: the edge from
+        # x = -0.3 to 0.3 has defined ends of opposite sign, but its linear
+        # guess x = 0 is covered by no support, so the bisection branch runs
+        model = model_from_arrays([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], [[1.0, 0.0, 0.0]] * 2, 0.4, 1.0)
+        w = 0.6
+        table = LatticeTable(model, np.array([-0.3, 0.0, 0.0]), w)
+        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, [[0, 0, 0]])
+        assert len(corner) == 1
+        np.testing.assert_allclose(-f_neg / (f_pos - f_neg), 0.5)
+        assert np.isnan(_eval_chunk(model, np.zeros((1, 3)), False)[0][0])
+        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        assert np.all(np.isfinite(roots))
+        x = roots[0, 0]
+        assert min(p_neg[0, 0], p_pos[0, 0]) <= x <= max(p_neg[0, 0], p_pos[0, 0])
+        # undefined points shrink the bracket from the positive side, so the
+        # root ends at the negative kernel's support boundary
+        c_neg = -0.5 if p_neg[0, 0] < 0 else 0.5
+        assert abs(abs(x - c_neg) - 0.4) <= ROOT_TOL * w
+
     def test_axis_edge_roots_worker_bitwise(self, sphere_model):
         _, _, model = sphere_model
         w = 0.02
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
-        corner, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 4))
-        assert len(corner) > 30000  # about 2M edge-kernel pairs: several chunks
-        r1, g1 = axis_edge_roots(table, corner, p_neg, p_pos, tol=1e-8, workers=1)
-        r2, g2 = axis_edge_roots(table, corner, p_neg, p_pos, tol=1e-8, workers=3)
+        edges = sign_change_edges(table, cells_near(model.centers, origin, w, 4))
+        assert len(edges[0]) > 30000  # about 2M edge-kernel pairs: several chunks
+        r1, g1 = axis_edge_roots(table, *edges, ROOT_TOL, workers=1)
+        r2, g2 = axis_edge_roots(table, *edges, ROOT_TOL, workers=3)
         assert r1.tobytes() == r2.tobytes()
         assert g1.tobytes() == g2.tobytes()
 
