@@ -299,9 +299,10 @@ def face_components(mesh: QuadMesh):
         return np.empty(0, dtype=np.int64)
     edges = _face_edges(mesh.faces)
     face_ids = np.tile(np.arange(nf), mesh.faces.shape[1])
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges, face_ids = edges[order], face_ids[order]
-    same = np.all(edges[1:] == edges[:-1], axis=1)
+    keys = edges[:, 0] * mesh.n_vertices + edges[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys, face_ids = keys[order], face_ids[order]
+    same = keys[1:] == keys[:-1]
     src = face_ids[:-1][same]
     dst = face_ids[1:][same]
     graph = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(nf, nf))

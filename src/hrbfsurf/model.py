@@ -270,7 +270,7 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     along its axis, the squared distance at parameter s is
     |u|^2 + 2 u_a L s + L^2 s^2 and <b, x-c> is <b,u> + b_a L s, so each step
     costs one sqrt per pair instead of a fresh neighbor search.  Each edge
-    sums its kernels in ascending index order.
+    is summed by ``add.reduceat`` over its ascending pair list.
 
     Returns (roots, gradients); gradients are nan where no support covers the
     root (callers substitute the edge direction).
@@ -369,10 +369,11 @@ def _edge_roots_chunk(model, p_neg, p_pos, f_neg, f_pos, qidx, cidx, tol):
     kept = np.zeros(n, dtype=np.int8)  # end the last step kept: -1 lo, 1 hi
     active = np.ones(n, dtype=bool)
     pairs = (qidx, aa, bb, gg, rho, scale, cc, dd)
+    runs = all_runs = _runs(qidx, n)
     for _ in range(ROOT_STEPS):
         if not active.any():
             break
-        v = _edge_values(pairs, s, n)
+        v = _edge_values(pairs, runs, s, n)
         # undefined values shrink the bracket from the positive side
         neg = active & (v < 0.0)
         pos = active & ~(v < 0.0)
@@ -396,6 +397,7 @@ def _edge_roots_chunk(model, p_neg, p_pos, f_neg, f_pos, qidx, cidx, tol):
         live = np.flatnonzero(active[pairs[0]])
         if len(live) < 0.75 * len(pairs[0]):
             pairs = tuple(x[live] for x in pairs)
+            runs = _runs(pairs[0], n)
     roots = p_neg + s[:, None] * seg
 
     # gradient of the field at the roots from the same pair set:
@@ -405,22 +407,18 @@ def _edge_roots_chunk(model, p_neg, p_pos, f_neg, f_pos, qidx, cidx, tol):
     t = r / rho
     inside = t < 1.0
     w1 = np.maximum(1.0 - t, 0.0)
-    w2 = w1**2
+    w2 = w1 * w1
     radial = scale * 3.0 * w2 * (cc + dd * s) / (rho * np.maximum(r, 1e-300))
     tang = scale * w2 * w1
     xc = u  # x - c = u + s L along the edge's axis
     xc[np.arange(len(qidx)), p_axis] += s * p_len
     grads = np.empty((n, 3))
     for a in range(3):
-        grads[:, a] = np.bincount(
-            qidx, weights=tang * b[:, a] - radial * xc[:, a], minlength=n
-        )
-    covered = np.bincount(qidx, weights=inside, minlength=n)
-    grads[covered == 0] = np.nan
+        grads[:, a] = _segment_sums(all_runs, tang * b[:, a] - radial * xc[:, a], inside, n)
     return roots, grads
 
 
-def _edge_values(pairs, s, n):
+def _edge_values(pairs, runs, s, n):
     """Field values of n edges at parameters ``s``; nan where no support covers them.
 
     Kept apart from the root loop so that its per-pair temporaries are freed
@@ -430,10 +428,33 @@ def _edge_values(pairs, s, n):
     s = s[qs]
     t = np.sqrt(aa + (2.0 * bb + gg * s) * s) / rho
     # 1 - t > 0 exactly when t < 1, so the clamp zeroes the pairs outside
-    contrib = scale * np.maximum(1.0 - t, 0.0) ** 3 * (cc + dd * s)
-    values = np.bincount(qs, weights=contrib, minlength=n)
-    values[np.bincount(qs, weights=t < 1.0, minlength=n) == 0] = np.nan
-    return values
+    w = np.maximum(1.0 - t, 0.0)
+    return _segment_sums(runs, scale * w * w * w * (cc + dd * s), t < 1.0, n)
+
+
+def _runs(ids, n):
+    """The values in [0, n) that occur in ascending ``ids``, and where each one's run starts."""
+    # runs are long, so one search per value beats a pass over ids
+    bounds = np.searchsorted(ids, np.arange(n + 1))
+    some = np.flatnonzero(bounds[1:] > bounds[:-1])
+    return some, bounds[some]
+
+
+def _segment_sums(runs, x, inside, n):
+    """Sums of ``x`` (..., pairs) over each of ``runs``, as (..., n).
+
+    Each run is added by ``add.reduceat``, so its sum depends only on its own
+    pairs.  Sums are nan for values in [0, n) that have no run, and for runs
+    with no pair ``inside`` ((pairs,) or the shape of ``x``).  Only the runs
+    present reach reduceat, which would return an element, not 0, for an
+    empty one.
+    """
+    some, starts = runs
+    out = np.full(x.shape[:-1] + (n,), np.nan)
+    if len(starts):
+        covered = np.logical_or.reduceat(inside, starts, axis=-1)
+        out[..., some] = np.where(covered, np.add.reduceat(x, starts, axis=-1), np.nan)
+    return out
 
 
 _BRICK = 4  # lattice cells along each edge of a brick
@@ -450,11 +471,12 @@ class LatticeTable:
     <b, x-c> decompose along the axes, so a kernel's share of a brick is
     assembled from three length-4 arrays by broadcasting.  A kernel reaches
     the cells of its support box [lo, hi] that lie strictly inside its
-    support, and every cell sums its kernels in ascending index order,
-    starting from 0.0.  Values therefore depend neither on which bricks are
-    filled together nor on the worker count.  Cells outside every support
-    hold nan.  Memory grows with the filled bricks, not with the bounding
-    box: filled bricks are kept as a sorted index of flat brick numbers.
+    support, and every cell is summed per brick by ``add.reduceat`` over the
+    brick's ascending pair list.  Values therefore depend neither on which
+    bricks are filled together nor on the worker count.  Cells outside every
+    support hold nan.  Memory grows with the filled bricks, not with the
+    bounding box: filled bricks are kept as a sorted index of flat brick
+    numbers.
 
     Cells are keyed by their flat C-order index over ``shape`` (``keys``), so
     key order is lexicographic coordinate order; edge keys append the axis,
@@ -481,10 +503,7 @@ class LatticeTable:
         self._workers = workers
         self._lo = lo - gmin  # cell coordinates relative to the table
         self._hi = hi - gmin
-        # squares of float64 scalars go through libm pow(), which can differ
-        # from rho * rho in the last bit; the benchmark's baseline meshes were
-        # computed with the pow() rounding
-        self._rho_sq = np.array([r**2 for r in rho])
+        self._rho_sq = rho**2
         self._scale = 20.0 / self._rho_sq
         self._nb = -(-shape // _BRICK)  # bricks per axis
         self.clear()
@@ -634,9 +653,10 @@ class LatticeTable:
         """(len(first), 64) values of bricks from their (row, kernel) pairs.
 
         Arrays run (x, y, z, pair) so that numpy's inner loops span the pairs.
+        Most (cell, pair) slots lie inside the support, so every slot is
+        evaluated and each brick's pairs are summed as one segment.
         """
         model = self.model
-        npair = len(kern)
         off, sq = [], []
         for a in range(3):
             cells = np.arange(_BRICK)[:, None] + first[rows, a]  # (4, pairs)
@@ -646,25 +666,17 @@ class LatticeTable:
             # squares outside the kernel's box are inf: a kernel reaches its box only
             inbox = (cells >= self._lo[kern, a]) & (cells <= self._hi[kern, a])
             sq.append(np.where(inbox, off[a] ** 2, np.inf))
-        d2 = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
-        hit = np.flatnonzero(d2 < self._rho_sq[kern])
+        d2 = (sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]).reshape(_BRICK**3, -1)
+        inside = d2 < self._rho_sq[kern]
         bk = model.b_coeffs[kern].T
         bdot = (
             (bk[0] * off[0])[:, None, None]
             + (bk[1] * off[1])[None, :, None]
             + (bk[2] * off[2])[None, None, :]
-        )
-        local, pair = np.divmod(hit, npair)
-        t = np.sqrt(d2.ravel()[hit]) / model.rho[kern][pair]
-        contrib = self._scale[kern][pair] * (1.0 - t) ** 3 * bdot.ravel()[hit]
-        # a cell's hits come in pair order, that is in ascending kernel order,
-        # and bincount adds in input order
-        cell = rows[pair] * _BRICK**3 + local
-        size = len(first) * _BRICK**3
-        vals = np.full(size, np.nan)
-        covered = np.bincount(cell, minlength=size) > 0
-        vals[covered] = np.bincount(cell, weights=contrib, minlength=size)[covered]
-        return vals.reshape(len(first), _BRICK**3)
+        ).reshape(_BRICK**3, -1)
+        w = np.maximum(1.0 - np.sqrt(d2) / model.rho[kern], 0.0)
+        contrib = np.where(inside, self._scale[kern] * w * w * w * bdot, 0.0)
+        return _segment_sums(_runs(rows, len(first)), contrib, inside, len(first)).T
 
 
 def _eval_chunk(model: HrbfModel, x, want_gradient):

@@ -15,6 +15,8 @@ from hrbfsurf.model import (
     _BRICK,
     _candidate_pairs,
     _eval_chunk,
+    _runs,
+    _segment_sums,
     axis_edge_roots,
     build_model,
     eval_implicit,
@@ -346,6 +348,44 @@ class TestIsosurfaceHelpers:
         fetched = LatticeTable(model, origin, w).fetch(table.gmin + cells)
         np.testing.assert_array_equal(fetched, got)
 
+    def test_segment_sums_match_bincount(self):
+        # runs of up to 5 positive terms: each order of summation is within
+        # 4 ulps of the exact sum, so the two agree within 1e-15 relative
+        rng = np.random.default_rng(13)
+        n = 60
+        counts = rng.integers(0, 6, n)
+        counts[[0, 7, n - 1]] = [0, 4, 0]  # empty runs at both ends
+        qs = np.repeat(np.arange(n), counts)
+        x = rng.uniform(1.0, 2.0, (3, len(qs)))
+        inside = rng.random(len(qs)) < 0.7
+        inside[qs == 7] = False  # pairs, but none inside
+        covered = np.bincount(qs, weights=inside, minlength=n) > 0
+        assert np.any(~covered & (counts == 0)) and np.any(~covered & (counts > 0))
+        runs = _runs(qs, n)
+        got = _segment_sums(runs, x, inside, n)
+        for a in range(3):
+            ref = np.bincount(qs, weights=x[a], minlength=n)
+            ref[~covered] = np.nan
+            np.testing.assert_allclose(got[a], ref, rtol=1e-15, atol=0)
+            assert np.array_equal(_segment_sums(runs, x[a], inside, n), got[a], equal_nan=True)
+        assert np.all(np.isnan(_segment_sums(_runs(qs[:0], n), x[0, :0], inside[:0], n)))
+
+    def test_lattice_cell_on_support_boundary_is_undefined(self):
+        # center on a lattice point and rho = 2w, both exact: cells two steps
+        # along an axis lie at d2 == rho^2 exactly, outside the open support,
+        # while a cell where the kernel's term is exactly 0 is still covered
+        w = 0.25
+        c = np.array([2, 1, 3])
+        model = model_from_arrays([c * w], [[0.0, 0.0, 1.0]], 2 * w, 1.0)
+        table = LatticeTable(model, np.zeros(3), w)
+        steps = np.array([[2, 0, 0], [-2, 0, 0], [0, 2, 0], [0, 0, -2], [1, 0, 0], [0, 1, 1]])
+        got = table.fetch(c + steps)
+        assert np.all(np.isnan(got[:4]))
+        assert got[4] == 0.0 and np.isfinite(got[5])
+        ref, _, defined = _eval_chunk(model, (c + steps) * w, False)
+        assert np.array_equal(defined, np.isfinite(got))
+        np.testing.assert_allclose(got[defined], ref[defined], atol=1e-15)
+
     def test_lattice_table_fetch_out_of_grid(self, sphere_model):
         _, _, model = sphere_model
         table = LatticeTable(model, model.centers.min(axis=0) - 0.1, 0.05)
@@ -395,6 +435,13 @@ def test_lattice_fetch_order_bitwise(small_table_reference, batches):
         flat = np.array(batch) % len(ref)
         cells = np.stack(np.unravel_index(flat, tuple(table.shape)), axis=1)
         assert table.fetch(table.gmin + cells).tobytes() == ref[flat].tobytes()
+
+
+def test_lattice_fill_chunks_bitwise(small_table_reference, monkeypatch):
+    # chunks are cut on brick boundaries, so any pair budget gives the same bits
+    model, origin, ref = small_table_reference
+    monkeypatch.setattr("hrbfsurf.model._FILL_PAIRS", 7)
+    assert LatticeTable(model, origin, 0.1).values_flat.tobytes() == ref.tobytes()
 
 
 def test_build_model_consistency(sphere_model):
