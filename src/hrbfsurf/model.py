@@ -248,7 +248,9 @@ def _gather_pairs(model: HrbfModel, x):
     return x, qidx, cidx
 
 
-_EDGE_PAIRS = 1 << 20  # candidate pairs per chunk; bounds the per-pair scratch arrays
+# candidate pairs per chunk: a chunk's ~20 per-pair float64 arrays then take
+# 0.5 MB each and its working set stays near a 4 MiB L2 cache
+_EDGE_PAIRS = 1 << 16
 
 
 def _cuts(offsets, budget):
@@ -267,10 +269,12 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     closed cube of the brick holding its lower corner, so that brick's kernel
     listing supplies its candidates, and the iteration reduces to scalar work
     per (edge, kernel) pair: with u = p_neg - c and L the signed edge length
-    along its axis, the squared distance at parameter s is
+    along its axis a, the squared distance at parameter s is
     |u|^2 + 2 u_a L s + L^2 s^2 and <b, x-c> is <b,u> + b_a L s, so each step
-    costs one sqrt per pair instead of a fresh neighbor search.  Each edge
-    is summed by ``add.reduceat`` over its ascending pair list.
+    costs one sqrt per pair instead of a fresh neighbor search.  Edges are
+    worked in chunks of one axis and about ``_EDGE_PAIRS`` pairs, and each
+    edge is summed by ``add.reduceat`` over its ascending pair list, so the
+    result depends neither on the chunking nor on the edge order.
 
     Returns (roots, gradients); gradients are nan where no support covers the
     root (callers substitute the edge direction).
@@ -283,7 +287,14 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     n = len(p_neg)
     if n == 0:
         return np.empty((0, 3)), np.empty((0, 3))
-    cells = np.asarray(corner, dtype=np.int64).reshape(-1, 3) - table.gmin
+    seg = p_pos - p_neg
+    axis = np.argmax(np.abs(seg), axis=1)
+    # edges sorted by axis, so that every chunk has a single one
+    order = np.argsort(axis, kind="stable")
+    axis = axis[order]
+    length = seg[order, axis]
+    p_neg, f_neg, f_pos = p_neg[order], f_neg[order], f_pos[order]
+    cells = np.asarray(corner, dtype=np.int64).reshape(-1, 3)[order] - table.gmin
     bricks, brick_of = np.unique(
         np.ravel_multi_index(tuple((cells // _BRICK).T), tuple(table._nb)), return_inverse=True
     )
@@ -297,20 +308,26 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     kernels = np.concatenate(kernels)
     first = offsets[brick_of]
     count = offsets[brick_of + 1] - first
+    # pair terms are read column-wise: one contiguous row per coordinate
+    columns = (np.ascontiguousarray(model.centers.T), np.ascontiguousarray(model.b_coeffs.T), model.rho)
     roots = np.empty((n, 3))
     grads = np.empty((n, 3))
 
     def run(sl):
-        # chunks are independent, so slice-wise writes from threads never race
-        # and the result does not depend on completion order
+        # chunks hold disjoint edges, written back at their rows in the
+        # caller's order, so writes from threads never race and the result
+        # does not depend on completion order
         c = count[sl]
         qidx = np.repeat(np.arange(len(c)), c)
         cidx = kernels[np.arange(len(qidx)) + np.repeat(first[sl] - np.cumsum(c) + c, c)]
-        roots[sl], grads[sl] = _edge_roots_chunk(
-            model, p_neg[sl], p_pos[sl], f_neg[sl], f_pos[sl], qidx, cidx, tol
+        roots[order[sl]], grads[order[sl]] = _edge_roots_chunk(
+            columns, p_neg[sl], int(axis[sl.start]), length[sl], f_neg[sl], f_pos[sl], qidx, cidx, tol
         )
 
-    cuts = _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS)
+    cuts = np.union1d(
+        _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS),
+        np.searchsorted(axis, np.arange(4)),
+    )
     slices = [slice(a, b) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
     if workers <= 1 or len(slices) == 1:
         for sl in slices:
@@ -323,42 +340,36 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     return roots, grads
 
 
-def _edge_roots_chunk(model, p_neg, p_pos, f_neg, f_pos, qidx, cidx, tol):
-    """Roots and gradients for one chunk from its candidate (edge, kernel) pairs.
+def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, qidx, cidx, tol):
+    """Roots and gradients for one chunk of edges along ``axis`` from its
+    candidate (edge, kernel) pairs; ``length`` holds the signed edge lengths.
 
-    The root of each edge is found on s in [0, 1] by regula falsi with the
-    Illinois modification (Dowell & Jarratt, BIT 1971), starting from the
-    linear interpolant of the end values.  A bisection step replaces it
-    wherever the last value is undefined or the regula-falsi point is not
-    finite or leaves the bracket.
+    ``columns`` holds the model's centers and coefficients as (3, centers)
+    rows and its radii.  The root of each edge is found on s in [0, 1] by
+    regula falsi with the Illinois modification (Dowell & Jarratt, BIT 1971),
+    starting from the linear interpolant of the end values.  A bisection step
+    replaces it wherever the last value is undefined or the regula-falsi point
+    is not finite or leaves the bracket.
     """
+    centers_t, b_t, rho_all = columns
     n = len(p_neg)
-    seg = p_pos - p_neg
-    # edges are axis-aligned: one axis and its signed length describe the
-    # segment, so no per-pair copy of it is needed
-    axis = np.argmax(np.abs(seg), axis=1)
-    length = seg[np.arange(n), axis]
-    # np.take and integer indices copy rows far faster than fancy or boolean
-    # indexing on (k, 3) arrays
-    u = np.take(p_neg, qidx, axis=0) - np.take(model.centers, cidx, axis=0)
-    p_axis = axis[qidx]
+    u = [np.take(p_neg[:, k], qidx) - np.take(centers_t[k], cidx) for k in range(3)]
     p_len = length[qidx]
-    aa = np.einsum("ij,ij->i", u, u)
-    bb = u[np.arange(len(qidx)), p_axis] * p_len
+    aa = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    bb = u[axis] * p_len
     gg = np.maximum(p_len * p_len, 1e-300)
     # drop pairs whose support misses the whole segment: the minimum of the
     # distance quadratic over s in [0, 1] already exceeds rho
     s_close = np.clip(-bb / gg, 0.0, 1.0)
     d2_min = aa + (2.0 * bb + gg * s_close) * s_close
-    near = np.flatnonzero(d2_min < model.rho[cidx] ** 2)
+    near = np.flatnonzero(d2_min < rho_all[cidx] ** 2)
     del s_close, d2_min
-    qidx, cidx, aa, bb, gg = qidx[near], cidx[near], aa[near], bb[near], gg[near]
-    p_axis, p_len = p_axis[near], p_len[near]
-    u = np.take(u, near, axis=0)
-    b = np.take(model.b_coeffs, cidx, axis=0)
-    cc = np.einsum("ij,ij->i", b, u)
-    dd = b[np.arange(len(qidx)), p_axis] * p_len
-    rho = model.rho[cidx]
+    qidx, cidx, aa, bb, gg, p_len = qidx[near], cidx[near], aa[near], bb[near], gg[near], p_len[near]
+    u = [x[near] for x in u]
+    b = [b_t[k][cidx] for k in range(3)]
+    cc = b[0] * u[0] + b[1] * u[1] + b[2] * u[2]
+    dd = b[axis] * p_len
+    rho = rho_all[cidx]
     scale = 20.0 / rho**2
 
     lo = np.zeros(n)
@@ -398,7 +409,8 @@ def _edge_roots_chunk(model, p_neg, p_pos, f_neg, f_pos, qidx, cidx, tol):
         if len(live) < 0.75 * len(pairs[0]):
             pairs = tuple(x[live] for x in pairs)
             runs = _runs(pairs[0], n)
-    roots = p_neg + s[:, None] * seg
+    roots = p_neg.copy()
+    roots[:, axis] += s * length
 
     # gradient of the field at the roots from the same pair set:
     # sum scale * ((1-t)^3 b - 3 (1-t)^2 <b, x-c> (x-c) / (rho r))
@@ -410,11 +422,10 @@ def _edge_roots_chunk(model, p_neg, p_pos, f_neg, f_pos, qidx, cidx, tol):
     w2 = w1 * w1
     radial = scale * 3.0 * w2 * (cc + dd * s) / (rho * np.maximum(r, 1e-300))
     tang = scale * w2 * w1
-    xc = u  # x - c = u + s L along the edge's axis
-    xc[np.arange(len(qidx)), p_axis] += s * p_len
+    u[axis] += s * p_len  # now x - c
     grads = np.empty((n, 3))
-    for a in range(3):
-        grads[:, a] = _segment_sums(all_runs, tang * b[:, a] - radial * xc[:, a], inside, n)
+    for k in range(3):
+        grads[:, k] = _segment_sums(all_runs, tang * b[k] - radial * u[k], inside, n)
     return roots, grads
 
 
@@ -553,11 +564,15 @@ class LatticeTable:
         out = np.full(len(c), np.nan)
         brick, local = np.divmod(c[inside], _BRICK)
         brick = np.ravel_multi_index(tuple(brick.T), tuple(self._nb))
-        rows = self._rows_of(brick)
+        # neighbouring coords mostly share a brick (the eight corners of a
+        # voxel, say), so the index is searched once per run of equal bricks
+        start = np.flatnonzero(np.diff(brick, prepend=-1))
+        rows = self._rows_of(brick[start])
         missing = rows < 0
         if missing.any():
-            self._fill(np.unique(brick[missing]))
-            rows[missing] = self._rows_of(brick[missing])
+            self._fill(np.unique(brick[start[missing]]))
+            rows[missing] = self._rows_of(brick[start[missing]])
+        rows = np.repeat(rows, np.diff(start, append=len(brick)))
         local = (local[:, 0] * _BRICK + local[:, 1]) * _BRICK + local[:, 2]
         out[inside] = self._store[rows, local]
         return out.reshape(coords.shape[:-1])

@@ -279,11 +279,35 @@ class TestIsosurfaceHelpers:
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
         edges = sign_change_edges(table, cells_near(model.centers, origin, w, 4))
-        assert len(edges[0]) > 30000  # about 2M edge-kernel pairs: several chunks
+        assert len(edges[0]) > 30000  # about 2M edge-kernel pairs: dozens of chunks
         r1, g1 = axis_edge_roots(table, *edges, ROOT_TOL, workers=1)
         r2, g2 = axis_edge_roots(table, *edges, ROOT_TOL, workers=3)
         assert r1.tobytes() == r2.tobytes()
         assert g1.tobytes() == g2.tobytes()
+
+    def test_axis_edge_roots_budget_and_order_bitwise(self, sphere_model, monkeypatch):
+        # each edge is summed over its own pair run, so neither the chunk
+        # budget nor the order of the edges changes a bit of the result
+        _, _, model = sphere_model
+        w = 0.03
+        origin = model.centers.min(axis=0) - 2 * w
+        table = LatticeTable(model, origin, w)
+        edges = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        assert len(np.unique(np.argmax(np.abs(edges[2] - edges[1]), axis=1))) == 3
+        perm = np.random.default_rng(13).permutation(len(edges[0]))
+        shuffled = tuple(x[perm] for x in edges)
+        back = np.argsort(perm)
+        results = []
+        for budget in (1 << 20, 1 << 16, 7):
+            monkeypatch.setattr("hrbfsurf.model._EDGE_PAIRS", budget)
+            roots, grads = axis_edge_roots(table, *shuffled, ROOT_TOL)
+            results.append((roots[back].tobytes(), grads[back].tobytes()))
+        assert results[0] == results[1] == results[2]
+        # at a budget of 7 every edge is a chunk of its own, and each root
+        # still comes back on the caller's edge
+        s = np.einsum("ij,ij->i", roots - shuffled[1], shuffled[2] - shuffled[1]) / w**2
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        np.testing.assert_allclose(shuffled[1] + s[:, None] * (shuffled[2] - shuffled[1]), roots, atol=1e-15)
 
     def test_brick_kernels_cover_edges(self):
         # brute force: every kernel whose support meets an edge whose lower
@@ -435,6 +459,11 @@ def test_lattice_fetch_order_bitwise(small_table_reference, batches):
         flat = np.array(batch) % len(ref)
         cells = np.stack(np.unravel_index(flat, tuple(table.shape)), axis=1)
         assert table.fetch(table.gmin + cells).tobytes() == ref[flat].tobytes()
+        # the eight corners of each cell in one call, clamped to the table:
+        # runs of corners in one brick share a lookup
+        block = np.minimum(cells[:, None, :] + np.indices((2, 2, 2)).reshape(3, 8).T, table.shape - 1)
+        flat8 = np.ravel_multi_index(tuple(np.moveaxis(block, -1, 0)), tuple(table.shape))
+        assert table.fetch(table.gmin + block).tobytes() == ref[flat8].tobytes()
 
 
 def test_lattice_fill_chunks_bitwise(small_table_reference, monkeypatch):
