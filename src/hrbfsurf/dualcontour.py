@@ -82,13 +82,16 @@ def collect_active_voxels(
 ) -> VoxelGrid:
     """Find sign-change voxels with fully defined corners near the centers.
 
-    Corner values come from the model's brick lattice, whose value store is
-    emptied before returning: the grid keeps the corner values it needs.
-    Seeds are the voxels containing each center and probes offset along its
-    normal by up to SEED_STEPS voxel widths (the zero level set can sit away
-    from noisy points); the active set then grows by face-adjacency.  A voxel
-    is keyed by its lower corner in the table; voxels whose lower corner lies
-    outside the table have an undefined corner and are never tested.
+    Corner values come from the model's brick lattice, whose filled bricks
+    are kept: every face neighbour of an active voxel has been tested, so
+    they hold the values one edge beyond both ends of every sign-change
+    edge, which the edge roots in ``contour`` read before it empties the
+    store.  Seeds are the voxels containing each center and probes offset
+    along its normal by up to SEED_STEPS voxel widths (the zero level set
+    can sit away from noisy points); the active set then grows by
+    face-adjacency.  A voxel is keyed by its lower corner in the table;
+    voxels whose lower corner lies outside the table have an undefined
+    corner and are never tested.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -124,7 +127,6 @@ def collect_active_voxels(
             raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
         frontier = np.unique(table.keys(coords[ok][:, None, :] + face_neighbors[None, :, :]))
 
-    table.clear()
     return VoxelGrid(table, np.concatenate(active_coords), np.concatenate(active_vals))
 
 
@@ -197,6 +199,7 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     p_pos = np.where(lo_neg[:, None], b_pos, a_pos)
     f_neg, f_pos = np.minimum(u_vlo, u_vhi), np.maximum(u_vlo, u_vhi)
     roots, root_normals = _batch_edge_roots(table, u_lo, p_neg, p_pos, f_neg, f_pos, ROOT_TOL, workers)
+    table.clear()  # later reads fill bricks again; the QEF arrays need the room
 
     # QEF accumulation per voxel over (voxel, unique edge) incidences
     ne = len(uniq_keys)

@@ -23,6 +23,7 @@ ETA_MARGIN = 1e-5
 _EVAL_CHUNK = 16384  # fixed so chunking (hence output) is worker-count independent
 ROOT_TOL = 1e-4  # edge-root stop, as a fraction of the edge length
 ROOT_STEPS = 32  # cap on field evaluations per edge root
+_START_STEPS = 3  # Newton steps on the cubic that gives an edge's first point
 
 
 @dataclass
@@ -264,11 +265,13 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
 
     ``corner`` holds the integer lattice coords of each edge's lower end,
     which must lie inside the table, and ``f_neg``/``f_pos`` the field values
-    at the two ends.  ``tol`` is a fraction of the edge length: an edge stops
-    once its next step would move by at most that much.  An edge lies in the
-    closed cube of the brick holding its lower corner, so that brick's kernel
-    listing supplies its candidates, and the iteration reduces to scalar work
-    per (edge, kernel) pair: with u = p_neg - c and L the signed edge length
+    at the two ends.  Each edge starts from ``_cubic_start``, which reads the
+    table one edge beyond both ends.  ``tol`` is a fraction of the edge
+    length: an edge stops once its next step would move by at most that
+    much.  An edge lies in the closed cube of the brick holding its lower
+    corner, so that brick's kernel listing supplies its candidates, and the
+    iteration reduces to scalar work per (edge, kernel) pair: with
+    u = p_neg - c and L the signed edge length
     along its axis a, the squared distance at parameter s is
     |u|^2 + 2 u_a L s + L^2 s^2 and <b, x-c> is <b,u> + b_a L s, so each step
     costs one sqrt per pair instead of a fresh neighbor search.  Edges are
@@ -287,14 +290,16 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     n = len(p_neg)
     if n == 0:
         return np.empty((0, 3)), np.empty((0, 3))
+    corner = np.asarray(corner, dtype=np.int64).reshape(-1, 3)
     seg = p_pos - p_neg
     axis = np.argmax(np.abs(seg), axis=1)
+    length = seg[np.arange(n), axis]
+    start = _cubic_start(table, corner, axis, length, f_neg, f_pos)
     # edges sorted by axis, so that every chunk has a single one
     order = np.argsort(axis, kind="stable")
-    axis = axis[order]
-    length = seg[order, axis]
+    axis, length, start = axis[order], length[order], start[order]
     p_neg, f_neg, f_pos = p_neg[order], f_neg[order], f_pos[order]
-    cells = np.asarray(corner, dtype=np.int64).reshape(-1, 3)[order] - table.gmin
+    cells = corner[order] - table.gmin
     bricks, brick_of = np.unique(
         np.ravel_multi_index(tuple((cells // _BRICK).T), tuple(table._nb)), return_inverse=True
     )
@@ -321,7 +326,8 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
         qidx = np.repeat(np.arange(len(c)), c)
         cidx = kernels[np.arange(len(qidx)) + np.repeat(first[sl] - np.cumsum(c) + c, c)]
         roots[order[sl]], grads[order[sl]] = _edge_roots_chunk(
-            columns, p_neg[sl], int(axis[sl.start]), length[sl], f_neg[sl], f_pos[sl], qidx, cidx, tol
+            columns, p_neg[sl], int(axis[sl.start]), length[sl], f_neg[sl], f_pos[sl], start[sl],
+            qidx, cidx, tol,
         )
 
     cuts = np.union1d(
@@ -340,16 +346,42 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     return roots, grads
 
 
-def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, qidx, cidx, tol):
+def _cubic_start(table, corner, axis, length, f_neg, f_pos):
+    """First point s in [0, 1] on each edge, with s = 0 at the negative end.
+
+    The cells one edge beyond both ends give the field at s = -1 and 2 (the
+    active-voxel search has filled them for ``contour``).  The start is the
+    root of the Lagrange cubic through the four values, reached by Newton
+    steps from the linear interpolant, which is kept where an outer value is
+    nan (outside the table or every support) or where the steps end at a
+    point that is not finite or lies outside [0, 1].
+    """
+    step = np.eye(3, dtype=np.int64)[axis]
+    below, above = table.fetch(corner - step), table.fetch(corner + 2 * step)
+    up = length > 0  # the negative end is the lower corner
+    f_before, f_after = np.where(up, below, above), np.where(up, above, below)
+    linear = -f_neg / (f_pos - f_neg)
+    # the cubic is f_neg + s (c1 + s (c2 + s c3))
+    c3 = (f_after - f_before + 3.0 * (f_neg - f_pos)) / 6.0
+    c2 = 0.5 * (f_pos + f_before) - f_neg
+    c1 = 0.5 * (f_pos - f_before) - c3
+    s = linear
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_START_STEPS):
+            s = s - (f_neg + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * c3 * s))
+    return np.where(np.isfinite(s) & (s >= 0.0) & (s <= 1.0), s, linear)
+
+
+def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, start, qidx, cidx, tol):
     """Roots and gradients for one chunk of edges along ``axis`` from its
     candidate (edge, kernel) pairs; ``length`` holds the signed edge lengths.
 
     ``columns`` holds the model's centers and coefficients as (3, centers)
     rows and its radii.  The root of each edge is found on s in [0, 1] by
     regula falsi with the Illinois modification (Dowell & Jarratt, BIT 1971),
-    starting from the linear interpolant of the end values.  A bisection step
-    replaces it wherever the last value is undefined or the regula-falsi point
-    is not finite or leaves the bracket.
+    starting from ``start``.  A bisection step replaces it wherever the last
+    value is undefined or the regula-falsi point is not finite or leaves the
+    bracket.
     """
     centers_t, b_t, rho_all = columns
     n = len(p_neg)
@@ -370,16 +402,18 @@ def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, qidx, cidx, to
     cc = b[0] * u[0] + b[1] * u[1] + b[2] * u[2]
     dd = b[axis] * p_len
     rho = rho_all[cidx]
-    scale = 20.0 / rho**2
+    rho_sq = rho**2
+    scale = 20.0 / rho_sq
 
     lo = np.zeros(n)
     hi = np.ones(n)
     f_lo = f_neg.copy()
     f_hi = f_pos.copy()
-    s = -f_neg / (f_pos - f_neg)
+    s = start
     kept = np.zeros(n, dtype=np.int8)  # end the last step kept: -1 lo, 1 hi
     active = np.ones(n, dtype=bool)
-    pairs = (qidx, aa, bb, gg, rho, scale, cc, dd)
+    # the passes read t^2 = |x - c|^2 / rho^2 and the scaled <b, x - c>
+    pairs = (qidx, aa / rho_sq, 2.0 * bb / rho_sq, gg / rho_sq, scale * cc, scale * dd)
     runs = all_runs = _runs(qidx, n)
     for _ in range(ROOT_STEPS):
         if not active.any():
@@ -432,15 +466,25 @@ def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, qidx, cidx, to
 def _edge_values(pairs, runs, s, n):
     """Field values of n edges at parameters ``s``; nan where no support covers them.
 
+    ``pairs`` holds the pre-scaled terms (edge, a, b, g, c, d): t^2 is
+    a + (b + g s) s and the term is (c + d s) w^3 with w = max(1 - t, 0).
     Kept apart from the root loop so that its per-pair temporaries are freed
     before the loop compacts the pairs.
     """
-    qs, aa, bb, gg, rho, scale, cc, dd = pairs
+    qs, a, b, g, c, d = pairs
     s = s[qs]
-    t = np.sqrt(aa + (2.0 * bb + gg * s) * s) / rho
-    # 1 - t > 0 exactly when t < 1, so the clamp zeroes the pairs outside
-    w = np.maximum(1.0 - t, 0.0)
-    return _segment_sums(runs, scale * w * w * w * (cc + dd * s), t < 1.0, n)
+    w = g * s  # t^2 by Horner, then w, in place
+    w += b
+    w *= s
+    w += a
+    inside = w < 1.0
+    np.sqrt(w, out=w)
+    np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w)
+    term = d * s
+    term += c
+    for _ in range(3):
+        term *= w
+    return _segment_sums(runs, term, inside, n)
 
 
 def _runs(ids, n):
@@ -477,17 +521,18 @@ class LatticeTable:
     """Field values at lattice corners, evaluated one brick of 4^3 cells at a time.
 
     A brick is filled the first time ``fetch`` reads one of its cells, so
-    only the bricks that the active-voxel search visits are ever evaluated.
-    A fill lists the kernels near each brick; both the squared distance and
-    <b, x-c> decompose along the axes, so a kernel's share of a brick is
-    assembled from three length-4 arrays by broadcasting.  A kernel reaches
-    the cells of its support box [lo, hi] that lie strictly inside its
-    support, and every cell is summed per brick by ``add.reduceat`` over the
-    brick's ascending pair list.  Values therefore depend neither on which
-    bricks are filled together nor on the worker count.  Cells outside every
-    support hold nan.  Memory grows with the filled bricks, not with the
-    bounding box: filled bricks are kept as a sorted index of flat brick
-    numbers.
+    only the bricks that the active-voxel search visits are ever evaluated,
+    and it stays filled until ``clear``.  A fill takes the kernels near each
+    brick from ``_brick_kernels``, the listing the edge roots read as well;
+    both the squared distance and <b, x-c> decompose along the axes, so a
+    kernel's share of a brick is assembled from three length-4 arrays by
+    broadcasting.  A kernel reaches the cells of its support box [lo, hi]
+    that lie strictly inside its support, and every cell is summed per brick
+    by ``add.reduceat`` over the brick's ascending pair list.  Values
+    therefore depend neither on which bricks are filled together nor on the
+    worker count.  Cells outside every support hold nan.  Memory grows with
+    the filled bricks, not with the bounding box: filled bricks are kept as
+    a sorted index of flat brick numbers.
 
     Cells are keyed by their flat C-order index over ``shape`` (``keys``), so
     key order is lexicographic coordinate order; edge keys append the axis,
@@ -511,6 +556,7 @@ class LatticeTable:
         self.width = width
         self.gmin = gmin
         self.shape = shape
+        self._ushape = shape.astype(np.uint64)
         self._workers = workers
         self._lo = lo - gmin  # cell coordinates relative to the table
         self._hi = hi - gmin
@@ -560,9 +606,14 @@ class LatticeTable:
         """Values at integer lattice coords of any shape (..., 3)."""
         coords = np.asarray(coords, dtype=np.int64)
         c = coords.reshape(-1, 3) - self.gmin
-        inside = np.all((c >= 0) & (c < self.shape), axis=1)
-        out = np.full(len(c), np.nan)
-        brick, local = np.divmod(c[inside], _BRICK)
+        # negative coords wrap high as unsigned, so one compare per column
+        # tests both bounds
+        cu, top = c.view(np.uint64), self._ushape
+        inside = (cu[:, 0] < top[0]) & (cu[:, 1] < top[1]) & (cu[:, 2] < top[2])
+        every = bool(inside.all())
+        if not every:
+            c = c[inside]
+        brick, local = np.divmod(c, _BRICK)
         brick = np.ravel_multi_index(tuple(brick.T), tuple(self._nb))
         # neighbouring coords mostly share a brick (the eight corners of a
         # voxel, say), so the index is searched once per run of equal bricks
@@ -574,7 +625,11 @@ class LatticeTable:
             rows[missing] = self._rows_of(brick[start[missing]])
         rows = np.repeat(rows, np.diff(start, append=len(brick)))
         local = (local[:, 0] * _BRICK + local[:, 1]) * _BRICK + local[:, 2]
-        out[inside] = self._store[rows, local]
+        out = self._store[rows, local]
+        if not every:
+            full = np.full(len(inside), np.nan)
+            full[inside] = out
+            out = full
         return out.reshape(coords.shape[:-1])
 
     def _rows_of(self, bricks):
@@ -627,35 +682,21 @@ class LatticeTable:
         first = np.stack(np.unravel_index(bricks, tuple(self._nb)), axis=1) * _BRICK
         centre = self.origin + (self.gmin + first + 0.5 * _BRICK) * self.width
         rows, kern = _candidate_pairs(self.model, centre, 0.5 * np.sqrt(3.0) * _BRICK * self.width)
+        # squared distance from each kernel's center to the brick's cube
         first_r = np.take(first, rows, axis=0)
-        gap = self._gap_sq(first_r, first_r + _BRICK, kern)
+        c = np.take(self.model.centers, kern, axis=0)
+        near = self.origin + (self.gmin + first_r) * self.width - c
+        far = self.origin + (self.gmin + first_r + _BRICK) * self.width - c
+        gap = np.maximum(near, 0.0) ** 2 + np.minimum(far, 0.0) ** 2
+        gap = gap[:, 0] + gap[:, 1] + gap[:, 2]
         keep = np.flatnonzero(gap < (self.model.rho[kern] * (1.0 + 1e-9)) ** 2)
         return first, rows[keep], kern[keep]
 
-    def _gap_sq(self, a0, a1, kern):
-        """Squared distance from each kernel's center to the cell box [a0, a1].
-
-        Rounding is monotone in the box corners, so a box inside another
-        never reads farther away.
-        """
-        c = np.take(self.model.centers, kern, axis=0)
-        near = self.origin + (self.gmin + a0) * self.width - c
-        far = self.origin + (self.gmin + a1) * self.width - c
-        gap = np.maximum(near, 0.0) ** 2 + np.minimum(far, 0.0) ** 2
-        return gap[:, 0] + gap[:, 1] + gap[:, 2]
-
     def _batch_values(self, bricks):
         """(len(bricks), 64) values of a batch of bricks."""
+        # the listing also serves edges that leave the brick, so some of its
+        # kernels reach no cell of the brick; their slots add only zeros
         first, rows, kern = self._brick_kernels(bricks)
-        # keep a pair only if a cell of the brick inside the kernel's box can
-        # lie inside its support: per-axis gaps to that block bound the cell
-        # offsets from below
-        first_r = np.take(first, rows, axis=0)
-        a0 = np.maximum(first_r, np.take(self._lo, kern, axis=0))
-        a1 = np.minimum(first_r + _BRICK - 1, np.take(self._hi, kern, axis=0))
-        keep = np.all(a0 <= a1, axis=1) & (self._gap_sq(a0, a1, kern) < self._rho_sq[kern])
-        keep = np.flatnonzero(keep)
-        rows, kern = rows[keep], kern[keep]
         offsets = np.searchsorted(rows, np.arange(len(bricks) + 1))
         cuts = _cuts(offsets, _FILL_PAIRS).tolist()
         out = np.empty((len(bricks), _BRICK**3))
@@ -683,15 +724,22 @@ class LatticeTable:
             sq.append(np.where(inbox, off[a] ** 2, np.inf))
         d2 = (sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]).reshape(_BRICK**3, -1)
         inside = d2 < self._rho_sq[kern]
-        bk = model.b_coeffs[kern].T
-        bdot = (
+        bk = model.b_coeffs[kern].T * self._scale[kern]
+        term = (
             (bk[0] * off[0])[:, None, None]
             + (bk[1] * off[1])[None, :, None]
             + (bk[2] * off[2])[None, None, :]
         ).reshape(_BRICK**3, -1)
-        w = np.maximum(1.0 - np.sqrt(d2) / model.rho[kern], 0.0)
-        contrib = np.where(inside, self._scale[kern] * w * w * w * bdot, 0.0)
-        return _segment_sums(_runs(rows, len(first)), contrib, inside, len(first)).T
+        # d2 becomes w = max(1 - sqrt(d2) / rho, 0) in place.  w is 0 outside
+        # the kernel's box, where d2 is inf, and outside the support up to
+        # rounding (about 1e-16 where d2 is within ulps of rho^2, so w^3 is
+        # about 1e-48), which is why no mask is applied to the terms
+        w = np.sqrt(d2, out=d2)
+        w *= 1.0 / model.rho[kern]
+        np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w)
+        for _ in range(3):
+            term *= w
+        return _segment_sums(_runs(rows, len(first)), term, inside, len(first)).T
 
 
 def _eval_chunk(model: HrbfModel, x, want_gradient):

@@ -145,12 +145,14 @@ def test_voxel_grid_corner_position(sphere_model):
     np.testing.assert_allclose(g.corner_position([[2, 0, -2]]), [[2.0, 2.0, 2.0]])
 
 
+# seeds on the unit sphere, normals pointing outward
+_AXIS_POINTS = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
+                         [0, 0, 1.0], [0, 0, -1.0]])
+
+
 @pytest.fixture(scope="module")
 def sphere_grid_and_mesh(sphere_model):
-    centers = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
-                        [0, 0, 1.0], [0, 0, -1.0]])
-    normals = centers.copy()
-    grid = collect_active_voxels(sphere_model, centers, normals, width=0.1)
+    grid = collect_active_voxels(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
     mesh = contour(grid)
     return sphere_model, grid, mesh
 
@@ -225,6 +227,28 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
         sel = rows == row
         want = place_vertex(roots[sel], normals[sel], box=(lo, lo + w))
         np.testing.assert_allclose(mesh.vertices[row], want, atol=1e-9)
+
+
+def test_contour_fills_no_brick(sphere_grid_and_mesh, monkeypatch):
+    # the search tests both face neighbours of every active voxel along each
+    # axis, so the cells one edge beyond each sign-change edge, which the
+    # edge roots read for their first point, are filled before contour runs
+    sphere_model, _, ref = sphere_grid_and_mesh
+    grid = collect_active_voxels(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
+    assert grid.table._n_filled > 0
+    calls = []
+    fill = LatticeTable._fill
+
+    def record(self, bricks):
+        calls.append(len(bricks))
+        fill(self, bricks)
+
+    monkeypatch.setattr(LatticeTable, "_fill", record)
+    mesh = contour(grid)
+    assert calls == []
+    assert grid.table._n_filled == 0  # emptied once the roots are found
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.faces.tobytes() == ref.faces.tobytes()
 
 
 def test_extract_surface_deterministic(sphere_model):

@@ -14,6 +14,7 @@ from hrbfsurf.model import (
     ROOT_TOL,
     _BRICK,
     _candidate_pairs,
+    _cubic_start,
     _eval_chunk,
     _runs,
     _segment_sums,
@@ -264,6 +265,9 @@ class TestIsosurfaceHelpers:
         assert len(corner) == 1
         np.testing.assert_allclose(-f_neg / (f_pos - f_neg), 0.5)
         assert np.isnan(_eval_chunk(model, np.zeros((1, 3)), False)[0][0])
+        # the cubic start stays in the gap as well
+        start = _cubic_start(table, corner, np.zeros(1, np.int64), (p_pos - p_neg)[:, 0], f_neg, f_pos)
+        assert np.isnan(_eval_chunk(model, p_neg + start[:, None] * (p_pos - p_neg), False)[0][0])
         roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
         assert np.all(np.isfinite(roots))
         x = roots[0, 0]
@@ -272,6 +276,47 @@ class TestIsosurfaceHelpers:
         # root ends at the negative kernel's support boundary
         c_neg = -0.5 if p_neg[0, 0] < 0 else 0.5
         assert abs(abs(x - c_neg) - 0.4) <= ROOT_TOL * w
+
+    @pytest.mark.parametrize("rho", [0.25, 0.5])
+    def test_axis_edge_roots_linear_start_without_outer_values(self, rho):
+        # one kernel at z = 0.03, normal +z, on a lattice at odd multiples of
+        # 0.1: z edges from -0.1 to 0.1 cross its zero plane off their middle.
+        # At rho = 0.25 the table spans only z = +-0.1, so the cells one edge
+        # beyond lie outside it; at rho = 0.5 they lie inside it but outside
+        # the support where x^2 + y^2 = 0.18.  Those edges start from the
+        # linear interpolant, and every root still lies on its edge within
+        # ROOT_TOL edge lengths of a 52-step bisection
+        w = 0.2
+        model = model_from_arrays([[0.0, 0.0, 0.03]], [[0.0, 0.0, 1.0]], rho, 1.0)
+        table = LatticeTable(model, np.full(3, -0.1), w)
+        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(
+            table, table.gmin + np.indices(table.shape).reshape(3, -1).T
+        )
+        axis = np.argmax(np.abs(p_pos - p_neg), axis=1)
+        assert np.all(axis == 2)
+        step = np.eye(3, dtype=np.int64)[axis]
+        outside = (table.keys(corner - step) < 0) | (table.keys(corner + 2 * step) < 0)
+        missing = np.isnan(table.fetch(corner - step)) | np.isnan(table.fetch(corner + 2 * step))
+        start = _cubic_start(table, corner, axis, (p_pos - p_neg)[:, 2], f_neg, f_pos)
+        linear = -f_neg / (f_pos - f_neg)
+        if rho == 0.25:
+            assert np.all(outside)
+        else:
+            assert np.any(missing & ~outside) and not np.any(outside)
+            # where the outer values exist, the cubic moves the start
+            assert np.all(np.abs(start - linear)[~missing] > 1e-3)
+        assert np.array_equal(start[missing], linear[missing])
+        roots, _ = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        s = np.einsum("ij,ij->i", roots - p_neg, p_pos - p_neg) / w**2
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        a, b = p_neg.copy(), p_pos.copy()
+        for _ in range(52):
+            mid = 0.5 * (a + b)
+            v = _eval_chunk(model, mid, False)[0]
+            neg = np.isfinite(v) & (v < 0)
+            a = np.where(neg[:, None], mid, a)
+            b = np.where(neg[:, None], b, mid)
+        assert np.linalg.norm(roots - 0.5 * (a + b), axis=1).max() <= ROOT_TOL * w
 
     def test_axis_edge_roots_worker_bitwise(self, sphere_model):
         _, _, model = sphere_model
@@ -415,6 +460,25 @@ class TestIsosurfaceHelpers:
         table = LatticeTable(model, model.centers.min(axis=0) - 0.1, 0.05)
         out = table.fetch(np.array([[-(10**6), 0, 0]]) )
         assert np.isnan(out[0])
+        # cells with one column below 0 or at or past shape, mixed among cells
+        # inside: the bound test must catch each column on its own
+        ref = table.values_flat
+        rng = np.random.default_rng(14)
+        inner = np.stack([rng.integers(0, n, 40) for n in table.shape], axis=1)
+        outer = []
+        for a in range(3):
+            for v in (-1, -(2**40), table.shape[a], table.shape[a] + 5):
+                c = inner[len(outer)].copy()
+                c[a] = v
+                outer.append(c)
+        perm = rng.permutation(len(inner) + len(outer))
+        got = table.fetch(table.gmin + np.concatenate([inner, outer])[perm])
+        flat = np.ravel_multi_index(tuple(inner.T), tuple(table.shape))
+        is_inner = perm < len(inner)
+        assert np.all(np.isnan(got[~is_inner]))
+        assert got[is_inner].tobytes() == ref[flat[perm[is_inner]]].tobytes()
+        # cells all inside take the path without a mask: the same bits
+        assert table.fetch(table.gmin + inner).tobytes() == ref[flat].tobytes()
 
     def test_lattice_table_far_beyond_dense_size(self, sphere_model):
         # about 1e9 cells: only the bricks that fetch touches may be filled
