@@ -25,7 +25,6 @@ from .model import (
     BoundReport,
     tune_parameters,
     build_model,
-    eval_implicit,
     ImplicitField,
     verify_error_bound,
 )

@@ -209,12 +209,14 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     mats = np.zeros((m_vox, 3, 3))
     rhs = np.zeros((m_vox, 3))
     cent = np.zeros((m_vox, 3))
+    vnorm = np.zeros((m_vox, 3))
     ndq = np.einsum("ij,ij->i", nrm, q)
     for a in range(3):
         cent[:, a] = np.bincount(vox_rows, weights=q[:, a], minlength=m_vox)
         rhs[:, a] = np.bincount(vox_rows, weights=nrm[:, a] * ndq, minlength=m_vox)
-        for b in range(3):
-            mats[:, a, b] = np.bincount(
+        vnorm[:, a] = np.bincount(vox_rows, weights=nrm[:, a], minlength=m_vox)
+        for b in range(a, 3):
+            mats[:, a, b] = mats[:, b, a] = np.bincount(
                 vox_rows, weights=nrm[:, a] * nrm[:, b], minlength=m_vox
             )
     safe = np.maximum(counts, 1.0)
@@ -226,9 +228,6 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     box_lo = grid.corner_position(coords)
     verts = np.clip(verts, box_lo, box_lo + w)
     # averaged intersection normals give usable vertex normals for output
-    vnorm = np.zeros((m_vox, 3))
-    for a in range(3):
-        vnorm[:, a] = np.bincount(vox_rows, weights=nrm[:, a], minlength=m_vox)
     lens = np.linalg.norm(vnorm, axis=1)
     vnorm[lens > 0] /= lens[lens > 0, None]
 

@@ -184,22 +184,11 @@ def quasi_coefficients(normals, rho, eta):
 
 
 def build_model(ps, tp: TuningParams) -> HrbfModel:
-    points = np.asarray(ps.points, dtype=np.float64)
-    normals = np.asarray(ps.normals, dtype=np.float64)
-    b = quasi_coefficients(normals, tp.rho, tp.eta)
-    return HrbfModel(
-        centers=points,
-        normals=normals,
-        rho=np.asarray(tp.rho, dtype=np.float64),
-        eta=tp.eta,
-        b_coeffs=b,
-        rho_max=float(np.max(tp.rho)),
-        bands=RadiusBands(points, tp.rho),
-    )
+    return model_from_arrays(ps.points, ps.normals, tp.rho, tp.eta)
 
 
 def model_from_arrays(centers, normals, rho, eta) -> HrbfModel:
-    """Build a model directly from arrays (used by tests and the exact oracle)."""
+    """Build a model from centers, unit normals, radii (scalar or per center) and eta."""
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (len(centers),)).copy()
@@ -235,18 +224,6 @@ def _candidate_pairs(model: HrbfModel, x, slack=0.0):
         keys.append(hits["i"][near].astype(np.int64) * n + cidx[near])
     keys = np.sort(np.concatenate(keys))
     return keys // n, keys % n
-
-
-def _gather_pairs(model: HrbfModel, x):
-    """(query, center) pairs with the query strictly inside the center's support."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-    qidx, cidx = _candidate_pairs(model, x)
-    if len(qidx):
-        offs = x[qidx] - model.centers[cidx]
-        d2 = np.einsum("ij,ij->i", offs, offs)
-        keep = d2 < model.rho[cidx] ** 2
-        qidx, cidx = qidx[keep], cidx[keep]
-    return x, qidx, cidx
 
 
 # candidate pairs per chunk: a chunk's ~20 per-pair float64 arrays then take
@@ -446,21 +423,24 @@ def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, start, qidx, c
     roots = p_neg.copy()
     roots[:, axis] += s * length
 
-    # gradient of the field at the roots from the same pair set:
-    # sum scale * ((1-t)^3 b - 3 (1-t)^2 <b, x-c> (x-c) / (rho r))
+    # gradient of the field at the roots from the same pair set
     s = s[qidx]
+    u[axis] += s * p_len  # now x - c
     r = np.sqrt(aa + (2.0 * bb + gg * s) * s)
+    return roots, _gradient_sums(all_runs, u, b, cc + dd * s, r, rho, scale, n)
+
+
+def _gradient_sums(runs, u, b, bu, r, rho, scale, n):
+    """Field gradients (n, 3) from pair columns u = x - c and b (three rows
+    each), bu = <b, u> and r = |u|: sums over each run of
+    scale ((1-t)^3 b - 3 (1-t)^2 <b, u> u / (rho r)) with t = r / rho."""
     t = r / rho
     inside = t < 1.0
     w1 = np.maximum(1.0 - t, 0.0)
     w2 = w1 * w1
-    radial = scale * 3.0 * w2 * (cc + dd * s) / (rho * np.maximum(r, 1e-300))
+    radial = scale * 3.0 * w2 * bu / (rho * np.maximum(r, 1e-300))
     tang = scale * w2 * w1
-    u[axis] += s * p_len  # now x - c
-    grads = np.empty((n, 3))
-    for k in range(3):
-        grads[:, k] = _segment_sums(all_runs, tang * b[k] - radial * u[k], inside, n)
-    return roots, grads
+    return np.stack([_segment_sums(runs, tang * b[k] - radial * u[k], inside, n) for k in range(3)], axis=1)
 
 
 def _edge_values(pairs, runs, s, n):
@@ -578,9 +558,14 @@ class LatticeTable:
     def keys(self, coords):
         """Flat C-order index over ``shape`` of integer lattice coords (..., 3); -1 outside."""
         c = np.asarray(coords, dtype=np.int64) - self.gmin
-        inside = np.all((c >= 0) & (c < self.shape), axis=-1)
         flat = (c[..., 0] * self.shape[1] + c[..., 1]) * self.shape[2] + c[..., 2]
-        return np.where(inside, flat, -1)
+        return np.where(self._inside(c), flat, -1)
+
+    def _inside(self, c):
+        """Whether table-relative coords (..., 3) lie in the table.  Negative
+        coords wrap high as unsigned, so one compare per column tests both bounds."""
+        cu, top = c.view(np.uint64), self._ushape
+        return (cu[..., 0] < top[0]) & (cu[..., 1] < top[1]) & (cu[..., 2] < top[2])
 
     def coords(self, keys):
         """Integer lattice coords (..., 3) of keys inside the table; inverse of ``keys``."""
@@ -606,10 +591,7 @@ class LatticeTable:
         """Values at integer lattice coords of any shape (..., 3)."""
         coords = np.asarray(coords, dtype=np.int64)
         c = coords.reshape(-1, 3) - self.gmin
-        # negative coords wrap high as unsigned, so one compare per column
-        # tests both bounds
-        cu, top = c.view(np.uint64), self._ushape
-        inside = (cu[:, 0] < top[0]) & (cu[:, 1] < top[1]) & (cu[:, 2] < top[2])
+        inside = self._inside(c)
         every = bool(inside.all())
         if not every:
             c = c[inside]
@@ -743,26 +725,21 @@ class LatticeTable:
 
 
 def _eval_chunk(model: HrbfModel, x, want_gradient):
-    x, qidx, cidx = _gather_pairs(model, x)
-    nq = len(x)
-    values = np.zeros(nq)
-    covered = np.bincount(qidx, minlength=nq)
-    grads = np.zeros((nq, 3)) if want_gradient else None
-    if len(qidx):
-        offsets = x[qidx] - model.centers[cidx]
-        rho = model.rho[cidx]
-        b = model.b_coeffs[cidx]
-        g = kernel.gradient(offsets, rho)
-        values = -np.bincount(qidx, weights=np.einsum("ij,ij->i", b, g), minlength=nq)
-        if want_gradient:
-            hb = np.einsum("ijk,ik->ij", kernel.hessian(offsets, rho), b)
-            for a in range(3):
-                grads[:, a] = -np.bincount(qidx, weights=hb[:, a], minlength=nq)
-    defined = covered > 0
-    values[~defined] = np.nan
-    if want_gradient:
-        grads[~defined] = np.nan
-    return values, grads, defined
+    """Values (nan where undefined), gradients or None, and the defined mask at x (n, 3)."""
+    n = len(x)
+    qidx, cidx = _candidate_pairs(model, x)
+    u = [np.take(x[:, k], qidx) - np.take(model.centers[:, k], cidx) for k in range(3)]
+    b = [np.take(model.b_coeffs[:, k], cidx) for k in range(3)]
+    bu = b[0] * u[0] + b[1] * u[1] + b[2] * u[2]
+    d2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    rho = model.rho[cidx]
+    r = np.sqrt(d2)
+    scale = 20.0 / rho**2
+    runs = _runs(qidx, n)
+    w = np.maximum(1.0 - r / rho, 0.0)
+    values = _segment_sums(runs, scale * w * w * w * bu, d2 < rho**2, n)
+    grads = _gradient_sums(runs, u, b, bu, r, rho, scale, n) if want_gradient else None
+    return values, grads, np.isfinite(values)
 
 
 class ImplicitField:
@@ -805,15 +782,6 @@ class ImplicitField:
 
     def values(self, x):
         return self.evaluate(x, want_gradient=False)[0]
-
-
-def eval_implicit(model: HrbfModel, x, want_gradient=True):
-    """Single-point evaluation; returns (value, gradient) or (None, None) when
-    no support covers x."""
-    v, g, defined = _eval_chunk(model, np.asarray(x, dtype=np.float64).reshape(1, 3), want_gradient)
-    if not defined[0]:
-        return None, None
-    return float(v[0]), (g[0] if want_gradient else None)
 
 
 def quasi_lambda(model: HrbfModel):

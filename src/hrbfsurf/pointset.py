@@ -38,6 +38,9 @@ class HermitePointSet:
             raise ValueError("points must be (n, 3)")
         if self.normals.shape != self.points.shape:
             raise ValueError("normals must match points shape")
+        bad = np.count_nonzero(~(np.isfinite(self.points) & np.isfinite(self.normals)).all(axis=1))
+        if bad:
+            raise ValueError(f"{bad} of {len(self.points)} rows hold non-finite coordinates")
 
     def __len__(self):
         return len(self.points)

@@ -20,7 +20,6 @@ from hrbfsurf.model import (
     _segment_sums,
     axis_edge_roots,
     build_model,
-    eval_implicit,
     model_from_arrays,
     quasi_coefficients,
     quasi_lambda,
@@ -31,6 +30,7 @@ from hrbfsurf.pointset import normalize_to_unit_box
 from hrbfsurf.sampling import sphere_points, two_density_sphere
 
 from conftest import cells_near, random_unit_vectors, sign_change_edges, tuned_model
+from oracles import kernel_evaluate
 
 
 class TestTuning:
@@ -115,13 +115,14 @@ class TestEvaluation:
         # b = (0, 0, 1/20) and f(0, 0, 0.5) = 20 (1/2)^3 (0.05 * 0.5) = 1/16
         model = model_from_arrays(np.zeros((1, 3)), [[0.0, 0.0, 1.0]], 1.0, 0.0)
         np.testing.assert_allclose(model.b_coeffs, [[0.0, 0.0, 0.05]])
-        v, g = eval_implicit(model, [0.0, 0.0, 0.5])
-        assert v == pytest.approx(0.0625)
+        x = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        v, g, defined = ImplicitField(model).evaluate(x, want_gradient=True)
+        assert v[0] == pytest.approx(0.0625)
         # on-center value is zero and the gradient points along the normal
-        v0, g0 = eval_implicit(model, [0.0, 0.0, 0.0])
-        assert v0 == pytest.approx(0.0)
-        assert g0[2] > 0.0
-        assert eval_implicit(model, [0.0, 0.0, 2.0]) == (None, None)
+        assert v[1] == pytest.approx(0.0)
+        assert g[1, 2] > 0.0
+        # no support covers the last query: not defined and nan
+        assert not defined[2] and np.isnan(v[2]) and np.all(np.isnan(g[2]))
 
     def test_zero_at_centers_of_symmetric_pair(self):
         model = model_from_arrays(
@@ -130,7 +131,7 @@ class TestEvaluation:
             1.0,
             0.0,
         )
-        v, _ = eval_implicit(model, [0.0, 0.0, 0.0])
+        v = ImplicitField(model).values(np.zeros((1, 3)))[0]
         assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_gradient_matches_finite_differences(self, sphere_model):
@@ -148,6 +149,28 @@ class TestEvaluation:
             fd = (vp - vm) / (2 * h)
             ok = defined & np.isfinite(vp) & np.isfinite(vm)
             assert np.max(np.abs(fd[ok] - grads[ok, a])) < 1e-5
+
+    def test_implicit_field_matches_kernel_oracle(self):
+        # brute force over every center with the kernel's own derivatives:
+        # f = -sum <b, grad phi> and grad f = -sum H b
+        ps = sphere_points(150, seed=4)
+        _, _, model = tuned_model(ps)
+        rng = np.random.default_rng(15)
+        x = random_unit_vectors(40, rng) * rng.uniform(0.8, 1.2, (40, 1))
+        # one query at a center (r = 0) and one outside every support
+        x = np.concatenate([x, model.centers[:1], [[5.0, 5.0, 5.0]]])
+        vals, grads, defined = ImplicitField(model).evaluate(x, want_gradient=True)
+        ref_v, ref_g = np.full(len(x), np.nan), np.full((len(x), 3), np.nan)
+        for i, q in enumerate(x):
+            evs = [kernel_evaluate(c, r, q) for c, r in zip(model.centers, model.rho)]
+            inside = [(ev, bj) for ev, bj in zip(evs, model.b_coeffs) if ev.inside_support]
+            if inside:
+                ref_v[i] = -sum(ev.gradient @ bj for ev, bj in inside)
+                ref_g[i] = -sum(ev.hessian @ bj for ev, bj in inside)
+        assert np.array_equal(defined, np.isfinite(ref_v))
+        assert defined[-2] and not defined[-1] and np.all(np.isnan(grads[-1]))
+        np.testing.assert_allclose(vals, ref_v, rtol=1e-13, atol=0, equal_nan=True)
+        np.testing.assert_allclose(grads, ref_g, rtol=1e-13, atol=0, equal_nan=True)
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(2)

@@ -29,6 +29,10 @@ def test_pointset_shape_validation():
         HermitePointSet(np.zeros((3, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         HermitePointSet(np.zeros((3, 3)), np.zeros((4, 3)))
+    bad = np.zeros((3, 3))
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="1 of 3 rows"):
+        HermitePointSet(bad, np.zeros((3, 3)))
 
 
 def test_bbox_and_len(small_ps):
