@@ -23,6 +23,8 @@ from .pointset import QuadMesh
 QEF_REG = 1e-3
 DEFAULT_MAX_ACTIVE = 5_000_000
 SEED_STEPS = 3  # normal probes per side when seeding the active-voxel search
+_FETCH_VOXELS = 1 << 14  # voxels per corner fetch in the search; bounds its scratch arrays
+_QEF_VOXELS = 1 << 16  # voxel rows per QEF chunk; bounds the per-incidence arrays
 
 # corner index = dx*4 + dy*2 + dz
 _CORNER_OFFSETS = np.array(
@@ -107,7 +109,9 @@ def collect_active_voxels(
     seed_coords = np.floor((np.concatenate(seeds) - origin) / width).astype(np.int64)
     frontier = np.unique(table.keys(seed_coords))
 
-    tested = {-1}  # the key of every voxel outside the table
+    # keys of every tested voxel, sorted, behind -1 (the key of every voxel
+    # outside the table) and a sentinel above every key
+    tested = np.array([-1, np.iinfo(np.int64).max])
     active_coords, active_vals = [np.empty((0, 3), np.int64)], [np.empty((0, 8))]
     n_active = 0
     face_neighbors = np.array(
@@ -115,17 +119,22 @@ def collect_active_voxels(
     )
 
     while len(frontier):
-        fresh = np.asarray([k for k in frontier.tolist() if k not in tested], dtype=np.int64)
-        tested.update(fresh.tolist())
-        coords = table.coords(fresh)
-        vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
-        ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
-        active_coords.append(coords[ok])
-        active_vals.append(vals[ok])
-        n_active += int(ok.sum())
+        at = np.searchsorted(tested, frontier)
+        new = tested[at] != frontier
+        fresh = frontier[new]
+        tested = np.insert(tested, at[new], fresh)
+        grown = [np.empty(0, np.int64)]  # keys of the face neighbours of new active voxels
+        for v0 in range(0, len(fresh), _FETCH_VOXELS):
+            coords = table.coords(fresh[v0 : v0 + _FETCH_VOXELS])
+            vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
+            ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
+            active_coords.append(coords[ok])
+            active_vals.append(vals[ok])
+            n_active += int(ok.sum())
+            grown.append(table.keys(coords[ok][:, None, :] + face_neighbors[None, :, :]).ravel())
         if n_active > max_active:
             raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
-        frontier = np.unique(table.keys(coords[ok][:, None, :] + face_neighbors[None, :, :]))
+        frontier = np.unique(np.concatenate(grown))
 
     return VoxelGrid(table, np.concatenate(active_coords), np.concatenate(active_vals))
 
@@ -149,6 +158,37 @@ def _batch_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, t
     return mid, grads / norms[:, None]
 
 
+def _qef_vertices(rows, q, nrm, grid, coords):
+    """Vertices and unit vertex normals of the voxels at ``coords`` from their
+    edge intersections ``q`` with normals ``nrm``; ``rows`` gives the voxel of
+    each intersection, as a row of ``coords``."""
+    m = len(coords)
+    counts = np.bincount(rows, minlength=m).astype(np.float64)
+    mats = np.zeros((m, 3, 3))
+    rhs = np.zeros((m, 3))
+    cent = np.zeros((m, 3))
+    vnorm = np.zeros((m, 3))
+    ndq = np.einsum("ij,ij->i", nrm, q)
+    for a in range(3):
+        cent[:, a] = np.bincount(rows, weights=q[:, a], minlength=m)
+        rhs[:, a] = np.bincount(rows, weights=nrm[:, a] * ndq, minlength=m)
+        vnorm[:, a] = np.bincount(rows, weights=nrm[:, a], minlength=m)
+        for b in range(a, 3):
+            mats[:, a, b] = mats[:, b, a] = np.bincount(rows, weights=nrm[:, a] * nrm[:, b], minlength=m)
+    safe = np.maximum(counts, 1.0)
+    cent /= safe[:, None]
+    lam = QEF_REG * safe
+    mats += lam[:, None, None] * np.eye(3)
+    rhs += lam[:, None] * cent
+    verts = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
+    box_lo = grid.corner_position(coords)
+    verts = np.clip(verts, box_lo, box_lo + grid.width)
+    # averaged intersection normals give usable vertex normals for output
+    lens = np.linalg.norm(vnorm, axis=1)
+    vnorm[lens > 0] /= lens[lens > 0, None]
+    return verts, vnorm
+
+
 def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     """Vertices from QEF minimization plus one quad per interior isosurface edge."""
     table = grid.table
@@ -159,77 +199,50 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     vals = grid.corner_values
     m_vox = len(coords)
 
-    # unique sign-change edges, keyed by the lower corner's table key and the axis
-    vox_rows, edge_keys, p_lo_list, v_lo_list, v_hi_list, axes = [], [], [], [], [], []
-    for ca, cb, axis in _EDGES:
-        va = vals[:, ca]
-        vb = vals[:, cb]
-        hit = (va < 0) != (vb < 0)
-        if not hit.any():
-            continue
-        rows = np.flatnonzero(hit)
-        lo = coords[rows] + _CORNER_OFFSETS[ca]
-        edge_keys.append(table.keys(lo) * 4 + axis)
+    # unique sign-change edges, keyed by the lower corner's table key and the
+    # axis; an incidence keeps only its key, its voxel row and its edge number
+    vox_rows, edge_keys, edge_ids = [], [], []
+    for e, (ca, cb, axis) in enumerate(_EDGES):
+        rows = np.flatnonzero((vals[:, ca] < 0) != (vals[:, cb] < 0))
+        edge_keys.append(table.keys(coords[rows] + _CORNER_OFFSETS[ca]) * 4 + axis)
         vox_rows.append(rows)
-        p_lo_list.append(lo)
-        v_lo_list.append(va[rows])
-        v_hi_list.append(vb[rows])
-        axes.append(np.full(len(rows), axis, dtype=np.int64))
-
-    if not edge_keys:
-        return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
+        edge_ids.append(np.full(len(rows), e, dtype=np.int8))
     edge_keys = np.concatenate(edge_keys)
+    if len(edge_keys) == 0:
+        return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
     vox_rows = np.concatenate(vox_rows)
-    p_lo = np.concatenate(p_lo_list)
-    v_lo = np.concatenate(v_lo_list)
-    v_hi = np.concatenate(v_hi_list)
-    axes = np.concatenate(axes)
-
-    uniq_keys, first, inverse = np.unique(edge_keys, return_index=True, return_inverse=True)
-    u_lo = p_lo[first]
-    u_axis = axes[first]
-    u_vlo = v_lo[first]
-    u_vhi = v_hi[first]
-    a_pos = grid.corner_position(u_lo)
-    b_pos = a_pos.copy()
-    b_pos[np.arange(len(u_axis)), u_axis] += w
-
-    lo_neg = u_vlo < 0
-    p_neg = np.where(lo_neg[:, None], a_pos, b_pos)
-    p_pos = np.where(lo_neg[:, None], b_pos, a_pos)
+    _, first, inverse = np.unique(edge_keys, return_index=True, return_inverse=True)
+    u_row = vox_rows[first]
+    u_edge = _EDGES[np.concatenate(edge_ids)[first]]
+    del edge_keys, edge_ids, first  # the incidences keep only their voxel rows
+    u_lo = coords[u_row] + _CORNER_OFFSETS[u_edge[:, 0]]
+    u_axis = u_edge[:, 2]
+    u_vlo = vals[u_row, u_edge[:, 0]]
+    u_vhi = vals[u_row, u_edge[:, 1]]
+    del u_row, u_edge
+    p_neg = grid.corner_position(u_lo)
+    p_pos = p_neg.copy()
+    up = u_vlo < 0  # the negative end is the lower corner
+    p_pos[np.flatnonzero(up), u_axis[up]] += w
+    p_neg[np.flatnonzero(~up), u_axis[~up]] += w
     f_neg, f_pos = np.minimum(u_vlo, u_vhi), np.maximum(u_vlo, u_vhi)
     roots, root_normals = _batch_edge_roots(table, u_lo, p_neg, p_pos, f_neg, f_pos, ROOT_TOL, workers)
     table.clear()  # later reads fill bricks again; the QEF arrays need the room
 
-    # QEF accumulation per voxel over (voxel, unique edge) incidences
-    ne = len(uniq_keys)
-    q = roots[inverse]
-    nrm = root_normals[inverse]
-    counts = np.bincount(vox_rows, minlength=m_vox).astype(np.float64)
-    mats = np.zeros((m_vox, 3, 3))
-    rhs = np.zeros((m_vox, 3))
-    cent = np.zeros((m_vox, 3))
-    vnorm = np.zeros((m_vox, 3))
-    ndq = np.einsum("ij,ij->i", nrm, q)
-    for a in range(3):
-        cent[:, a] = np.bincount(vox_rows, weights=q[:, a], minlength=m_vox)
-        rhs[:, a] = np.bincount(vox_rows, weights=nrm[:, a] * ndq, minlength=m_vox)
-        vnorm[:, a] = np.bincount(vox_rows, weights=nrm[:, a], minlength=m_vox)
-        for b in range(a, 3):
-            mats[:, a, b] = mats[:, b, a] = np.bincount(
-                vox_rows, weights=nrm[:, a] * nrm[:, b], minlength=m_vox
-            )
-    safe = np.maximum(counts, 1.0)
-    cent /= safe[:, None]
-    lam = QEF_REG * safe
-    mats += lam[:, None, None] * np.eye(3)
-    rhs += lam[:, None] * cent
-    verts = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
-    box_lo = grid.corner_position(coords)
-    verts = np.clip(verts, box_lo, box_lo + w)
-    # averaged intersection normals give usable vertex normals for output
-    lens = np.linalg.norm(vnorm, axis=1)
-    vnorm[lens > 0] /= lens[lens > 0, None]
+    # QEF accumulation per voxel over its (voxel, unique edge) incidences, in
+    # chunks of voxel rows.  The stable sort keeps each voxel's incidences in
+    # their order above, the order in which bincount adds them, so the sums do
+    # not depend on the chunking
+    order = np.argsort(vox_rows, kind="stable")
+    bounds = np.searchsorted(vox_rows[order], np.arange(0, m_vox + _QEF_VOXELS, _QEF_VOXELS))
+    verts = np.empty((m_vox, 3))
+    vnorm = np.empty((m_vox, 3))
+    for r0, i0, i1 in zip(range(0, m_vox, _QEF_VOXELS), bounds[:-1], bounds[1:]):
+        inc = order[i0:i1]
+        verts[r0 : r0 + _QEF_VOXELS], vnorm[r0 : r0 + _QEF_VOXELS] = _qef_vertices(
+            vox_rows[inc] - r0, roots[inverse[inc]], root_normals[inverse[inc]],
+            grid, coords[r0 : r0 + _QEF_VOXELS],
+        )
 
     # quads: all four voxels around an interior edge must be active
     pk = table.keys(coords)

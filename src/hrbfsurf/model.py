@@ -664,13 +664,15 @@ class LatticeTable:
         first = np.stack(np.unravel_index(bricks, tuple(self._nb)), axis=1) * _BRICK
         centre = self.origin + (self.gmin + first + 0.5 * _BRICK) * self.width
         rows, kern = _candidate_pairs(self.model, centre, 0.5 * np.sqrt(3.0) * _BRICK * self.width)
-        # squared distance from each kernel's center to the brick's cube
-        first_r = np.take(first, rows, axis=0)
-        c = np.take(self.model.centers, kern, axis=0)
-        near = self.origin + (self.gmin + first_r) * self.width - c
-        far = self.origin + (self.gmin + first_r + _BRICK) * self.width - c
-        gap = np.maximum(near, 0.0) ** 2 + np.minimum(far, 0.0) ** 2
-        gap = gap[:, 0] + gap[:, 1] + gap[:, 2]
+        # squared distance from each kernel's center to the brick's cube,
+        # one axis at a time so that only (pairs,) columns are live
+        gap = np.zeros(len(rows))
+        for a in range(3):
+            first_r = np.take(first[:, a], rows)
+            c = np.take(self.model.centers[:, a], kern)
+            near = self.origin[a] + (self.gmin[a] + first_r) * self.width - c
+            far = self.origin[a] + (self.gmin[a] + first_r + _BRICK) * self.width - c
+            gap += np.maximum(near, 0.0) ** 2 + np.minimum(far, 0.0) ** 2
         keep = np.flatnonzero(gap < (self.model.rho[kern] * (1.0 + 1e-9)) ** 2)
         return first, rows[keep], kern[keep]
 

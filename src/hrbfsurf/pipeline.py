@@ -13,7 +13,7 @@ from . import exact
 from .covers import CoverParams, select_centers, selected_pointset
 from .dualcontour import boundary_edge_count, extract_surface, remove_small_fragments
 from .metrics import NoiseSpec, estimate_normals_pca, inject_noise, two_sided_distance
-from .model import build_model, tune_parameters, verify_error_bound
+from .model import RHO_HARD_CAP, build_model, tune_parameters, verify_error_bound
 from .octree import build_octree
 from .pointset import HermitePointSet, QuadMesh, load_points, normalize_to_unit_box, save_mesh
 
@@ -60,9 +60,14 @@ def _timed(diag, stage, fn, *args, **kwargs):
 def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     """Reconstruct a mesh from an in-memory oriented point set.
 
-    Returns (mesh in original coordinates, diagnostics dict).
+    Returns (mesh in original coordinates, diagnostics dict).  The
+    diagnostics' ``warnings`` list names every result that came from a
+    path which would otherwise pass silently: support radii clamped at
+    ``RHO_HARD_CAP``, an ``eta_override`` (the error bound then need not
+    apply) and an empty mesh.
     """
     diag = {"n_input_points": len(ps), "s": cfg.s, "voxel_width": cfg.voxel_width}
+    warnings = diag["warnings"] = []
     norm_ps, tfm = _timed(diag, "normalize", normalize_to_unit_box, ps)
 
     working = norm_ps
@@ -81,6 +86,13 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
         d_bar=tp.d_bar, m=tp.m, rho_min=tp.rho_min, rho_max=tp.rho_max,
         eta=tp.eta, n_centers=len(working), uniform_support=tp.uniform_support,
     )
+    n_capped = int(np.count_nonzero(tp.rho >= RHO_HARD_CAP))
+    if n_capped:
+        warnings.append(
+            f"{n_capped} of {len(tp.rho)} support radii clamped at RHO_HARD_CAP = {RHO_HARD_CAP:g}"
+        )
+    if cfg.eta_override is not None:
+        warnings.append(f"eta_override = {cfg.eta_override:g} is set: the error bound need not apply")
     model = _timed(diag, "coefficients", build_model, working, tp)
 
     mesh = _timed(
@@ -93,6 +105,8 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     diag["n_vertices"] = mesh.n_vertices
     diag["n_faces"] = mesh.n_faces
     diag["n_boundary_edges"] = boundary_edge_count(mesh)
+    if mesh.n_faces == 0:
+        warnings.append("the mesh has no faces")
 
     inv = tfm.inverse()
     mesh = QuadMesh(inv.apply(mesh.vertices), mesh.faces, mesh.vertex_normals)

@@ -3,7 +3,9 @@
 ``edge_root`` bisects one edge on any object with ``values`` and ``evaluate``
 (an ``ImplicitField`` or an analytic field), ``place_vertex`` solves one
 voxel's quadric, and ``emit_quads`` builds the quads edge by edge from a dict
-of active voxels.  ``kernel_evaluate`` evaluates one kernel at one point,
+of active voxels.  ``search_active_voxels`` is the breadth-first active-voxel
+search over a Python set of tested keys, one corner fetch per frontier.
+``kernel_evaluate`` evaluates one kernel at one point,
 ``radius_query`` lists the indexed points strictly inside one ball, and
 ``octree_leaves`` subdivides a point set recursively into octree leaves.
 """
@@ -13,7 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from hrbfsurf import kernel
-from hrbfsurf.dualcontour import QEF_REG, _CORNER_OFFSETS, _EDGES, _RING, _UV, VoxelGrid
+from hrbfsurf.dualcontour import (
+    QEF_REG,
+    SEED_STEPS,
+    _CORNER_OFFSETS,
+    _EDGES,
+    _RING,
+    _UV,
+    VoxelGrid,
+    _sign_change,
+)
+from hrbfsurf.model import LatticeTable
 from hrbfsurf.octree import MAX_DEPTH, PointOctree
 from hrbfsurf.pointset import QuadMesh
 
@@ -110,6 +122,35 @@ def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
             faces.append(quad)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 4)
     return QuadMesh(vertices, faces, vertex_normals)
+
+
+def search_active_voxels(model, centers, normals, width) -> VoxelGrid:
+    """Active voxels in the order of a breadth-first search from the seeds.
+
+    Seeds are the voxels holding each center and its probes up to
+    SEED_STEPS widths along the normal; each round tests the untested keys
+    of the frontier in ascending order, and the next frontier is the sorted
+    set of face neighbours of the voxels found active.
+    """
+    origin = centers.min(axis=0) - 2.0 * width
+    table = LatticeTable(model, origin, width)
+    seeds = [centers]
+    for t in range(1, SEED_STEPS + 1):
+        seeds += [centers + t * width * normals, centers - t * width * normals]
+    frontier = np.unique(table.keys(np.floor((np.concatenate(seeds) - origin) / width).astype(np.int64)))
+    tested = {-1}
+    found_coords, found_vals = [np.empty((0, 3), np.int64)], [np.empty((0, 8))]
+    steps = np.concatenate([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
+    while len(frontier):
+        fresh = np.asarray([k for k in frontier.tolist() if k not in tested], dtype=np.int64)
+        tested.update(fresh.tolist())
+        coords = table.coords(fresh)
+        vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
+        ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
+        found_coords.append(coords[ok])
+        found_vals.append(vals[ok])
+        frontier = np.unique(table.keys(coords[ok][:, None, :] + steps[None, :, :]))
+    return VoxelGrid(table, np.concatenate(found_coords), np.concatenate(found_vals))
 
 
 @dataclass

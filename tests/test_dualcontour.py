@@ -1,9 +1,12 @@
 """Dual contouring pieces: lattice keys, edge roots, QEF vertices, topology."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hrbfsurf import dualcontour
 from hrbfsurf.dualcontour import (
     _CORNER_OFFSETS,
     _EDGES,
@@ -11,6 +14,7 @@ from hrbfsurf.dualcontour import (
     QuadMesh,
     VoxelGrid,
     _batch_edge_roots,
+    _qef_vertices,
     boundary_edge_count,
     collect_active_voxels,
     contour,
@@ -22,8 +26,8 @@ from hrbfsurf.model import ROOT_TOL, ImplicitField, LatticeTable, model_from_arr
 from hrbfsurf.pipeline import ReconConfig, StageError, reconstruct_points
 from hrbfsurf.sampling import sphere_points
 
-from conftest import cells_near, sign_change_edges
-from oracles import edge_root, emit_quads, place_vertex
+from conftest import cells_near, sign_change_edges, tuned_model
+from oracles import edge_root, emit_quads, place_vertex, search_active_voxels
 
 
 class SphereField:
@@ -227,6 +231,11 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
         sel = rows == row
         want = place_vertex(roots[sel], normals[sel], box=(lo, lo + w))
         np.testing.assert_allclose(mesh.vertices[row], want, atol=1e-9)
+    # one pass over every incidence in the order above, the order in which
+    # contour's chunks add each voxel's terms, gives the same bytes
+    verts, vnorm = _qef_vertices(rows, roots, normals, grid, grid.coords)
+    assert mesh.vertices.tobytes() == verts.tobytes()
+    assert mesh.vertex_normals.tobytes() == vnorm.tobytes()
 
 
 def test_contour_fills_no_brick(sphere_grid_and_mesh, monkeypatch):
@@ -257,6 +266,54 @@ def test_extract_surface_deterministic(sphere_model):
     m2 = extract_surface(sphere_model, centers, centers, width=0.15)
     assert m1.vertices.tobytes() == m2.vertices.tobytes()
     assert m1.faces.tobytes() == m2.faces.tobytes()
+
+
+@pytest.mark.parametrize("fetch_voxels", [dualcontour._FETCH_VOXELS, 7])
+def test_search_order_matches_set_oracle(sphere_ps, monkeypatch, fetch_voxels):
+    # the sorted-array tested set and the chunked corner fetch find the same
+    # voxels in the same order as the set-based breadth-first search
+    _, _, model = tuned_model(sphere_ps)
+    monkeypatch.setattr(dualcontour, "_FETCH_VOXELS", fetch_voxels)
+    grid = collect_active_voxels(model, model.centers, model.normals, 0.04)
+    ref = search_active_voxels(model, model.centers, model.normals, 0.04)
+    assert grid.n_active > 1000
+    assert grid.coords.tobytes() == ref.coords.tobytes()
+    assert grid.corner_values.tobytes() == ref.corner_values.tobytes()
+
+
+def test_extract_surface_chunk_invariant(sphere_model, monkeypatch):
+    # QEF chunks of a few voxel rows and corner fetches of a few voxels give
+    # the same bytes as the default chunks
+    ref = extract_surface(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
+    monkeypatch.setattr(dualcontour, "_QEF_VOXELS", 5)
+    monkeypatch.setattr(dualcontour, "_FETCH_VOXELS", 3)
+    mesh = extract_surface(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
+    assert mesh.n_vertices > 1000
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.faces.tobytes() == ref.faces.tobytes()
+    assert mesh.vertex_normals.tobytes() == ref.vertex_normals.tobytes()
+
+
+def test_extraction_memory_grows_with_surface():
+    # traced peak bytes of the search plus contour at two widths: halving w
+    # quadruples the active voxels, and what that adds to the peak is the
+    # extraction's cost per active voxel
+    _, _, model = tuned_model(sphere_points(3000, seed=4))
+    runs = []
+    for w in (0.02, 0.01):
+        tracemalloc.start()
+        try:
+            grid = collect_active_voxels(model, model.centers, model.normals, w)
+            n_active = grid.n_active
+            contour(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del grid
+        runs.append((n_active, peak))
+    (n0, peak0), (n1, peak1) = runs
+    assert n1 > 3 * n0
+    assert (peak1 - peak0) / (n1 - n0) <= 800
 
 
 def test_active_set_overflow(sphere_model):

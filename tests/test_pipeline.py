@@ -16,7 +16,8 @@ from hrbfsurf.pipeline import (
     verify_bound_on_points,
     write_diagnostics,
 )
-from hrbfsurf.pointset import load_mesh, save_points
+from hrbfsurf.model import RHO_HARD_CAP
+from hrbfsurf.pointset import HermitePointSet, load_mesh, save_points
 from hrbfsurf.sampling import icosphere, sphere_points
 
 
@@ -55,6 +56,27 @@ def test_diagnostics_keys_and_eta_inequality(small_run):
     db = kernel.derivative_bounds(diag["rho_min"])
     a_bar = diag["m"] * (db.first + db.second_diag + 2.0 * db.second_mixed)
     assert a_bar / (1.0 + diag["eta"]) < 1.0
+
+
+def test_default_run_has_no_warnings(small_run):
+    _, _, diag = small_run
+    assert diag["warnings"] == []
+
+
+def test_warns_on_radii_at_hard_cap():
+    # two points: every support grows until the cap stops it
+    ps = HermitePointSet(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]] * 2))
+    _, diag = reconstruct_points(ps, ReconConfig(voxel_width=0.03))
+    assert diag["rho_max"] == RHO_HARD_CAP
+    assert len(diag["warnings"]) == 1
+    assert diag["warnings"][0].startswith("2 of 2 support radii clamped at RHO_HARD_CAP")
+
+
+def test_warns_on_eta_override(sphere_ps):
+    _, diag = reconstruct_points(sphere_ps, ReconConfig(voxel_width=0.05, eta_override=1e-6))
+    assert diag["eta"] == 1e-6
+    assert len(diag["warnings"]) == 1
+    assert "eta_override" in diag["warnings"][0]
 
 
 def test_thread_count_does_not_change_mesh(sphere_ps):
