@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import ROOT_TOL, HrbfModel, LatticeTable, axis_edge_roots
+from .model import ROOT_TOL, HrbfModel, LatticeTable, _unique, axis_edge_roots
 from .pointset import QuadMesh
 
 QEF_REG = 1e-3
@@ -41,6 +41,12 @@ _EDGES = np.array(
 # with (u, v, a) right-handed; cycle order is CCW seen from +a
 _RING = np.array([[-1, -1], [0, -1], [0, 0], [-1, 0]], dtype=np.int64)
 _UV = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
+# the same ring as 3D offsets from the edge's lower corner, (axis, 4, 3)
+_AXIS_RING = np.stack([_RING @ np.eye(3, dtype=np.int64)[list(_UV[a])] for a in range(3)])
+# the other three voxels around each voxel edge, as offsets from the voxel, (12, 3, 3)
+_EDGE_RING = np.stack(
+    [ring[np.any(ring, axis=1)] for ring in _CORNER_OFFSETS[_EDGES[:, 0], None] + _AXIS_RING[_EDGES[:, 2]]]
+)
 
 
 @dataclass
@@ -84,16 +90,19 @@ def collect_active_voxels(
 ) -> VoxelGrid:
     """Find sign-change voxels with fully defined corners near the centers.
 
-    Corner values come from the model's brick lattice, whose filled bricks
-    are kept: every face neighbour of an active voxel has been tested, so
-    they hold the values one edge beyond both ends of every sign-change
-    edge, which the edge roots in ``contour`` read before it empties the
-    store.  Seeds are the voxels containing each center and probes offset
-    along its normal by up to SEED_STEPS voxel widths (the zero level set
-    can sit away from noisy points); the active set then grows by
-    face-adjacency.  A voxel is keyed by its lower corner in the table;
-    voxels whose lower corner lies outside the table have an undefined
-    corner and are never tested.
+    The search starts from the voxel holding each center and grows across
+    sign-change edges: every active voxel adds the other three voxels
+    around each of its sign-change edges.  Each voxel so reached holds a
+    sign change too, so the search tests few inactive voxels and fills
+    little beyond the bricks that hold the surface's corners.  Once that
+    has closed, each center's normal probes (the voxels up to SEED_STEPS
+    widths along its normal; the zero level set can sit away from noisy
+    points) are looked up among the active voxels, and only the probes of
+    centers none of whose probes is active are tested and grown from.  A
+    round tests the untested voxels it reached in ascending key order.  A
+    voxel is keyed by its lower corner in the table; voxels whose lower
+    corner lies outside the table have an undefined corner and are never
+    tested.  The table keeps the bricks the search filled for ``contour``.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -101,41 +110,45 @@ def collect_active_voxels(
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     origin = centers.min(axis=0) - 2.0 * width  # global lattice anchor
     table = LatticeTable(model, origin, width, workers=workers)
-
-    seeds = [centers]
-    for t in range(1, SEED_STEPS + 1):
-        seeds.append(centers + t * width * normals)
-        seeds.append(centers - t * width * normals)
-    seed_coords = np.floor((np.concatenate(seeds) - origin) / width).astype(np.int64)
-    frontier = np.unique(table.keys(seed_coords))
+    steps = np.arange(-SEED_STEPS, SEED_STEPS + 1)
+    probes = table.keys(  # (2 SEED_STEPS + 1, centers); row SEED_STEPS holds the centers
+        np.floor((centers + (steps * width)[:, None, None] * normals - origin) / width).astype(np.int64)
+    )
 
     # keys of every tested voxel, sorted, behind -1 (the key of every voxel
     # outside the table) and a sentinel above every key
     tested = np.array([-1, np.iinfo(np.int64).max])
     active_coords, active_vals = [np.empty((0, 3), np.int64)], [np.empty((0, 8))]
     n_active = 0
-    face_neighbors = np.array(
-        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64
-    )
 
-    while len(frontier):
-        at = np.searchsorted(tested, frontier)
-        new = tested[at] != frontier
-        fresh = frontier[new]
-        tested = np.insert(tested, at[new], fresh)
-        grown = [np.empty(0, np.int64)]  # keys of the face neighbours of new active voxels
-        for v0 in range(0, len(fresh), _FETCH_VOXELS):
-            coords = table.coords(fresh[v0 : v0 + _FETCH_VOXELS])
-            vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
-            ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
-            active_coords.append(coords[ok])
-            active_vals.append(vals[ok])
-            n_active += int(ok.sum())
-            grown.append(table.keys(coords[ok][:, None, :] + face_neighbors[None, :, :]).ravel())
-        if n_active > max_active:
-            raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
-        frontier = np.unique(np.concatenate(grown))
+    def grow(frontier):
+        nonlocal tested, n_active
+        while len(frontier):
+            at = np.searchsorted(tested, frontier)
+            new = tested[at] != frontier
+            fresh = frontier[new]
+            tested = np.insert(tested, at[new], fresh)
+            grown = [np.empty(0, np.int64)]  # keys of the voxels around new sign-change edges
+            for v0 in range(0, len(fresh), _FETCH_VOXELS):
+                coords = table.coords(fresh[v0 : v0 + _FETCH_VOXELS])
+                vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
+                ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
+                coords, vals = coords[ok], vals[ok]
+                active_coords.append(coords)
+                active_vals.append(vals)
+                n_active += len(coords)
+                rows, edges = np.nonzero((vals[:, _EDGES[:, 0]] < 0) != (vals[:, _EDGES[:, 1]] < 0))
+                grown.append(table.keys(coords[rows, None, :] + _EDGE_RING[edges]).ravel())
+            if n_active > max_active:
+                raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
+            frontier = _unique(np.concatenate(grown))
 
+    grow(_unique(probes[SEED_STEPS]))
+    # probes are looked up in the sorted active keys (ended by a sentinel
+    # above every key), which fills nothing
+    found = np.append(np.sort(table.keys(np.concatenate(active_coords))), np.iinfo(np.int64).max)
+    hit = found[np.searchsorted(found, probes)] == probes
+    grow(_unique(probes[:, ~hit.any(axis=0)]))
     return VoxelGrid(table, np.concatenate(active_coords), np.concatenate(active_vals))
 
 
@@ -261,11 +274,7 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
             continue
         lo = u_lo[sel]
         increasing = u_vhi[sel] > u_vlo[sel]  # field grows along +axis
-        u, v = _UV[axis]
-        ring = np.zeros((4, 3), dtype=np.int64)
-        ring[:, u] = _RING[:, 0]
-        ring[:, v] = _RING[:, 1]
-        quad_rows = lookup(table.keys(lo[:, None, :] + ring[None, :, :]))
+        quad_rows = lookup(table.keys(lo[:, None, :] + _AXIS_RING[axis][None, :, :]))
         complete = np.all(quad_rows >= 0, axis=1)  # else open boundary
         quad_rows = quad_rows[complete]
         flip = ~increasing[complete]
@@ -334,12 +343,11 @@ def remove_small_fragments(mesh: QuadMesh, min_faces) -> QuadMesh:
         return mesh
     labels = face_components(mesh)
     sizes = np.bincount(labels)
-    keep_labels = np.flatnonzero(sizes >= min_faces)
-    if len(keep_labels) == 0:
-        keep_labels = np.array([int(np.argmax(sizes))])
-    keep = np.isin(labels, keep_labels)
-    faces = mesh.faces[keep]
-    used = np.unique(faces)
+    keep_label = sizes >= min_faces
+    if not keep_label.any():
+        keep_label[np.argmax(sizes)] = True
+    faces = mesh.faces[keep_label[labels]]
+    used = _unique(faces)
     remap = -np.ones(mesh.n_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
     vn = mesh.vertex_normals[used] if mesh.vertex_normals is not None else None

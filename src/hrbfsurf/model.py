@@ -237,6 +237,19 @@ def _cuts(offsets, budget):
     return np.unique(np.concatenate([[0], found, [len(offsets) - 1]]))
 
 
+def _unique(keys):
+    """The distinct values of an integer array, sorted (as ``np.unique`` gives them).
+
+    A sort and a neighbour compare: numpy 2.4's ``np.unique`` hashes integer
+    keys instead, which takes about 0.9 s against 0.02 s for the sort on
+    1.1M random int64 keys.
+    """
+    keys = np.sort(keys, axis=None)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol, workers=1):
     """Roots on axis-aligned lattice edges; p_neg holds the negative endpoints.
 
@@ -326,8 +339,8 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
 def _cubic_start(table, corner, axis, length, f_neg, f_pos):
     """First point s in [0, 1] on each edge, with s = 0 at the negative end.
 
-    The cells one edge beyond both ends give the field at s = -1 and 2 (the
-    active-voxel search has filled them for ``contour``).  The start is the
+    The cells one edge beyond both ends give the field at s = -1 and 2
+    (``fetch`` fills the bricks the search left unfilled).  The start is the
     root of the Lagrange cubic through the four values, reached by Newton
     steps from the linear interpolant, which is kept where an outer value is
     nan (outside the table or every support) or where the steps end at a
@@ -501,8 +514,8 @@ class LatticeTable:
     """Field values at lattice corners, evaluated one brick of 4^3 cells at a time.
 
     A brick is filled the first time ``fetch`` reads one of its cells, so
-    only the bricks that the active-voxel search visits are ever evaluated,
-    and it stays filled until ``clear``.  A fill takes the kernels near each
+    only the bricks that extraction reads are ever evaluated, and it stays
+    filled until ``clear``.  A fill takes the kernels near each
     brick from ``_brick_kernels``, the listing the edge roots read as well;
     both the squared distance and <b, x-c> decompose along the axes, so a
     kernel's share of a brick is assembled from three length-4 arrays by
@@ -538,10 +551,13 @@ class LatticeTable:
         self.shape = shape
         self._ushape = shape.astype(np.uint64)
         self._workers = workers
-        self._lo = lo - gmin  # cell coordinates relative to the table
-        self._hi = hi - gmin
+        # per-kernel terms of the fill, as (3, n) columns where they have an axis
+        self._lo = np.ascontiguousarray((lo - gmin).T)  # box bounds in table cells
+        self._hi = np.ascontiguousarray((hi - gmin).T)
+        self._centers = np.ascontiguousarray(centers.T)
         self._rho_sq = rho**2
-        self._scale = 20.0 / self._rho_sq
+        self._inv_rho = 1.0 / rho
+        self._bk = np.ascontiguousarray((model.b_coeffs * (20.0 / self._rho_sq)[:, None]).T)
         self._nb = -(-shape // _BRICK)  # bricks per axis
         self.clear()
 
@@ -603,7 +619,7 @@ class LatticeTable:
         rows = self._rows_of(brick[start])
         missing = rows < 0
         if missing.any():
-            self._fill(np.unique(brick[start[missing]]))
+            self._fill(_unique(brick[start[missing]]))
             rows[missing] = self._rows_of(brick[start[missing]])
         rows = np.repeat(rows, np.diff(start, append=len(brick)))
         local = (local[:, 0] * _BRICK + local[:, 1]) * _BRICK + local[:, 2]
@@ -696,19 +712,20 @@ class LatticeTable:
         Most (cell, pair) slots lie inside the support, so every slot is
         evaluated and each brick's pairs are summed as one segment.
         """
-        model = self.model
+        # the four cells of each brick along each axis and their positions, (3, 4, bricks)
+        cells = first.T[:, None, :] + np.arange(_BRICK)[None, :, None]
+        pos = self.origin[:, None, None] + (self.gmin[:, None, None] + cells) * self.width
         off, sq = [], []
         for a in range(3):
-            cells = np.arange(_BRICK)[:, None] + first[rows, a]  # (4, pairs)
-            off.append(
-                self.origin[a] + (self.gmin[a] + cells) * self.width - model.centers[kern, a]
-            )
+            # take keeps the (4, pairs) gathers C-ordered, which [:, rows] does not
+            off.append(np.take(pos[a], rows, axis=1) - self._centers[a][kern])
             # squares outside the kernel's box are inf: a kernel reaches its box only
-            inbox = (cells >= self._lo[kern, a]) & (cells <= self._hi[kern, a])
+            c = np.take(cells[a], rows, axis=1)
+            inbox = (c >= self._lo[a][kern]) & (c <= self._hi[a][kern])
             sq.append(np.where(inbox, off[a] ** 2, np.inf))
         d2 = (sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]).reshape(_BRICK**3, -1)
         inside = d2 < self._rho_sq[kern]
-        bk = model.b_coeffs[kern].T * self._scale[kern]
+        bk = np.take(self._bk, kern, axis=1)
         term = (
             (bk[0] * off[0])[:, None, None]
             + (bk[1] * off[1])[None, :, None]
@@ -719,7 +736,7 @@ class LatticeTable:
         # rounding (about 1e-16 where d2 is within ulps of rho^2, so w^3 is
         # about 1e-48), which is why no mask is applied to the terms
         w = np.sqrt(d2, out=d2)
-        w *= 1.0 / model.rho[kern]
+        w *= self._inv_rho[kern]
         np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w)
         for _ in range(3):
             term *= w

@@ -3,13 +3,18 @@
 ``edge_root`` bisects one edge on any object with ``values`` and ``evaluate``
 (an ``ImplicitField`` or an analytic field), ``place_vertex`` solves one
 voxel's quadric, and ``emit_quads`` builds the quads edge by edge from a dict
-of active voxels.  ``search_active_voxels`` is the breadth-first active-voxel
-search over a Python set of tested keys, one corner fetch per frontier.
+of active voxels.  ``grow_active_voxels`` is the active-voxel search's rule
+(growth across sign-change edges, then lazy normal probes) over Python sets,
+one corner fetch per round; ``search_active_voxels`` is the earlier rule, a
+breadth-first search by face adjacency from every center and probe, kept as a
+reference for the active set.  ``canonical_mesh_digest`` hashes a mesh
+independently of its vertex order.
 ``kernel_evaluate`` evaluates one kernel at one point,
 ``radius_query`` lists the indexed points strictly inside one ball, and
 ``octree_leaves`` subdivides a point set recursively into octree leaves.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +129,53 @@ def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
     return QuadMesh(vertices, faces, vertex_normals)
 
 
+def grow_active_voxels(model, centers, normals, width) -> VoxelGrid:
+    """Active voxels in the order of the edge-growth search.
+
+    Each round tests the untested keys it reached in ascending order; the
+    next round reaches the other three voxels around each sign-change edge
+    of the voxels found active.  The first round reaches the voxels holding
+    the centers.  Once the growth stops, the probes (the voxels up to
+    SEED_STEPS widths along each normal, both ways) of every center with no
+    active probe start one more growth.
+    """
+    origin = centers.min(axis=0) - 2.0 * width
+    table = LatticeTable(model, origin, width)
+    probes = [
+        table.keys(np.floor((centers + t * width * normals - origin) / width).astype(np.int64)).tolist()
+        for t in range(-SEED_STEPS, SEED_STEPS + 1)
+    ]
+    tested = {-1}
+    found_coords, found_vals = [np.empty((0, 3), np.int64)], [np.empty((0, 8))]
+
+    def grow(reached):
+        while reached:
+            fresh = np.asarray(sorted(reached - tested), dtype=np.int64)
+            tested.update(fresh.tolist())
+            coords = table.coords(fresh).reshape(-1, 3)
+            vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :]).reshape(-1, 8)
+            ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
+            found_coords.append(coords[ok])
+            found_vals.append(vals[ok])
+            around = []
+            for c, v in zip(coords[ok], vals[ok]):
+                for ca, cb, axis in _EDGES:
+                    if (v[ca] < 0) != (v[cb] < 0):
+                        u, w = _UV[axis]
+                        for du, dv in _RING:
+                            n = c + _CORNER_OFFSETS[ca]
+                            n[u] += du
+                            n[w] += dv
+                            around.append(n)
+            reached = set(table.keys(np.asarray(around, dtype=np.int64).reshape(-1, 3)).tolist())
+
+    grow(set(probes[SEED_STEPS]))
+    active = set(table.keys(np.concatenate(found_coords)).tolist())
+    lonely = [i for i in range(len(centers)) if not any(p[i] in active for p in probes)]
+    grow({p[i] for p in probes for i in lonely})
+    return VoxelGrid(table, np.concatenate(found_coords), np.concatenate(found_vals))
+
+
 def search_active_voxels(model, centers, normals, width) -> VoxelGrid:
     """Active voxels in the order of a breadth-first search from the seeds.
 
@@ -216,3 +268,31 @@ def octree_leaves(points, leaf_capacity):
         return leaves
 
     return split(np.arange(len(points)), lo, size, 0)
+
+
+def canonical_mesh_digest(mesh: QuadMesh) -> str:
+    """sha256 of a mesh with its vertex order and each face's first corner factored out.
+
+    Vertices are sorted lexicographically by (x, y, z), their normals moved
+    with them; two vertices can share a position where the QEF clamps them
+    to a voxel's box, so ties are broken by the normals.  Faces are
+    renumbered, each is rotated to start at its smallest vertex (which keeps
+    its winding), and the faces are sorted.  Meshes that differ only in
+    vertex order or face order get one digest.
+    """
+    verts = np.asarray(mesh.vertices, dtype=np.float64)
+    normals = None if mesh.vertex_normals is None else np.asarray(mesh.vertex_normals, dtype=np.float64)
+    order = np.lexsort((verts if normals is None else np.hstack([verts, normals])).T[::-1])
+    rank = np.empty(len(verts), dtype=np.int64)
+    rank[order] = np.arange(len(verts))
+    faces = rank[np.asarray(mesh.faces, dtype=np.int64)]
+    k = faces.shape[1]
+    turn = (np.argmin(faces, axis=1)[:, None] + np.arange(k)) % k
+    faces = np.take_along_axis(faces, turn, axis=1)
+    faces = faces[np.lexsort(faces.T[::-1])]
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(verts[order]).tobytes())
+    if normals is not None:
+        h.update(np.ascontiguousarray(normals[order]).tobytes())
+    h.update(np.ascontiguousarray(faces).tobytes())
+    return h.hexdigest()

@@ -10,6 +10,7 @@ from hrbfsurf import dualcontour
 from hrbfsurf.dualcontour import (
     _CORNER_OFFSETS,
     _EDGES,
+    SEED_STEPS,
     ActiveSetOverflow,
     QuadMesh,
     VoxelGrid,
@@ -22,12 +23,21 @@ from hrbfsurf.dualcontour import (
     face_components,
     remove_small_fragments,
 )
-from hrbfsurf.model import ROOT_TOL, ImplicitField, LatticeTable, model_from_arrays
+from hrbfsurf.metrics import NoiseSpec, estimate_normals_pca, inject_noise
+from hrbfsurf.model import _BRICK, ROOT_TOL, ImplicitField, LatticeTable, model_from_arrays
 from hrbfsurf.pipeline import ReconConfig, StageError, reconstruct_points
-from hrbfsurf.sampling import sphere_points
+from hrbfsurf.pointset import HermitePointSet, normalize_to_unit_box
+from hrbfsurf.sampling import sphere_points, two_density_sphere
 
 from conftest import cells_near, sign_change_edges, tuned_model
-from oracles import edge_root, emit_quads, place_vertex, search_active_voxels
+from oracles import (
+    canonical_mesh_digest,
+    edge_root,
+    emit_quads,
+    grow_active_voxels,
+    place_vertex,
+    search_active_voxels,
+)
 
 
 class SphereField:
@@ -238,26 +248,19 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
     assert mesh.vertex_normals.tobytes() == vnorm.tobytes()
 
 
-def test_contour_fills_no_brick(sphere_grid_and_mesh, monkeypatch):
-    # the search tests both face neighbours of every active voxel along each
-    # axis, so the cells one edge beyond each sign-change edge, which the
-    # edge roots read for their first point, are filled before contour runs
+def test_contour_independent_of_filled_bricks(sphere_grid_and_mesh):
+    # the edge roots read the cells one edge beyond each sign-change edge,
+    # which the search need not have filled; fetch fills their bricks on
+    # demand, so a table emptied before contour gives the same bytes
     sphere_model, _, ref = sphere_grid_and_mesh
     grid = collect_active_voxels(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
     assert grid.table._n_filled > 0
-    calls = []
-    fill = LatticeTable._fill
-
-    def record(self, bricks):
-        calls.append(len(bricks))
-        fill(self, bricks)
-
-    monkeypatch.setattr(LatticeTable, "_fill", record)
+    grid.table.clear()
     mesh = contour(grid)
-    assert calls == []
     assert grid.table._n_filled == 0  # emptied once the roots are found
     assert mesh.vertices.tobytes() == ref.vertices.tobytes()
     assert mesh.faces.tobytes() == ref.faces.tobytes()
+    assert mesh.vertex_normals.tobytes() == ref.vertex_normals.tobytes()
 
 
 def test_extract_surface_deterministic(sphere_model):
@@ -271,14 +274,106 @@ def test_extract_surface_deterministic(sphere_model):
 @pytest.mark.parametrize("fetch_voxels", [dualcontour._FETCH_VOXELS, 7])
 def test_search_order_matches_set_oracle(sphere_ps, monkeypatch, fetch_voxels):
     # the sorted-array tested set and the chunked corner fetch find the same
-    # voxels in the same order as the set-based breadth-first search
+    # voxels in the same order as the set-based edge-growth search
     _, _, model = tuned_model(sphere_ps)
     monkeypatch.setattr(dualcontour, "_FETCH_VOXELS", fetch_voxels)
     grid = collect_active_voxels(model, model.centers, model.normals, 0.04)
-    ref = search_active_voxels(model, model.centers, model.normals, 0.04)
+    ref = grow_active_voxels(model, model.centers, model.normals, 0.04)
     assert grid.n_active > 1000
     assert grid.coords.tobytes() == ref.coords.tobytes()
     assert grid.corner_values.tobytes() == ref.corner_values.tobytes()
+
+
+def _noisy_sphere():
+    ps = sphere_points(600, seed=6)
+    noisy = inject_noise(ps, NoiseSpec(60.0, seed=60))
+    return estimate_normals_pca(noisy.points, ps.normals, p_neighbors=6)
+
+
+def _shells():
+    # a unit sphere, an inward-facing shell inside it and a separate small sphere
+    outer = sphere_points(3000, seed=11)
+    inner = sphere_points(2500, radius=0.93, seed=12)
+    small = sphere_points(600, radius=0.4, center=(1.8, 0.0, 0.0), seed=13)
+    return HermitePointSet(
+        np.concatenate([outer.points, inner.points, small.points]),
+        np.concatenate([outer.normals, -inner.normals, small.normals]),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_points, tuning, width",
+    [
+        (lambda: sphere_points(1500, seed=3), {}, 0.04),
+        (lambda: sphere_points(1500, seed=3), {}, 0.02),
+        (lambda: two_density_sphere(6000, 60, seed=0), {}, 0.02),
+        (_noisy_sphere, {"s": 3.5, "noisy_mode": True}, 0.02),
+        (_shells, {}, 0.03),
+        (_shells, {}, 0.015),
+    ],
+    ids=["sphere-w0.04", "sphere-w0.02", "two-density-w0.02", "noisy-w0.02", "shells-w0.03", "shells-w0.015"],
+)
+def test_search_active_set_matches_face_bfs(make_points, tuning, width):
+    # growth across sign-change edges with lazy probes finds the same active
+    # voxels, with the same corner values, as a face-adjacency search seeded
+    # from every center and probe
+    _, _, model = tuned_model(make_points(), **tuning)
+    grid = collect_active_voxels(model, model.centers, model.normals, width)
+    ref = search_active_voxels(model, model.centers, model.normals, width)
+    keys, ref_keys = grid.table.keys(grid.coords), ref.table.keys(ref.coords)
+    order, ref_order = np.argsort(keys), np.argsort(ref_keys)
+    assert grid.n_active > 1000
+    assert keys[order].tobytes() == ref_keys[ref_order].tobytes()
+    assert grid.corner_values[order].tobytes() == ref.corner_values[ref_order].tobytes()
+
+
+def test_search_fills_only_bricks_of_active_or_seed_voxels():
+    # every brick the search fills holds a corner of an active voxel or of a
+    # voxel holding a center or one of its normal probes
+    _, _, model = tuned_model(sphere_points(1500, seed=3))
+    w = 0.02
+    grid = collect_active_voxels(model, model.centers, model.normals, w)
+    table = grid.table
+    steps = np.arange(-SEED_STEPS, SEED_STEPS + 1)
+    probes = model.centers + (steps * w)[:, None, None] * model.normals
+    seeds = np.floor((probes.reshape(-1, 3) - table.origin) / w).astype(np.int64)
+    voxels = np.concatenate([grid.coords, seeds[table.keys(seeds) >= 0]])
+    cells = (voxels[:, None, :] + _CORNER_OFFSETS[None, :, :]).reshape(-1, 3) - table.gmin
+    cells = cells[np.all((cells >= 0) & (cells < table.shape), axis=1)]
+    read = np.unique(np.ravel_multi_index(tuple((cells // _BRICK).T), tuple(table._nb)))
+    filled = table._keys[:-1]
+    assert len(filled) == table._n_filled > 0
+    assert np.isin(filled, read).all(), f"{np.count_nonzero(~np.isin(filled, read))} of {len(filled)} bricks"
+
+
+def test_pipeline_mesh_matches_face_bfs_oracle():
+    # the pipeline's mesh is the face-BFS oracle's grid contoured, up to the
+    # order in which the search found its voxels
+    ps = sphere_points(1500, seed=3)
+    cfg = ReconConfig(voxel_width=0.04)
+    mesh, _ = reconstruct_points(ps, cfg)
+    _, _, model = tuned_model(ps)
+    ref = contour(search_active_voxels(model, model.centers, model.normals, cfg.voxel_width))
+    ref = remove_small_fragments(ref, cfg.min_fragment_faces)
+    ref = QuadMesh(normalize_to_unit_box(ps)[1].inverse().apply(ref.vertices), ref.faces, ref.vertex_normals)
+    assert mesh.n_faces > 1000
+    assert canonical_mesh_digest(mesh) == canonical_mesh_digest(ref)
+
+
+def test_canonical_mesh_digest_ignores_vertex_order():
+    rng = np.random.default_rng(5)
+    verts, normals = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
+    faces = np.array([[0, 1, 2, 3], [3, 2, 4, 5], [6, 7, 8, 9], [9, 8, 10, 11]])
+    mesh = QuadMesh(verts, faces, normals)
+    perm = rng.permutation(12)
+    inv = np.argsort(perm)
+    shuffled = QuadMesh(verts[perm], np.roll(inv[faces], 1, axis=1)[::-1], normals[perm])
+    assert canonical_mesh_digest(shuffled) == canonical_mesh_digest(mesh)
+    # reversed winding or moved vertices change it
+    assert canonical_mesh_digest(QuadMesh(verts, faces[:, ::-1], normals)) != canonical_mesh_digest(mesh)
+    moved = verts.copy()
+    moved[4, 0] += 1e-12
+    assert canonical_mesh_digest(QuadMesh(moved, faces, normals)) != canonical_mesh_digest(mesh)
 
 
 def test_extract_surface_chunk_invariant(sphere_model, monkeypatch):

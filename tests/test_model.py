@@ -18,6 +18,7 @@ from hrbfsurf.model import (
     _eval_chunk,
     _runs,
     _segment_sums,
+    _unique,
     axis_edge_roots,
     build_model,
     model_from_arrays,
@@ -558,6 +559,13 @@ def test_lattice_fill_chunks_bitwise(small_table_reference, monkeypatch):
     model, origin, ref = small_table_reference
     monkeypatch.setattr("hrbfsurf.model._FILL_PAIRS", 7)
     assert LatticeTable(model, origin, 0.1).values_flat.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-(2**62), 2**62), max_size=60), st.integers(1, 3))
+def test_unique_matches_numpy(values, columns):
+    keys = np.array(values * columns, dtype=np.int64).reshape(columns, -1)
+    assert _unique(keys).tobytes() == np.unique(keys).tobytes()
 
 
 def test_build_model_consistency(sphere_model):
