@@ -1,10 +1,11 @@
 """Desk-scale exact HRBF solver used as the oracle for error-bound checks.
 
 Assembles the regularized 4n x 4n block system A + eta I = D + dA over
-compact supports as a sparse matrix.  Row-block i stacks the value and
-gradient constraints at point i; column-block j carries kernel j (support
-rho_j).  The diagonal blocks reduce to D = diag(1, 20/rho^2, ...) + eta I,
-the same matrix the quasi-solution D^-1 y inverts in closed form.
+compact supports as a block-sparse (BSR) matrix of 4x4 blocks, one per
+support pair.  Row-block i stacks the value and gradient constraints at
+point i; column-block j carries kernel j (support rho_j).  The diagonal
+blocks reduce to D = diag(1, 20/rho^2, ...) + eta I, the same matrix the
+quasi-solution D^-1 y inverts in closed form.
 
 When q = ||D^-1 dA||inf < 1, which the tuned eta guarantees, the system is
 solved by the Neumann series that starts at the quasi-solution (Jacobi
@@ -40,7 +41,7 @@ class IllConditionedError(RuntimeError):
 @dataclass
 class ExactSystem:
     n: int
-    matrix: sp.csr_matrix  # A + eta I, 4n x 4n
+    matrix: sp.bsr_matrix  # A + eta I, 4n x 4n in 4x4 blocks, columns ascending per block row
     y: np.ndarray  # rhs, blocks (0, n_i)
     eta: float
     rho: np.ndarray
@@ -76,18 +77,22 @@ class ExactSolveResult:
 
 
 def _support_pairs(points, rho):
-    """(i, j) with point i strictly inside support j (self pairs included)."""
-    tree = cKDTree(points)
-    rows, cols = [], []
-    for j, lst in enumerate(tree.query_ball_point(points, np.nextafter(rho, 0.0))):
-        lst = sorted(lst)
-        rows.extend(lst)
-        cols.extend([j] * len(lst))
-    return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    """(i, j) with ||p_i - p_j|| < rho_j (self pairs included), sorted by i, then j.
+
+    One kd-tree search lists the candidate pairs at the largest radius, with
+    slack for the tree's own rounding; the strict test uses the same norm as
+    ``eval_exact``, once per unordered pair for both of its orders.
+    """
+    n = len(points)
+    a, b = cKDTree(points).query_pairs(float(rho.max()) * (1.0 + 1e-12), output_type="ndarray").T
+    dist = np.linalg.norm(points[a] - points[b], axis=1)
+    ab, ba = dist < rho[b], dist < rho[a]
+    keys = np.sort(np.concatenate([a[ab] * n + b[ab], b[ba] * n + a[ba], np.arange(n) * (n + 1)]))
+    return np.divmod(keys, n)
 
 
 def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
-    """Assemble (A + eta I) and y for the interpolation constraints."""
+    """Assemble (A + eta I) as 4x4 blocks, one per support pair, and y."""
     points = np.asarray(ps.points, dtype=np.float64)
     normals = np.asarray(ps.normals, dtype=np.float64)
     n = len(points)
@@ -100,33 +105,26 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     i_idx, j_idx = _support_pairs(points, rho)
     offsets = points[i_idx] - points[j_idx]
     rj = rho[j_idx]
-    phi = kernel.value(offsets, rj)
+    blocks = np.empty((len(i_idx), 4, 4))
+    blocks[:, 0, 0] = kernel.value(offsets, rj)
     grad = kernel.gradient(offsets, rj)
-    hess = kernel.hessian(offsets, rj)
+    blocks[:, 0, 1:], blocks[:, 1:, 0] = -grad, grad
+    del grad
+    np.negative(kernel.hessian(offsets, rj), out=blocks[:, 1:, 1:])
+    del offsets, rj
+    own = np.flatnonzero(i_idx == j_idx)  # the self block of each row, in row order
+    blocks[own] += eta * np.eye(4)
 
-    npairs = len(i_idx)
-    blocks = np.empty((npairs, 4, 4))
-    blocks[:, 0, 0] = phi
-    blocks[:, 0, 1:] = -grad
-    blocks[:, 1:, 0] = grad
-    blocks[:, 1:, 1:] = -hess
-
-    rows = (4 * i_idx[:, None, None] + np.arange(4)[None, :, None]).repeat(4, axis=2)
-    cols = (4 * j_idx[:, None, None] + np.arange(4)[None, None, :]).repeat(4, axis=1)
-    mat = sp.coo_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(4 * n, 4 * n)
-    ).tocsr()
-    mat = mat + eta * sp.identity(4 * n, format="csr")
-
-    d_diag = np.empty(4 * n)
+    d_diag = np.repeat(20.0 / rho**2 + eta, 4)
     d_diag[0::4] = 1.0 + eta
-    for a in (1, 2, 3):
-        d_diag[a::4] = 20.0 / rho**2 + eta
-    delta = mat - sp.diags(d_diag)
-    row_sums = np.asarray(np.abs(delta).sum(axis=1)).ravel()
+    # per block, the row sums of |block - D|; D lies on the self blocks only
+    sums = np.abs(blocks).sum(axis=2)
+    sums[own] = np.abs(blocks[own] - d_diag.reshape(n, 4, 1) * np.eye(4)).sum(axis=2)
+    row_sums = np.stack([np.bincount(i_idx, sums[:, a], minlength=n) for a in range(4)], axis=1).ravel()
     delta_a_inf = float(row_sums.max())
     contraction = float((row_sums / d_diag).max())
 
+    mat = sp.bsr_matrix((blocks, j_idx, np.searchsorted(i_idx, np.arange(n + 1))), shape=(4 * n, 4 * n))
     y = np.zeros(4 * n)
     y.reshape(-1, 4)[:, 1:] = normals
     return ExactSystem(

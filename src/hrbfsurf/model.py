@@ -227,7 +227,7 @@ def _candidate_pairs(model: HrbfModel, x, slack=0.0):
 
 
 # candidate pairs per chunk: a chunk's ~20 per-pair float64 arrays then take
-# 0.5 MB each and its working set stays near a 4 MiB L2 cache
+# 0.5 MB each, so the few a pass touches at once fit a 2 MiB per-core L2
 _EDGE_PAIRS = 1 << 16
 
 

@@ -150,6 +150,7 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
         "delta_a_inf": res.delta_a_inf,
         "d_inv_inf": res.d_inv_inf,
         "contraction_exact": res.d_inv_inf * res.delta_a_inf,
+        "q": sys.contraction,
         "applicable": report.applicable,
         "holds": report.holds,
         "method": res.method,
@@ -160,7 +161,7 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
 
 BOUND_CSV_FIELDS = [
     "n", "eta", "a_bar", "bound", "measured_inf_error", "bound_a_posteriori",
-    "delta_a_inf", "d_inv_inf", "contraction_exact", "applicable", "holds",
+    "delta_a_inf", "d_inv_inf", "contraction_exact", "q", "applicable", "holds",
     "method", "iterations",
 ]
 

@@ -9,16 +9,19 @@ from hrbfsurf.exact import (
     IllConditionedError,
     SolverCapError,
     _neumann_ceiling,
+    _support_pairs,
     assemble,
     condition_estimate,
     eval_exact,
     solve,
 )
 from hrbfsurf.model import model_from_arrays, quasi_lambda
+from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import HermitePointSet
 from hrbfsurf.sampling import sphere_points, torus_points
 
 from conftest import random_unit_vectors, tuned_model
+from oracles import radius_query
 
 
 def _random_ps(n, seed, spread=1.0):
@@ -40,27 +43,53 @@ def test_single_point_block():
     np.testing.assert_allclose(res.lam[1:], ps.normals[0] / (20.0 / rho**2 + eta))
 
 
+def test_support_pairs_match_radius_oracle():
+    # per-center radii; p_1 lies exactly rho_1 from p_0, so (0, 1) is out and
+    # (1, 0) is in; p_2 duplicates p_0, p_4 duplicates p_3, and p_5 lies just
+    # inside the largest support, rho_0
+    rng = np.random.default_rng(12)
+    pts = np.vstack([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0], rng.uniform(-1.0, 1.0, (37, 3))])
+    pts[4] = pts[3]
+    pts[5] = [0.0, 0.0, 0.9999]
+    rho = rng.uniform(0.3, 0.9, len(pts))
+    rho[0], rho[1] = 1.0, 0.5
+    i_idx, j_idx = _support_pairs(pts, rho)
+    keys = i_idx * len(pts) + j_idx
+    assert np.all(np.diff(keys) > 0)  # sorted by i, then j, without repeats
+    idx = build_octree(pts)
+    for j in range(len(pts)):
+        np.testing.assert_array_equal(np.sort(i_idx[j_idx == j]), radius_query(idx, pts[j], rho[j]))
+    pairs = set(zip(i_idx.tolist(), j_idx.tolist()))
+    assert (0, 1) not in pairs and (1, 0) in pairs
+    assert {(0, 2), (2, 0), (3, 4), (4, 3), (5, 0)} <= pairs
+
+
 def test_assembly_matches_dense_oracle():
     ps = _random_ps(25, 0, spread=0.8)
-    rho, eta = 0.9, 0.1
+    rho = np.random.default_rng(9).uniform(0.6, 1.1, 25)  # per-center radii
+    eta = 0.1
     sys = assemble(ps, rho, eta)
     pts = ps.points
     dense = eta * np.eye(100)
     for i in range(25):
         for j in range(25):
             d = pts[i] - pts[j]
-            if np.linalg.norm(d) >= rho:
+            if np.linalg.norm(d) >= rho[j]:
                 continue
             blk = np.empty((4, 4))
-            blk[0, 0] = kernel.value(d[None], rho)[0]
-            blk[0, 1:] = -kernel.gradient(d[None], rho)[0]
-            blk[1:, 0] = kernel.gradient(d[None], rho)[0]
-            blk[1:, 1:] = -kernel.hessian(d[None], rho)[0]
+            blk[0, 0] = kernel.value(d[None], rho[j])[0]
+            blk[0, 1:] = -kernel.gradient(d[None], rho[j])[0]
+            blk[1:, 0] = kernel.gradient(d[None], rho[j])[0]
+            blk[1:, 1:] = -kernel.hessian(d[None], rho[j])[0]
             dense[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] += blk
     np.testing.assert_allclose(sys.matrix.toarray(), dense, atol=1e-13)
-    # off-diagonal infinity norm against the same dense assembly
-    delta = dense - np.diag(sys.d_diag)
-    assert sys.delta_a_inf == pytest.approx(np.abs(delta).sum(axis=1).max())
+    # row sums of |dA| and of |D^-1 dA| against the same dense assembly
+    d_diag = np.repeat(20.0 / rho**2, 4) + eta
+    d_diag[0::4] = 1.0 + eta
+    row_sums = np.abs(dense - np.diag(d_diag)).sum(1)
+    assert sys.delta_a_inf == pytest.approx(row_sums.max(), rel=1e-12, abs=0.0)
+    assert sys.contraction == pytest.approx((row_sums / d_diag).max(), rel=1e-12, abs=0.0)
+    assert sys.contraction <= sys.d_inv_inf * sys.delta_a_inf * (1 + 1e-12)
 
 
 def test_isolated_centers_match_quasi_solution():

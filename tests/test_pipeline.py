@@ -119,6 +119,8 @@ def test_verify_bound_holds(sphere_ps):
     assert row["holds"] is True
     assert row["measured_inf_error"] <= row["bound"]
     assert row["contraction_exact"] < 1.0
+    # the exact q = ||D^-1 dA||inf never exceeds its product bound
+    assert 0.0 < row["q"] <= row["contraction_exact"]
 
 
 def test_verify_bound_flags_inapplicable(sphere_ps):
@@ -138,6 +140,7 @@ def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("n,eta,a_bar,bound,measured_inf_error")
+    assert "contraction_exact,q," in lines[0]
     with pytest.raises(StageError):
         run_verify_bound(ReconConfig(input_path=str(src), exact_cap=10))
 
