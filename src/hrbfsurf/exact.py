@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from . import kernel
+from .model import _candidate_pairs, model_from_arrays
 
 DEFAULT_POINT_CAP = 5000
 
@@ -76,19 +77,12 @@ class ExactSolveResult:
         return self.lam.reshape(-1, 4)[:, 1:]
 
 
-def _support_pairs(points, rho):
-    """(i, j) with ||p_i - p_j|| < rho_j (self pairs included), sorted by i, then j.
-
-    One kd-tree search lists the candidate pairs at the largest radius, with
-    slack for the tree's own rounding; the strict test uses the same norm as
-    ``eval_exact``, once per unordered pair for both of its orders.
-    """
-    n = len(points)
-    a, b = cKDTree(points).query_pairs(float(rho.max()) * (1.0 + 1e-12), output_type="ndarray").T
-    dist = np.linalg.norm(points[a] - points[b], axis=1)
-    ab, ba = dist < rho[b], dist < rho[a]
-    keys = np.sort(np.concatenate([a[ab] * n + b[ab], b[ba] * n + a[ba], np.arange(n) * (n + 1)]))
-    return np.divmod(keys, n)
+def _support_pairs(model):
+    """(i, j) with ||p_i - p_j|| < rho_j (self pairs included), sorted by i, then j, from
+    the search by radius band; the strict test uses the same norm as ``eval_exact``."""
+    i, j = _candidate_pairs(model, model.centers)
+    inside = np.linalg.norm(model.centers[i] - model.centers[j], axis=1) < model.rho[j]
+    return i[inside], j[inside]
 
 
 def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
@@ -102,7 +96,8 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     if np.any(rho <= 0):
         raise ValueError("radii must be positive")
 
-    i_idx, j_idx = _support_pairs(points, rho)
+    i_idx, j_idx = _support_pairs(model_from_arrays(points, normals, rho, eta))
+    indptr = np.searchsorted(i_idx, np.arange(n + 1))
     offsets = points[i_idx] - points[j_idx]
     rj = rho[j_idx]
     blocks = np.empty((len(i_idx), 4, 4))
@@ -120,11 +115,11 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     # per block, the row sums of |block - D|; D lies on the self blocks only
     sums = np.abs(blocks).sum(axis=2)
     sums[own] = np.abs(blocks[own] - d_diag.reshape(n, 4, 1) * np.eye(4)).sum(axis=2)
-    row_sums = np.stack([np.bincount(i_idx, sums[:, a], minlength=n) for a in range(4)], axis=1).ravel()
+    row_sums = np.add.reduceat(sums, indptr[:-1], axis=0).ravel()  # every row holds its self block
     delta_a_inf = float(row_sums.max())
     contraction = float((row_sums / d_diag).max())
 
-    mat = sp.bsr_matrix((blocks, j_idx, np.searchsorted(i_idx, np.arange(n + 1))), shape=(4 * n, 4 * n))
+    mat = sp.bsr_matrix((blocks, j_idx, indptr), shape=(4 * n, 4 * n))
     y = np.zeros(4 * n)
     y.reshape(-1, 4)[:, 1:] = normals
     return ExactSystem(
@@ -132,10 +127,16 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     )
 
 
+def _factor(sys: ExactSystem):
+    """Sparse LU of A + eta I without the self blocks' stored zeros."""
+    csc = sys.matrix.tocsc()
+    csc.eliminate_zeros()
+    return spla.splu(csc)
+
+
 def condition_estimate(sys: ExactSystem, lu=None):
     """1-norm condition estimate of A + eta I via its sparse LU factors."""
-    if lu is None:
-        lu = spla.splu(sys.matrix.tocsc())
+    lu = _factor(sys) if lu is None else lu
     inv_op = spla.LinearOperator(
         sys.matrix.shape,
         matvec=lu.solve,
@@ -188,7 +189,7 @@ def solve(sys: ExactSystem, residual_tol=1e-9, cond_limit=None) -> ExactSolveRes
         method, bound = "neumann", first_step / (1.0 - q)
     else:
         try:
-            lu = spla.splu(sys.matrix.tocsc())
+            lu = _factor(sys)
             lam = lu.solve(sys.y)
         except RuntimeError as exc:  # singular factorization
             raise IllConditionedError(f"factorization failed: {exc}", np.inf) from exc

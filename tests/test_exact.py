@@ -53,7 +53,9 @@ def test_support_pairs_match_radius_oracle():
     pts[5] = [0.0, 0.0, 0.9999]
     rho = rng.uniform(0.3, 0.9, len(pts))
     rho[0], rho[1] = 1.0, 0.5
-    i_idx, j_idx = _support_pairs(pts, rho)
+    model = model_from_arrays(pts, random_unit_vectors(len(pts), rng), rho, 0.1)
+    assert len(model.bands.groups) > 1  # the radii span more than one band
+    i_idx, j_idx = _support_pairs(model)
     keys = i_idx * len(pts) + j_idx
     assert np.all(np.diff(keys) > 0)  # sorted by i, then j, without repeats
     idx = build_octree(pts)
