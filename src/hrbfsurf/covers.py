@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kernel
-from .octree import PointOctree, knn_query
+from .model import RadiusBands, _runs, _segment_sums, _support_pairs
+from .octree import PointOctree
 
 DELTA_NEIGHBORS = 15
 BISECTION_STEPS = 20
@@ -40,7 +40,7 @@ class SphericalCover:
     doc: np.ndarray  # (n,) tracked degree of coverage per input point
     params: CoverParams
     l_bar: float  # bbox diagonal of the input points
-    tree: cKDTree = field(repr=False, default=None)
+    bands: RadiusBands = field(repr=False, default=None)  # the spheres, for ``doc_at``
 
     @property
     def n_centers(self):
@@ -64,6 +64,12 @@ def density_weights(ps, idx: PointOctree, k=DELTA_NEIGHBORS):
     return np.mean(d[:, 1:] ** 2, axis=1)
 
 
+def _ball(idx: PointOctree, c, r):
+    """Indices of the points with ||p - c|| < r, ascending."""
+    j = np.asarray(sorted(idx.tree.query_ball_point(c, np.nextafter(r, 0.0))), dtype=np.int64)
+    return j[np.linalg.norm(idx.points[j] - c, axis=1) < r]
+
+
 def quadric_error(ps, idx: PointOctree, c, r, delta):
     """Density-weighted squared normal deviation of points inside the sphere."""
     if r <= 0:
@@ -71,10 +77,7 @@ def quadric_error(ps, idx: PointOctree, c, r, delta):
     points = np.asarray(ps.points, dtype=np.float64)
     normals = np.asarray(ps.normals, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    j = np.asarray(sorted(idx.tree.query_ball_point(c, np.nextafter(r, 0.0))), dtype=np.int64)
-    if len(j):
-        d = np.linalg.norm(points[j] - c, axis=1)
-        j = j[d < r]
+    j = _ball(idx, c, r)
     if len(j) == 0:
         raise EmptySphereError("no point inside the sphere")
     w = delta[j] * kernel.value(points[j] - c, r)
@@ -119,6 +122,8 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
         l_bar = 1.0
     threshold = params.q_err * l_bar
     delta = density_weights(ps, idx)
+    # smallest radius tried at each point: the distance to its nearest other point
+    r_low = idx.tree.query(points, k=2)[0][:, 1] if n > 1 else np.full(n, l_bar / 4.0)
 
     doc = np.zeros(n)
     sel_idx, radii = [], []
@@ -132,20 +137,13 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
         k = int(pool[order[0]])
         c = points[k]
 
-        if n > 1:
-            r_lo = knn_query(idx, c, 1, exclude_self=True)[0][1]
-            r_lo = max(r_lo, 1e-12)
-        else:
-            r_lo = l_bar / 4.0
+        r_lo = max(float(r_low[k]), 1e-12)  # duplicated points lie at distance 0
         r_hi = max(l_bar / 4.0, r_lo)
         r = _max_radius(ps, idx, c, delta, r_lo, r_hi, threshold)
 
-        cand = np.asarray(idx.tree.query_ball_point(c, np.nextafter(r, 0.0)), dtype=np.int64)
-        if len(cand):
-            d = np.linalg.norm(points[cand] - c, axis=1)
-            inside = cand[d < r]
-            below = inside[doc[inside] < params.g_min]
-            doc[below] += kernel.value(points[below] - c, r)
+        inside = _ball(idx, c, r)
+        below = inside[doc[inside] < params.g_min]
+        doc[below] += kernel.value(points[below] - c, r)
         doc[k] = params.g_min  # never a candidate again; guarantees termination
         sel_idx.append(k)
         radii.append(r)
@@ -161,7 +159,7 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
         doc=doc,
         params=params,
         l_bar=l_bar,
-        tree=cKDTree(centers),
+        bands=RadiusBands(centers, radii),
     )
 
 
@@ -170,16 +168,10 @@ def doc_at(cover: SphericalCover, x):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     x = x.reshape(-1, 3)
-    rmax = float(cover.radii.max())
-    out = np.zeros(len(x))
-    for qi, lst in enumerate(cover.tree.query_ball_point(x, np.nextafter(rmax, 0.0))):
-        if not lst:
-            continue
-        j = np.sort(np.asarray(lst, dtype=np.int64))
-        offs = x[qi] - cover.centers[j]
-        inside = np.linalg.norm(offs, axis=1) < cover.radii[j]
-        j, offs = j[inside], offs[inside]
-        out[qi] = np.sum(kernel.value(offs, cover.radii[j]))
+    qi, k = _support_pairs(cover.bands, x)
+    phi = kernel.value(x[qi] - cover.centers[k], cover.radii[k])
+    out = _segment_sums(_runs(qi, len(x)), phi, np.ones(len(qi), dtype=bool), len(x))
+    out = np.where(np.isnan(out), 0.0, out)  # nan: outside every sphere
     return float(out[0]) if single else out
 
 

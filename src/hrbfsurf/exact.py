@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from . import kernel
-from .model import _candidate_pairs, model_from_arrays
+from .model import RadiusBands, _runs, _segment_sums, _support_pairs
 
 DEFAULT_POINT_CAP = 5000
+_RESIDUAL_TOL = 1e-9  # residual gate of ``solve``, relative to 1 + ||y||inf
 
 
 class SolverCapError(ValueError):
@@ -68,22 +68,6 @@ class ExactSolveResult:
     method: str  # "neumann" or "lu"
     iterations: int  # Neumann steps taken; 0 for LU
 
-    @property
-    def a_coeffs(self):
-        return self.lam.reshape(-1, 4)[:, 0]
-
-    @property
-    def b_coeffs(self):
-        return self.lam.reshape(-1, 4)[:, 1:]
-
-
-def _support_pairs(model):
-    """(i, j) with ||p_i - p_j|| < rho_j (self pairs included), sorted by i, then j, from
-    the search by radius band; the strict test uses the same norm as ``eval_exact``."""
-    i, j = _candidate_pairs(model, model.centers)
-    inside = np.linalg.norm(model.centers[i] - model.centers[j], axis=1) < model.rho[j]
-    return i[inside], j[inside]
-
 
 def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     """Assemble (A + eta I) as 4x4 blocks, one per support pair, and y."""
@@ -96,7 +80,8 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     if np.any(rho <= 0):
         raise ValueError("radii must be positive")
 
-    i_idx, j_idx = _support_pairs(model_from_arrays(points, normals, rho, eta))
+    # (i, j) with ||p_i - p_j|| < rho_j, self pairs included, sorted by i, then j
+    i_idx, j_idx = _support_pairs(RadiusBands(points, rho), points)
     indptr = np.searchsorted(i_idx, np.arange(n + 1))
     offsets = points[i_idx] - points[j_idx]
     rj = rho[j_idx]
@@ -176,7 +161,7 @@ def _neumann(sys: ExactSystem):
     return lam, k, first_step
 
 
-def solve(sys: ExactSystem, residual_tol=1e-9, cond_limit=None) -> ExactSolveResult:
+def solve(sys: ExactSystem, cond_limit=None) -> ExactSolveResult:
     """Solve (A + eta I) lambda = y: Neumann series when q < 1, sparse LU otherwise.
 
     Both paths must pass the residual gate; ``cond_limit`` bounds the 1-norm
@@ -196,7 +181,7 @@ def solve(sys: ExactSystem, residual_tol=1e-9, cond_limit=None) -> ExactSolveRes
         method, iterations, bound = "lu", 0, np.inf
     residual = float(np.max(np.abs(sys.matrix @ lam - sys.y)))
     scale = 1.0 + float(np.max(np.abs(sys.y)))
-    if not np.all(np.isfinite(lam)) or residual > residual_tol * scale:
+    if not np.all(np.isfinite(lam)) or residual > _RESIDUAL_TOL * scale:
         raise IllConditionedError(
             f"residual {residual:.3e} exceeds tolerance; eta likely too small",
             condition_estimate(sys, lu),
@@ -217,33 +202,27 @@ def solve(sys: ExactSystem, residual_tol=1e-9, cond_limit=None) -> ExactSolveRes
 
 
 def eval_exact(ps, rho, lam, x, want_gradient=False):
-    """Evaluate the exact interpolant sum_j a_j phi_j - <b_j, grad phi_j> at x."""
+    """Evaluate the exact interpolant sum_j a_j phi_j - <b_j, grad phi_j> at x.
+
+    Values and gradients are 0 outside every support.
+    """
     points = np.asarray(ps.points, dtype=np.float64)
     n = len(points)
     rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,))
     lam = np.asarray(lam, dtype=np.float64).reshape(n, 4)
-    a, b = lam[:, 0], lam[:, 1:]
     x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
 
-    tree = cKDTree(points)
-    lists = tree.query_ball_point(x, np.nextafter(float(rho.max()), 0.0))
-    values = np.zeros(len(x))
-    grads = np.zeros((len(x), 3)) if want_gradient else None
-    for qi, lst in enumerate(lists):
-        if not lst:
-            continue
-        j = np.sort(np.asarray(lst, dtype=np.int64))
-        offs = x[qi] - points[j]
-        inside = np.linalg.norm(offs, axis=1) < rho[j]
-        j, offs = j[inside], offs[inside]
-        if len(j) == 0:
-            continue
-        phi = kernel.value(offs, rho[j])
-        g = kernel.gradient(offs, rho[j])
-        values[qi] = np.sum(a[j] * phi) - np.einsum("ij,ij->", b[j], g)
-        if want_gradient:
-            h = kernel.hessian(offs, rho[j])
-            grads[qi] = a[j] @ g - np.einsum("kij,kj->i", h, b[j])
+    qi, j = _support_pairs(RadiusBands(points, rho), x)
+    offs, rj = x[qi] - points[j], rho[j]
+    a, b = lam[j, 0], lam[j, 1:]
+    g = kernel.gradient(offs, rj)
+    terms = [a * kernel.value(offs, rj) - np.einsum("ij,ij->i", b, g)]
     if want_gradient:
-        return values, grads
-    return values
+        h = kernel.hessian(offs, rj)
+        terms.extend((a[:, None] * g - np.einsum("kij,kj->ki", h, b)).T)
+    # every pair lies inside its support; a query outside every support sums to nan, here 0
+    sums = _segment_sums(_runs(qi, len(x)), np.stack(terms), np.ones(len(qi), dtype=bool), len(x))
+    sums = np.where(np.isnan(sums), 0.0, sums)
+    if want_gradient:
+        return sums[0], sums[1:].T.copy()
+    return sums[0]

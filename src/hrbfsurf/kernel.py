@@ -65,8 +65,11 @@ def hessian(offsets, rho):
     diag_term = -20.0 / np.square(rho) * one_m**3
     r_safe = np.where(r > 0.0, r, 1.0)
     outer_coef = 60.0 / rho**3 * one_m**2 / r_safe
-    h = outer_coef[..., None, None] * (offsets[..., :, None] * offsets[..., None, :])
-    h += diag_term[..., None, None] * np.eye(3)
+    # built in place, so that the result is the only (k, 3, 3) array
+    h = offsets[..., :, None] * offsets[..., None, :]
+    h *= outer_coef[..., None, None]
+    for a in range(3):
+        h[..., a, a] += diag_term
     return h
 
 

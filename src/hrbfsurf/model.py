@@ -65,10 +65,12 @@ class RadiusBands:
     radius in the model; with mixed densities such a query returns nearly all
     centers.  Querying each band at its own radius keeps small-support
     centers tightly pruned while the few oversized supports stay cheap.
+    The bands keep the centers and radii, so a search needs nothing else.
     """
 
     def __init__(self, centers, rho):
-        rho = np.asarray(rho, dtype=np.float64)
+        self.centers = centers = np.asarray(centers, dtype=np.float64)
+        self.rho = rho = np.asarray(rho, dtype=np.float64)
         level = np.floor(np.log2(rho / rho.min()) + 1e-12).astype(np.int64)
         self.groups = []
         for k in np.unique(level):
@@ -203,7 +205,7 @@ def model_from_arrays(centers, normals, rho, eta) -> HrbfModel:
     )
 
 
-def _candidate_pairs(model: HrbfModel, x, slack=0.0):
+def _candidate_pairs(bands: RadiusBands, x, slack=0.0):
     """(query, center) index pairs with |c_j - x[query]| < rho_j + slack.
 
     Bands are searched separately so the search radius tracks the local
@@ -213,17 +215,24 @@ def _candidate_pairs(model: HrbfModel, x, slack=0.0):
     per query.
     """
     qtree = cKDTree(x)
-    n = model.n_centers
+    n = len(bands.rho)
     keys = []
-    for group in model.bands.groups:
+    for group in bands.groups:
         hits = qtree.sparse_distance_matrix(
             group["tree"], (group["rmax"] + slack) * (1.0 + 1e-9), output_type="ndarray"
         )
         cidx = group["idx"][hits["j"]]
-        near = hits["v"] < (model.rho[cidx] + slack) * (1.0 + 1e-9)
+        near = hits["v"] < (bands.rho[cidx] + slack) * (1.0 + 1e-9)
         keys.append(hits["i"][near].astype(np.int64) * n + cidx[near])
     keys = np.sort(np.concatenate(keys))
     return keys // n, keys % n
+
+
+def _support_pairs(bands: RadiusBands, x):
+    """(query, center) pairs with ||x[query] - c_j|| < rho_j, sorted by query, then center."""
+    i, j = _candidate_pairs(bands, x)
+    inside = np.linalg.norm(x[i] - bands.centers[j], axis=1) < bands.rho[j]
+    return i[inside], j[inside]
 
 
 # candidate pairs per chunk: a chunk's ~20 per-pair float64 arrays then take
@@ -309,9 +318,7 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     grads = np.empty((n, 3))
 
     def run(sl):
-        # chunks hold disjoint edges, written back at their rows in the
-        # caller's order, so writes from threads never race and the result
-        # does not depend on completion order
+        # chunks hold disjoint edges, written back at their rows in the caller's order
         c = count[sl]
         qidx = np.repeat(np.arange(len(c)), c)
         cidx = kernels[np.arange(len(qidx)) + np.repeat(first[sl] - np.cumsum(c) + c, c)]
@@ -324,16 +331,23 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
         _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS),
         np.searchsorted(axis, np.arange(4)),
     )
-    slices = [slice(a, b) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
-    if workers <= 1 or len(slices) == 1:
+    _dispatch(run, [slice(a, b) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())], workers)
+    return roots, grads
+
+
+def _dispatch(run, slices, workers):
+    """Call ``run`` on each slice, in order or on ``workers`` threads.
+
+    Each call writes the rows of its own slice, so writes never race and the
+    result depends neither on the worker count nor on completion order.
+    """
+    if workers <= 1 or len(slices) <= 1:
         for sl in slices:
             run(sl)
-        return roots, grads
-
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for job in [pool.submit(run, sl) for sl in slices]:
             job.result()
-    return roots, grads
 
 
 def _cubic_start(table, corner, axis, length, f_neg, f_pos):
@@ -642,17 +656,10 @@ class LatticeTable:
             return
         vals = np.empty((n, _BRICK**3))
 
-        def run(b0, b1):
-            vals[b0:b1] = self._batch_values(bricks[b0:b1])
+        def run(sl):
+            vals[sl] = self._batch_values(bricks[sl])
 
-        batches = [(b0, min(b0 + _FILL_BRICKS, n)) for b0 in range(0, n, _FILL_BRICKS)]
-        if self._workers <= 1 or len(batches) == 1:
-            for batch in batches:
-                run(*batch)
-        else:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                for job in [pool.submit(run, *batch) for batch in batches]:
-                    job.result()
+        _dispatch(run, [slice(b0, b0 + _FILL_BRICKS) for b0 in range(0, n, _FILL_BRICKS)], self._workers)
 
         n0, n1 = self._n_filled, self._n_filled + n
         if n1 > len(self._store):
@@ -679,7 +686,7 @@ class LatticeTable:
         """
         first = np.stack(np.unravel_index(bricks, tuple(self._nb)), axis=1) * _BRICK
         centre = self.origin + (self.gmin + first + 0.5 * _BRICK) * self.width
-        rows, kern = _candidate_pairs(self.model, centre, 0.5 * np.sqrt(3.0) * _BRICK * self.width)
+        rows, kern = _candidate_pairs(self.model.bands, centre, 0.5 * np.sqrt(3.0) * _BRICK * self.width)
         # squared distance from each kernel's center to the brick's cube,
         # one axis at a time so that only (pairs,) columns are live
         gap = np.zeros(len(rows))
@@ -746,7 +753,7 @@ class LatticeTable:
 def _eval_chunk(model: HrbfModel, x, want_gradient):
     """Values (nan where undefined), gradients or None, and the defined mask at x (n, 3)."""
     n = len(x)
-    qidx, cidx = _candidate_pairs(model, x)
+    qidx, cidx = _candidate_pairs(model.bands, x)
     u = [np.take(x[:, k], qidx) - np.take(model.centers[:, k], cidx) for k in range(3)]
     b = [np.take(model.b_coeffs[:, k], cidx) for k in range(3)]
     bu = b[0] * u[0] + b[1] * u[1] + b[2] * u[2]

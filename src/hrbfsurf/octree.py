@@ -1,9 +1,9 @@
 """Octree over input points with leaf statistics and neighbor queries.
 
 The octree hierarchy supplies per-leaf diagonal lengths used for support-size
-tuning.  k-nearest-neighbor and strict-count queries are served by a cKDTree
-built over the same points; counts follow the strict open-ball convention
-(distance < radius) matching the kernel's open support.
+tuning.  Neighbor queries are served by a cKDTree built over the same
+points; counts follow the strict open-ball convention (distance < radius)
+matching the kernel's open support.
 """
 
 from __future__ import annotations
@@ -79,38 +79,6 @@ def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
         leaf_diagonals=np.array(leaf_diagonals),
         tree=cKDTree(points),
     )
-
-
-def knn_query(idx: PointOctree, center, k, exclude_self=False):
-    """k nearest neighbors sorted by (distance, index).
-
-    With exclude_self, at most one zero-distance hit is dropped (the query
-    point itself when it is one of the indexed points).
-    """
-    n = idx.n_points
-    avail = n - (1 if exclude_self else 0)
-    if k < 1 or k > avail:
-        raise ValueError(f"k={k} out of range (have {avail} points)")
-    center = np.asarray(center, dtype=np.float64)
-    # Over-fetch so distance ties can be re-broken by index deterministically.
-    kq = min(n, k + 8)
-    while True:
-        d, i = idx.tree.query(center, k=kq)
-        d, i = np.atleast_1d(d), np.atleast_1d(i)
-        if exclude_self:
-            zero = np.flatnonzero(d == 0.0)
-            if len(zero):
-                keep = np.ones(len(d), dtype=bool)
-                keep[zero[0]] = False
-                d, i = d[keep], i[keep]
-        if len(d) >= k and (kq == n or d[k - 1] < d[-1]):
-            break
-        if kq == n:
-            break
-        kq = min(n, kq * 2)
-    order = np.lexsort((i, d))
-    d, i = d[order], i[order]
-    return list(zip(i[:k].tolist(), d[:k].tolist()))
 
 
 def strict_counts(idx: PointOctree, centers, radii, workers=1):

@@ -187,20 +187,18 @@ def run_noise_bench(
     ground_truth: QuadMesh,
     delta_levels,
     cfg: ReconConfig,
-    s_schedule=None,
     n_samples=20000,
     csv_path=None,
 ):
     """Reconstruct at several noise levels and report two-sided distances.
 
     The amplifier per level follows the published schedule for 10/30/60%
-    unless overridden via ``s_schedule``.
+    (``NOISE_S_SCHEDULE``); other levels keep ``cfg.s``.
     """
-    s_schedule = dict(NOISE_S_SCHEDULE if s_schedule is None else s_schedule)
     rows = []
     for delta in delta_levels:
         level_cfg = ReconConfig(
-            s=s_schedule.get(float(delta), cfg.s),
+            s=NOISE_S_SCHEDULE.get(float(delta), cfg.s),
             voxel_width=cfg.voxel_width,
             noisy_mode=delta > 0,
             min_fragment_faces=cfg.min_fragment_faces,

@@ -1,5 +1,7 @@
 """Spherical-cover center selection: coverage, quadric error, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hrbfsurf.covers import (
     select_centers,
     selected_pointset,
 )
+from hrbfsurf.model import RadiusBands
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import normalize_to_unit_box
 from hrbfsurf.sampling import sphere_points, two_density_sphere
@@ -93,14 +96,21 @@ def test_sparse_side_gets_larger_spheres(setup):
 def test_doc_at_matches_brute_force(setup):
     ps, _, cover = setup
     rng = np.random.default_rng(1)
-    x = ps.points[rng.integers(0, len(ps), 50)]
-    got = doc_at(cover, x)
-    d = np.linalg.norm(x[:, None, :] - cover.centers[None, :, :], axis=2)
-    inside = d < cover.radii[None, :]
-    t = d / cover.radii[None, :]
-    phi = np.where(inside, (1.0 - np.minimum(t, 1.0)) ** 4 * (4.0 * t + 1.0), 0.0)
-    np.testing.assert_allclose(got, phi.sum(axis=1), atol=1e-12)
-    assert doc_at(cover, x[0]) == pytest.approx(got[0])
+    # input points, points anywhere near the cloud, and one outside every sphere
+    x = np.vstack([ps.points[rng.integers(0, len(ps), 50)], rng.uniform(-1.2, 1.2, (50, 3)), [[9.0, 9.0, 9.0]]])
+    # the cover's radii lie in one band; shrinking the dense side's spheres spreads them over two
+    for dense_scale, n_bands in ((1.0, 1), (0.4, 2)):
+        radii = np.where(cover.centers[:, 0] >= 0.0, dense_scale, 1.0) * cover.radii
+        scaled = dataclasses.replace(cover, radii=radii, bands=RadiusBands(cover.centers, radii))
+        assert len(scaled.bands.groups) == n_bands
+        got = doc_at(scaled, x)
+        assert got[-1] == 0.0
+        d = np.linalg.norm(x[:, None, :] - cover.centers[None, :, :], axis=2)
+        inside = d < radii[None, :]
+        t = d / radii[None, :]
+        phi = np.where(inside, (1.0 - np.minimum(t, 1.0)) ** 4 * (4.0 * t + 1.0), 0.0)
+        np.testing.assert_allclose(got, phi.sum(axis=1), rtol=0.0, atol=1e-12)
+        assert doc_at(scaled, x[0]) == pytest.approx(got[0])
 
 
 def test_seed_determinism():

@@ -9,13 +9,12 @@ from hrbfsurf.exact import (
     IllConditionedError,
     SolverCapError,
     _neumann_ceiling,
-    _support_pairs,
     assemble,
     condition_estimate,
     eval_exact,
     solve,
 )
-from hrbfsurf.model import model_from_arrays, quasi_lambda
+from hrbfsurf.model import RadiusBands, _support_pairs, model_from_arrays, quasi_lambda
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import HermitePointSet
 from hrbfsurf.sampling import sphere_points, torus_points
@@ -53,9 +52,9 @@ def test_support_pairs_match_radius_oracle():
     pts[5] = [0.0, 0.0, 0.9999]
     rho = rng.uniform(0.3, 0.9, len(pts))
     rho[0], rho[1] = 1.0, 0.5
-    model = model_from_arrays(pts, random_unit_vectors(len(pts), rng), rho, 0.1)
-    assert len(model.bands.groups) > 1  # the radii span more than one band
-    i_idx, j_idx = _support_pairs(model)
+    bands = RadiusBands(pts, rho)
+    assert len(bands.groups) > 1  # the radii span more than one band
+    i_idx, j_idx = _support_pairs(bands, pts)
     keys = i_idx * len(pts) + j_idx
     assert np.all(np.diff(keys) > 0)  # sorted by i, then j, without repeats
     idx = build_octree(pts)
@@ -146,6 +145,37 @@ def test_cond_limit_triggers():
     sys = assemble(ps, 0.8, 5.0)
     with pytest.raises(IllConditionedError):
         solve(sys, cond_limit=1.0)
+
+
+def test_eval_exact_matches_dense_oracle():
+    # per-center radii over two bands; x[0] lies outside every support and
+    # x[1] exactly rho_0 from center 0, which must not count
+    ps = _random_ps(30, 10, spread=0.8)
+    rho = np.random.default_rng(11).uniform(0.35, 1.2, 30)
+    rho[0] = 0.5
+    assert len(RadiusBands(ps.points, rho).groups) > 1
+    lam = np.random.default_rng(12).normal(size=120)
+    inner = np.random.default_rng(13).uniform(-1.0, 1.0, (60, 3))
+    x = np.vstack([[9.0, 9.0, 9.0], ps.points[0] + [0.5, 0.0, 0.0], inner])
+    vals, grads = eval_exact(ps, rho, lam, x, want_gradient=True)
+    blocks = lam.reshape(-1, 4)
+    want_v, want_g = np.zeros(len(x)), np.zeros((len(x), 3))
+    for q in range(len(x)):
+        for j in range(30):
+            d = x[q] - ps.points[j]
+            if np.linalg.norm(d) >= rho[j]:
+                continue
+            g = kernel.gradient(d[None], rho[j])[0]
+            h = kernel.hessian(d[None], rho[j])[0]
+            want_v[q] += blocks[j, 0] * kernel.value(d[None], rho[j])[0] - blocks[j, 1:] @ g
+            want_g[q] += blocks[j, 0] * g - h @ blocks[j, 1:]
+    assert vals[0] == 0.0 and np.all(grads[0] == 0.0)
+    assert np.linalg.norm(x[1] - ps.points[0]) == rho[0]
+    qi, j = _support_pairs(RadiusBands(ps.points, rho), x)
+    assert 0 not in j[qi == 1] and 0 not in qi
+    np.testing.assert_allclose(vals, want_v, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(grads, want_g, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(eval_exact(ps, rho, lam, x), vals)
 
 
 def test_eval_exact_gradient_matches_fd():

@@ -215,9 +215,10 @@ class TestCandidatePairs:
         # mixed support sizes exercise the radius-band split
         ps = two_density_sphere(800, 40, seed=5)
         norm_ps, tp, model = tuned_model(ps)
+        assert len(model.bands.groups) > 1
         rng = np.random.default_rng(6)
         x = random_unit_vectors(300, rng) * rng.uniform(0.8, 1.2, (300, 1))
-        qidx, cidx = _candidate_pairs(model, x, 0.0)
+        qidx, cidx = _candidate_pairs(model.bands, x, 0.0)
         # sorted by query then center
         assert np.all(np.diff(qidx) >= 0)
         same_q = np.diff(qidx) == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hrbfsurf.octree import build_octree, knn_query, strict_counts
+from hrbfsurf.octree import build_octree, strict_counts
 
 from oracles import octree_leaves, radius_query
 
@@ -94,41 +94,6 @@ def test_radius_query_rejects_nonpositive():
     idx = build_octree(np.zeros((4, 3)) + np.arange(4)[:, None])
     with pytest.raises(ValueError):
         radius_query(idx, np.zeros(3), 0.0)
-
-
-def test_knn_matches_brute_force(cloud, index):
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        c = rng.uniform(-1.0, 1.0, 3)
-        k = int(rng.integers(1, 12))
-        got = knn_query(index, c, k)
-        d = np.linalg.norm(cloud - c, axis=1)
-        order = np.lexsort((np.arange(len(cloud)), d))[:k]
-        assert [i for i, _ in got] == order.tolist()
-        np.testing.assert_allclose([dd for _, dd in got], d[order], rtol=1e-12)
-
-
-def test_knn_exclude_self(cloud, index):
-    got = knn_query(index, cloud[17], 3, exclude_self=True)
-    assert 17 not in [i for i, _ in got]
-    assert all(dd > 0 for _, dd in got)
-
-
-def test_knn_tie_break_by_index():
-    # four points at identical distance from the origin
-    pts = np.array(
-        [[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0], [3.0, 0, 0]]
-    )
-    idx = build_octree(pts)
-    got = knn_query(idx, np.zeros(3), 4)
-    assert [i for i, _ in got] == [0, 1, 2, 3]
-
-
-def test_knn_k_out_of_range(cloud, index):
-    with pytest.raises(ValueError):
-        knn_query(index, np.zeros(3), 0)
-    with pytest.raises(ValueError):
-        knn_query(index, np.zeros(3), len(cloud) + 1)
 
 
 def test_strict_counts_matches_brute_force(cloud, index):
