@@ -53,7 +53,7 @@ class ExactSystem:
     @property
     def d_inv_inf(self):
         rho_max = float(self.rho.max())
-        return max(1.0 / (1.0 + self.eta), rho_max**2 / (20.0 + self.eta * rho_max**2))
+        return max(1.0 / (1.0 + self.eta), rho_max**2 / (kernel.D2_PEAK + self.eta * rho_max**2))
 
 
 @dataclass
@@ -95,7 +95,7 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     own = np.flatnonzero(i_idx == j_idx)  # the self block of each row, in row order
     blocks[own] += eta * np.eye(4)
 
-    d_diag = np.repeat(20.0 / rho**2 + eta, 4)
+    d_diag = np.repeat(kernel.D2_PEAK / rho**2 + eta, 4)
     d_diag[0::4] = 1.0 + eta
     # per block, the row sums of |block - D|; D lies on the self blocks only
     sums = np.abs(blocks).sum(axis=2)

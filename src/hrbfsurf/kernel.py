@@ -23,6 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# |d2 phi / dx2| at r = 0 times rho^2: the Hessian at a center is
+# -D2_PEAK / rho^2 I, the diagonal the closed-form coefficients invert
+D2_PEAK = 20.0
+
 
 @dataclass
 class DerivativeBounds:
@@ -50,7 +54,7 @@ def gradient(offsets, rho):
     t = r / rho
     inside = t < 1.0
     one_m = np.where(inside, 1.0 - t, 0.0)
-    coef = -20.0 / np.square(rho) * one_m**3
+    coef = -D2_PEAK / np.square(rho) * one_m**3
     return coef[..., None] * offsets
 
 
@@ -62,9 +66,9 @@ def hessian(offsets, rho):
     t = r / rho
     inside = t < 1.0
     one_m = np.where(inside, 1.0 - t, 0.0)
-    diag_term = -20.0 / np.square(rho) * one_m**3
+    diag_term = -D2_PEAK / np.square(rho) * one_m**3
     r_safe = np.where(r > 0.0, r, 1.0)
-    outer_coef = 60.0 / rho**3 * one_m**2 / r_safe
+    outer_coef = 3.0 * D2_PEAK / rho**3 * one_m**2 / r_safe
     # built in place, so that the result is the only (k, 3, 3) array
     h = offsets[..., :, None] * offsets[..., None, :]
     h *= outer_coef[..., None, None]
@@ -83,6 +87,6 @@ def derivative_bounds(rho) -> DerivativeBounds:
         raise ValueError("rho must be positive")
     return DerivativeBounds(
         first=135.0 / (64.0 * rho),
-        second_diag=20.0 / rho**2,
+        second_diag=D2_PEAK / rho**2,
         second_mixed=15.0 / (2.0 * rho**2),
     )

@@ -42,10 +42,14 @@ class TuningParams:
         return _a_bar(self.m, self.rho_min)
 
     def check(self):
-        if not (self.rho_max < np.sqrt(20.0)):
-            raise ValueError("rho_max must stay below sqrt(20); model not normalized?")
+        _check_rho_max(self.rho_max)
         if not (self.eta > self.a_bar - 1.0):
             raise ValueError("eta below the regularization threshold")
+
+
+def _check_rho_max(rho_max):
+    if not (rho_max < np.sqrt(kernel.D2_PEAK)):
+        raise ValueError("rho_max must stay below sqrt(20); model not normalized?")
 
 
 def _a_bar(m, rho_min):
@@ -93,6 +97,11 @@ class HrbfModel:
     b_coeffs: np.ndarray  # (n, 3)
     rho_max: float
     bands: RadiusBands = field(repr=False, default=None)
+    # the field's per-pair terms read these as (3, n) rows: the centers and
+    # g_j = (20 / rho_j^2) b_j, so that the term of pair (x, j) is
+    # <g_j, x - c_j> max(1 - t, 0)^3 with t = |x - c_j| / rho_j
+    centers_t: np.ndarray = field(repr=False, default=None)
+    g_t: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_centers(self):
@@ -173,15 +182,15 @@ def tune_parameters(
     )
     if eta_override is None:
         tp.check()
-    elif not (tp.rho_max < np.sqrt(20.0)):
-        raise ValueError("rho_max must stay below sqrt(20); model not normalized?")
+    else:
+        _check_rho_max(tp.rho_max)
     return tp
 
 
 def quasi_coefficients(normals, rho, eta):
     """b_j = rho_j^2 n_j / (20 + eta rho_j^2); the scalar coefficients are 0."""
     rho = np.asarray(rho, dtype=np.float64)
-    w = rho**2 / (20.0 + eta * rho**2)
+    w = rho**2 / (kernel.D2_PEAK + eta * rho**2)
     return w[:, None] * np.asarray(normals, dtype=np.float64)
 
 
@@ -194,14 +203,17 @@ def model_from_arrays(centers, normals, rho, eta) -> HrbfModel:
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (len(centers),)).copy()
+    b_coeffs = quasi_coefficients(normals, rho, eta)
     return HrbfModel(
         centers=centers,
         normals=normals,
         rho=rho,
         eta=float(eta),
-        b_coeffs=quasi_coefficients(normals, rho, eta),
+        b_coeffs=b_coeffs,
         rho_max=float(rho.max()),
         bands=RadiusBands(centers, rho),
+        centers_t=np.ascontiguousarray(centers.T),
+        g_t=np.ascontiguousarray((b_coeffs * (kernel.D2_PEAK / rho**2)[:, None]).T),
     )
 
 
@@ -272,7 +284,7 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     iteration reduces to scalar work per (edge, kernel) pair: with
     u = p_neg - c and L the signed edge length
     along its axis a, the squared distance at parameter s is
-    |u|^2 + 2 u_a L s + L^2 s^2 and <b, x-c> is <b,u> + b_a L s, so each step
+    |u|^2 + 2 u_a L s + L^2 s^2 and <g, x-c> is <g,u> + g_a L s, so each step
     costs one sqrt per pair instead of a fresh neighbor search.  Edges are
     worked in chunks of one axis and about ``_EDGE_PAIRS`` pairs, and each
     edge is summed by ``add.reduceat`` over its ascending pair list, so the
@@ -312,8 +324,6 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     kernels = np.concatenate(kernels)
     first = offsets[brick_of]
     count = offsets[brick_of + 1] - first
-    # pair terms are read column-wise: one contiguous row per coordinate
-    columns = (np.ascontiguousarray(model.centers.T), np.ascontiguousarray(model.b_coeffs.T), model.rho)
     roots = np.empty((n, 3))
     grads = np.empty((n, 3))
 
@@ -323,7 +333,7 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
         qidx = np.repeat(np.arange(len(c)), c)
         cidx = kernels[np.arange(len(qidx)) + np.repeat(first[sl] - np.cumsum(c) + c, c)]
         roots[order[sl]], grads[order[sl]] = _edge_roots_chunk(
-            columns, p_neg[sl], int(axis[sl.start]), length[sl], f_neg[sl], f_pos[sl], start[sl],
+            model, p_neg[sl], int(axis[sl.start]), length[sl], f_neg[sl], f_pos[sl], start[sl],
             qidx, cidx, tol,
         )
 
@@ -376,20 +386,17 @@ def _cubic_start(table, corner, axis, length, f_neg, f_pos):
     return np.where(np.isfinite(s) & (s >= 0.0) & (s <= 1.0), s, linear)
 
 
-def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, start, qidx, cidx, tol):
+def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, qidx, cidx, tol):
     """Roots and gradients for one chunk of edges along ``axis`` from its
     candidate (edge, kernel) pairs; ``length`` holds the signed edge lengths.
 
-    ``columns`` holds the model's centers and coefficients as (3, centers)
-    rows and its radii.  The root of each edge is found on s in [0, 1] by
-    regula falsi with the Illinois modification (Dowell & Jarratt, BIT 1971),
-    starting from ``start``.  A bisection step replaces it wherever the last
-    value is undefined or the regula-falsi point is not finite or leaves the
-    bracket.
+    The root of each edge is found on s in [0, 1] by regula falsi with the
+    Illinois modification (Dowell & Jarratt, BIT 1971), starting from
+    ``start``.  A bisection step replaces it wherever the last value is
+    undefined or the regula-falsi point is not finite or leaves the bracket.
     """
-    centers_t, b_t, rho_all = columns
     n = len(p_neg)
-    u = [np.take(p_neg[:, k], qidx) - np.take(centers_t[k], cidx) for k in range(3)]
+    u = [np.take(p_neg[:, k], qidx) - np.take(model.centers_t[k], cidx) for k in range(3)]
     p_len = length[qidx]
     aa = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
     bb = u[axis] * p_len
@@ -398,16 +405,15 @@ def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, start, qidx, c
     # distance quadratic over s in [0, 1] already exceeds rho
     s_close = np.clip(-bb / gg, 0.0, 1.0)
     d2_min = aa + (2.0 * bb + gg * s_close) * s_close
-    near = np.flatnonzero(d2_min < rho_all[cidx] ** 2)
+    near = np.flatnonzero(d2_min < model.rho[cidx] ** 2)
     del s_close, d2_min
     qidx, cidx, aa, bb, gg, p_len = qidx[near], cidx[near], aa[near], bb[near], gg[near], p_len[near]
     u = [x[near] for x in u]
-    b = [b_t[k][cidx] for k in range(3)]
-    cc = b[0] * u[0] + b[1] * u[1] + b[2] * u[2]
-    dd = b[axis] * p_len
-    rho = rho_all[cidx]
+    g = [model.g_t[k][cidx] for k in range(3)]
+    cc = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
+    dd = g[axis] * p_len
+    rho = model.rho[cidx]
     rho_sq = rho**2
-    scale = 20.0 / rho_sq
 
     lo = np.zeros(n)
     hi = np.ones(n)
@@ -416,8 +422,8 @@ def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, start, qidx, c
     s = start
     kept = np.zeros(n, dtype=np.int8)  # end the last step kept: -1 lo, 1 hi
     active = np.ones(n, dtype=bool)
-    # the passes read t^2 = |x - c|^2 / rho^2 and the scaled <b, x - c>
-    pairs = (qidx, aa / rho_sq, 2.0 * bb / rho_sq, gg / rho_sq, scale * cc, scale * dd)
+    # the passes read t^2 = |x - c|^2 / rho^2 and <g, x - c>
+    pairs = (qidx, aa / rho_sq, 2.0 * bb / rho_sq, gg / rho_sq, cc, dd)
     runs = all_runs = _runs(qidx, n)
     for _ in range(ROOT_STEPS):
         if not active.any():
@@ -454,44 +460,51 @@ def _edge_roots_chunk(columns, p_neg, axis, length, f_neg, f_pos, start, qidx, c
     s = s[qidx]
     u[axis] += s * p_len  # now x - c
     r = np.sqrt(aa + (2.0 * bb + gg * s) * s)
-    return roots, _gradient_sums(all_runs, u, b, cc + dd * s, r, rho, scale, n)
+    return roots, _gradient_sums(all_runs, u, g, cc + dd * s, r, rho, n)
 
 
-def _gradient_sums(runs, u, b, bu, r, rho, scale, n):
-    """Field gradients (n, 3) from pair columns u = x - c and b (three rows
-    each), bu = <b, u> and r = |u|: sums over each run of
-    scale ((1-t)^3 b - 3 (1-t)^2 <b, u> u / (rho r)) with t = r / rho."""
+def _gradient_sums(runs, u, g, gu, r, rho, n):
+    """Field gradients (n, 3) from pair columns u = x - c and g (three rows
+    each), gu = <g, u> and r = |u|: sums over each run of
+    (1-t)^3 g - 3 (1-t)^2 <g, u> u / (rho r) with t = r / rho."""
     t = r / rho
     inside = t < 1.0
     w1 = np.maximum(1.0 - t, 0.0)
     w2 = w1 * w1
-    radial = scale * 3.0 * w2 * bu / (rho * np.maximum(r, 1e-300))
-    tang = scale * w2 * w1
-    return np.stack([_segment_sums(runs, tang * b[k] - radial * u[k], inside, n) for k in range(3)], axis=1)
+    radial = 3.0 * w2 * gu / (rho * np.maximum(r, 1e-300))
+    tang = w2 * w1
+    return np.stack([_segment_sums(runs, tang * g[k] - radial * u[k], inside, n) for k in range(3)], axis=1)
+
+
+def _pair_terms(t, gu):
+    """The field's per-pair terms <g, x - c> max(1 - t, 0)^3 from t = |x - c| / rho
+    and gu = <g, x - c>; works in place, so ``t`` and ``gu`` are overwritten
+    and the result is ``gu``."""
+    np.maximum(np.subtract(1.0, t, out=t), 0.0, out=t)
+    for _ in range(3):
+        gu *= t
+    return gu
 
 
 def _edge_values(pairs, runs, s, n):
     """Field values of n edges at parameters ``s``; nan where no support covers them.
 
-    ``pairs`` holds the pre-scaled terms (edge, a, b, g, c, d): t^2 is
-    a + (b + g s) s and the term is (c + d s) w^3 with w = max(1 - t, 0).
-    Kept apart from the root loop so that its per-pair temporaries are freed
-    before the loop compacts the pairs.
+    ``pairs`` holds the terms (edge, a0, a1, a2, c, d): t^2 is
+    a0 + (a1 + a2 s) s and <g, x - c> is c + d s.  Kept apart from the root
+    loop so that its per-pair temporaries are freed before the loop compacts
+    the pairs.
     """
-    qs, a, b, g, c, d = pairs
+    qs, a0, a1, a2, c, d = pairs
     s = s[qs]
-    w = g * s  # t^2 by Horner, then w, in place
-    w += b
-    w *= s
-    w += a
-    inside = w < 1.0
-    np.sqrt(w, out=w)
-    np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w)
-    term = d * s
-    term += c
-    for _ in range(3):
-        term *= w
-    return _segment_sums(runs, term, inside, n)
+    t = a2 * s  # t^2 by Horner, then t, in place
+    t += a1
+    t *= s
+    t += a0
+    inside = t < 1.0
+    np.sqrt(t, out=t)
+    gu = d * s
+    gu += c
+    return _segment_sums(runs, _pair_terms(t, gu), inside, n)
 
 
 def _runs(ids, n):
@@ -531,7 +544,7 @@ class LatticeTable:
     only the bricks that extraction reads are ever evaluated, and it stays
     filled until ``clear``.  A fill takes the kernels near each
     brick from ``_brick_kernels``, the listing the edge roots read as well;
-    both the squared distance and <b, x-c> decompose along the axes, so a
+    both the squared distance and <g, x-c> decompose along the axes, so a
     kernel's share of a brick is assembled from three length-4 arrays by
     broadcasting.  A kernel reaches the cells of its support box [lo, hi]
     that lie strictly inside its support, and every cell is summed per brick
@@ -565,13 +578,11 @@ class LatticeTable:
         self.shape = shape
         self._ushape = shape.astype(np.uint64)
         self._workers = workers
-        # per-kernel terms of the fill, as (3, n) columns where they have an axis
+        # per-kernel terms of the fill beside the model's (3, n) rows
         self._lo = np.ascontiguousarray((lo - gmin).T)  # box bounds in table cells
         self._hi = np.ascontiguousarray((hi - gmin).T)
-        self._centers = np.ascontiguousarray(centers.T)
         self._rho_sq = rho**2
         self._inv_rho = 1.0 / rho
-        self._bk = np.ascontiguousarray((model.b_coeffs * (20.0 / self._rho_sq)[:, None]).T)
         self._nb = -(-shape // _BRICK)  # bricks per axis
         self.clear()
 
@@ -725,85 +736,69 @@ class LatticeTable:
         off, sq = [], []
         for a in range(3):
             # take keeps the (4, pairs) gathers C-ordered, which [:, rows] does not
-            off.append(np.take(pos[a], rows, axis=1) - self._centers[a][kern])
+            off.append(np.take(pos[a], rows, axis=1) - self.model.centers_t[a][kern])
             # squares outside the kernel's box are inf: a kernel reaches its box only
             c = np.take(cells[a], rows, axis=1)
             inbox = (c >= self._lo[a][kern]) & (c <= self._hi[a][kern])
             sq.append(np.where(inbox, off[a] ** 2, np.inf))
         d2 = (sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]).reshape(_BRICK**3, -1)
         inside = d2 < self._rho_sq[kern]
-        bk = np.take(self._bk, kern, axis=1)
-        term = (
-            (bk[0] * off[0])[:, None, None]
-            + (bk[1] * off[1])[None, :, None]
-            + (bk[2] * off[2])[None, None, :]
+        g = np.take(self.model.g_t, kern, axis=1)
+        gu = (
+            (g[0] * off[0])[:, None, None]
+            + (g[1] * off[1])[None, :, None]
+            + (g[2] * off[2])[None, None, :]
         ).reshape(_BRICK**3, -1)
-        # d2 becomes w = max(1 - sqrt(d2) / rho, 0) in place.  w is 0 outside
+        # d2 becomes t = sqrt(d2) / rho in place.  max(1 - t, 0) is 0 outside
         # the kernel's box, where d2 is inf, and outside the support up to
-        # rounding (about 1e-16 where d2 is within ulps of rho^2, so w^3 is
-        # about 1e-48), which is why no mask is applied to the terms
-        w = np.sqrt(d2, out=d2)
-        w *= self._inv_rho[kern]
-        np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w)
-        for _ in range(3):
-            term *= w
-        return _segment_sums(_runs(rows, len(first)), term, inside, len(first)).T
+        # rounding (about 1e-16 where d2 is within ulps of rho^2, so its cube
+        # is about 1e-48), which is why no mask is applied to the terms
+        t = np.sqrt(d2, out=d2)
+        t *= self._inv_rho[kern]
+        return _segment_sums(_runs(rows, len(first)), _pair_terms(t, gu), inside, len(first)).T
 
 
 def _eval_chunk(model: HrbfModel, x, want_gradient):
     """Values (nan where undefined), gradients or None, and the defined mask at x (n, 3)."""
     n = len(x)
     qidx, cidx = _candidate_pairs(model.bands, x)
-    u = [np.take(x[:, k], qidx) - np.take(model.centers[:, k], cidx) for k in range(3)]
-    b = [np.take(model.b_coeffs[:, k], cidx) for k in range(3)]
-    bu = b[0] * u[0] + b[1] * u[1] + b[2] * u[2]
+    u = [np.take(x[:, k], qidx) - np.take(model.centers_t[k], cidx) for k in range(3)]
+    g = [np.take(model.g_t[k], cidx) for k in range(3)]
+    gu = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
     d2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
     rho = model.rho[cidx]
     r = np.sqrt(d2)
-    scale = 20.0 / rho**2
     runs = _runs(qidx, n)
-    w = np.maximum(1.0 - r / rho, 0.0)
-    values = _segment_sums(runs, scale * w * w * w * bu, d2 < rho**2, n)
-    grads = _gradient_sums(runs, u, b, bu, r, rho, scale, n) if want_gradient else None
+    grads = _gradient_sums(runs, u, g, gu, r, rho, n) if want_gradient else None
+    values = _segment_sums(runs, _pair_terms(r / rho, gu), d2 < rho**2, n)
     return values, grads, np.isfinite(values)
 
 
 class ImplicitField:
     """Batched evaluator for the quasi-interpolant, optionally multi-threaded.
 
-    Chunk boundaries are fixed, and per-query accumulation runs in center
-    index order, so results are bitwise identical for any worker count.
+    Queries go to ``_dispatch`` in fixed chunks of ``_EVAL_CHUNK``, and
+    per-query accumulation runs in center index order, so results are
+    bitwise identical for any worker count.
     """
 
     def __init__(self, model: HrbfModel, workers=1):
         self.model = model
         self.workers = max(1, int(workers))
-        self._pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     def evaluate(self, x, want_gradient=False):
         """Values (nan where undefined), optional gradients, defined mask."""
         x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-        if len(x) == 0:
-            return np.empty(0), (np.empty((0, 3)) if want_gradient else None), np.empty(0, bool)
-        chunks = [x[i : i + _EVAL_CHUNK] for i in range(0, len(x), _EVAL_CHUNK)]
-        if self._pool is None or len(chunks) == 1:
-            parts = [_eval_chunk(self.model, c, want_gradient) for c in chunks]
-        else:
-            parts = list(self._pool.map(lambda c: _eval_chunk(self.model, c, want_gradient), chunks))
-        values = np.concatenate([p[0] for p in parts])
-        defined = np.concatenate([p[2] for p in parts])
-        grads = np.concatenate([p[1] for p in parts]) if want_gradient else None
+        n = len(x)
+        values, defined = np.empty(n), np.empty(n, dtype=bool)
+        grads = np.empty((n, 3)) if want_gradient else None
+
+        def run(sl):
+            values[sl], g, defined[sl] = _eval_chunk(self.model, x[sl], want_gradient)
+            if want_gradient:
+                grads[sl] = g
+
+        _dispatch(run, [slice(i, i + _EVAL_CHUNK) for i in range(0, n, _EVAL_CHUNK)], self.workers)
         return values, grads, defined
 
     def values(self, x):
@@ -827,7 +822,7 @@ def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result) -> Boun
     eta = tp.eta
     contraction = a_bar / (1.0 + eta)
     applicable = contraction < 1.0
-    bound = a_bar * tp.rho_max**2 / ((1.0 + eta - a_bar) * (20.0 + eta * tp.rho_max**2)) if applicable else np.inf
+    bound = a_bar * tp.rho_max**2 / ((1.0 + eta - a_bar) * (kernel.D2_PEAK + eta * tp.rho_max**2)) if applicable else np.inf
     measured = float(np.max(np.abs(quasi_lambda(model) - exact_result.lam)))
     return BoundReport(
         a_bar=a_bar,

@@ -25,10 +25,6 @@ class PointOctree:
     tree: cKDTree = field(repr=False, default=None)
 
     @property
-    def n_points(self):
-        return len(self.points)
-
-    @property
     def mean_leaf_diagonal(self):
         return float(self.leaf_diagonals.mean())
 

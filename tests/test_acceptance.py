@@ -244,11 +244,10 @@ def test_criterion_8_thread_scaling():
     results = {}
     for workers in (1, 8):
         t0 = time.perf_counter()
-        with ImplicitField(model, workers=workers) as fld:
-            vals, _, defined = fld.evaluate(queries)
-            mesh = extract_surface(
-                model, model.centers, model.normals, 0.012, workers=workers
-            )
+        vals, _, defined = ImplicitField(model, workers=workers).evaluate(queries)
+        mesh = extract_surface(
+            model, model.centers, model.normals, 0.012, workers=workers
+        )
         elapsed = time.perf_counter() - t0
         digest = hashlib.sha256()
         digest.update(vals.tobytes())

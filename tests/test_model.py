@@ -201,13 +201,21 @@ class TestEvaluation:
         _, _, model = sphere_model
         rng = np.random.default_rng(3)
         x = random_unit_vectors(40000, rng) * rng.uniform(0.85, 1.15, (40000, 1))
-        with ImplicitField(model, workers=1) as f1:
-            v1, g1, d1 = f1.evaluate(x, want_gradient=True)
-        with ImplicitField(model, workers=2) as f2:
-            v2, g2, d2 = f2.evaluate(x, want_gradient=True)
+        v1, g1, d1 = ImplicitField(model, workers=1).evaluate(x, want_gradient=True)
+        v2, g2, d2 = ImplicitField(model, workers=2).evaluate(x, want_gradient=True)
         assert v1.tobytes() == v2.tobytes()
         assert g1.tobytes() == g2.tobytes()
         assert np.array_equal(d1, d2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_implicit_field_no_queries(self, sphere_model, workers):
+        _, _, model = sphere_model
+        field = ImplicitField(model, workers=workers)
+        v, g, defined = field.evaluate(np.empty((0, 3)), want_gradient=True)
+        assert v.shape == (0,) and g.shape == (0, 3)
+        assert defined.shape == (0,) and defined.dtype == bool
+        v, g, defined = field.evaluate(np.empty((0, 3)))
+        assert v.shape == (0,) and g is None and defined.shape == (0,) and defined.dtype == bool
 
 
 class TestCandidatePairs:
@@ -378,6 +386,35 @@ class TestIsosurfaceHelpers:
         s = np.einsum("ij,ij->i", roots - shuffled[1], shuffled[2] - shuffled[1]) / w**2
         assert np.all((s >= 0.0) & (s <= 1.0))
         np.testing.assert_allclose(shuffled[1] + s[:, None] * (shuffled[2] - shuffled[1]), roots, atol=1e-15)
+
+    def test_evaluators_agree_across_radius_bands(self):
+        # the lattice fill, the edge passes and the point queries each sum the
+        # field's per-pair terms.  With radii in several bands, a per-kernel
+        # scale that drifts in one of them moves its values or gradients away
+        # from the others'.  Raw gradients are compared because roots and unit
+        # normals do not change when the field is multiplied by a constant
+        _, _, model = tuned_model(two_density_sphere(800, 40, seed=5))
+        assert len(model.bands.groups) > 1
+        w = 0.03
+        origin = model.centers.min(axis=0) - 2 * w
+        table = LatticeTable(model, origin, w)
+        field = ImplicitField(model)
+        cells = np.unique(cells_near(model.centers, origin, w, 1), axis=0)
+        got = table.fetch(cells)
+        ref, _, defined = field.evaluate(origin + cells * w)
+        assert np.array_equal(defined, np.isfinite(got))
+        np.testing.assert_allclose(got[defined], ref[defined], rtol=0, atol=1e-14)
+        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, cells)
+        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        # roots inside supports from more than one band
+        qidx, cidx = _candidate_pairs(model.bands, roots)
+        first_band = np.isin(cidx, model.bands.groups[0]["idx"])
+        mixed = (np.bincount(qidx, first_band, len(roots)) > 0) & (np.bincount(qidx, ~first_band, len(roots)) > 0)
+        assert np.count_nonzero(mixed) > 100
+        _, ref_grads, defined = field.evaluate(roots, want_gradient=True)
+        assert np.all(defined)
+        err = np.linalg.norm(grads - ref_grads, axis=1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(ref_grads, axis=1))
 
     def test_brick_kernels_cover_edges(self):
         # brute force: every kernel whose support meets an edge whose lower
