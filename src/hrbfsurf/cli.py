@@ -12,6 +12,7 @@ from .pipeline import (
     NOISE_S_SCHEDULE,
     ReconConfig,
     StageError,
+    _timed,
     run_noise_bench,
     run_reconstruct,
     run_verify_bound,
@@ -103,16 +104,16 @@ def main(argv=None):
             if report.applicable and not report.holds:
                 return 1
         elif args.command == "noise-bench":
-            ps = load_points(args.input)
-            ref = load_mesh(args.reference_mesh)
+            ps = _timed({}, "load", load_points, args.input)
+            ref = _timed({}, "load", load_mesh, args.reference_mesh)
             cfg = _cfg_from(args)
             rows = run_noise_bench(ps, ref, args.levels, cfg,
                                    n_samples=args.samples, csv_path=args.csv)
             for row in rows:
                 print(",".join(f"{k}={v}" for k, v in row.items()))
         elif args.command == "select-centers":
-            ps = load_points(args.input)
-            norm_ps, _ = normalize_to_unit_box(ps)
+            ps = _timed({}, "load", load_points, args.input)
+            norm_ps, _ = _timed({}, "normalize", normalize_to_unit_box, ps)
             idx = build_octree(norm_ps)
             cover = select_centers(
                 norm_ps, idx,

@@ -286,9 +286,11 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     along its axis a, the squared distance at parameter s is
     |u|^2 + 2 u_a L s + L^2 s^2 and <g, x-c> is <g,u> + g_a L s, so each step
     costs one sqrt per pair instead of a fresh neighbor search.  Edges are
-    worked in chunks of one axis and about ``_EDGE_PAIRS`` pairs, and each
+    grouped by that brick and worked like the fill: each batch of
+    ``_FILL_BRICKS`` bricks lists its kernels once, on its own thread, and
+    cuts each axis's edges into chunks of about ``_EDGE_PAIRS`` pairs.  Each
     edge is summed by ``add.reduceat`` over its ascending pair list, so the
-    result depends neither on the chunking nor on the edge order.
+    result depends neither on the batching, the chunking nor the edge order.
 
     Returns (roots, gradients); gradients are nan where no support covers the
     root (callers substitute the edge direction).
@@ -306,42 +308,37 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
     axis = np.argmax(np.abs(seg), axis=1)
     length = seg[np.arange(n), axis]
     start = _cubic_start(table, corner, axis, length, f_neg, f_pos)
-    # edges sorted by axis, so that every chunk has a single one
-    order = np.argsort(axis, kind="stable")
-    axis, length, start = axis[order], length[order], start[order]
-    p_neg, f_neg, f_pos = p_neg[order], f_neg[order], f_pos[order]
-    cells = corner[order] - table.gmin
-    bricks, brick_of = np.unique(
-        np.ravel_multi_index(tuple((cells // _BRICK).T), tuple(table._nb)), return_inverse=True
-    )
-    counts, kernels = [], []
-    for b0 in range(0, len(bricks), _FILL_BRICKS):
-        batch = bricks[b0 : b0 + _FILL_BRICKS]
-        _, rows, kern = table._brick_kernels(batch)
-        counts.append(np.bincount(rows, minlength=len(batch)))
-        kernels.append(kern)
-    offsets = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    kernels = np.concatenate(kernels)
-    first = offsets[brick_of]
-    count = offsets[brick_of + 1] - first
+    # edges grouped by the brick holding their lower corner; a stable sort and
+    # a neighbour compare find each brick's run
+    brick = np.ravel_multi_index(tuple(((corner - table.gmin) // _BRICK).T), tuple(table._nb))
+    order = np.argsort(brick, kind="stable")
+    brick = brick[order]
+    bounds = np.append(np.flatnonzero(np.diff(brick, prepend=-1)), n)
     roots = np.empty((n, 3))
     grads = np.empty((n, 3))
 
     def run(sl):
-        # chunks hold disjoint edges, written back at their rows in the caller's order
-        c = count[sl]
-        qidx = np.repeat(np.arange(len(c)), c)
-        cidx = kernels[np.arange(len(qidx)) + np.repeat(first[sl] - np.cumsum(c) + c, c)]
-        roots[order[sl]], grads[order[sl]] = _edge_roots_chunk(
-            model, p_neg[sl], int(axis[sl.start]), length[sl], f_neg[sl], f_pos[sl], start[sl],
-            qidx, cidx, tol,
-        )
+        # a batch of bricks lists its kernels once; its chunks hold disjoint
+        # edges, written back at their rows in the caller's order
+        ends = bounds[sl.start : sl.stop + 1]
+        _, rows, kern = table._brick_kernels(brick[ends[:-1]])
+        offsets = np.searchsorted(rows, np.arange(len(ends)))
+        edges = order[ends[0] : ends[-1]]
+        row = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+        for a in range(3):
+            pick = np.flatnonzero(axis[edges] == a)
+            e, first = edges[pick], offsets[row[pick]]
+            count = offsets[row[pick] + 1] - first
+            cuts = _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS).tolist()
+            for c0, c1 in zip(cuts[:-1], cuts[1:]):
+                c, ec = count[c0:c1], e[c0:c1]
+                qidx = np.repeat(np.arange(c1 - c0), c)
+                cidx = kern[np.arange(len(qidx)) + np.repeat(first[c0:c1] - np.cumsum(c) + c, c)]
+                roots[ec], grads[ec] = _edge_roots_chunk(
+                    model, p_neg[ec], a, length[ec], f_neg[ec], f_pos[ec], start[ec], qidx, cidx, tol
+                )
 
-    cuts = np.union1d(
-        _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS),
-        np.searchsorted(axis, np.arange(4)),
-    )
-    _dispatch(run, [slice(a, b) for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())], workers)
+    _dispatch(run, [slice(b0, b0 + _FILL_BRICKS) for b0 in range(0, len(bounds) - 1, _FILL_BRICKS)], workers)
     return roots, grads
 
 

@@ -57,16 +57,11 @@ def _timed(diag, stage, fn, *args, **kwargs):
     return out
 
 
-def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
-    """Reconstruct a mesh from an in-memory oriented point set.
-
-    Returns (mesh in original coordinates, diagnostics dict).  The
-    diagnostics' ``warnings`` list names every result that came from a
-    path which would otherwise pass silently: support radii clamped at
-    ``RHO_HARD_CAP``, an ``eta_override`` (the error bound then need not
-    apply) and an empty mesh.
-    """
-    diag = {"n_input_points": len(ps), "s": cfg.s, "voxel_width": cfg.voxel_width}
+def _fit(ps: HermitePointSet, cfg: ReconConfig, diag):
+    """The fitting every driver shares: normalize, octree (and center
+    selection), tune and coefficients, each timed into ``diag``, which also
+    gains the tuning figures and a ``warnings`` list.  Returns (the
+    normalized points fitted, their transform, the tuning, the model)."""
     warnings = diag["warnings"] = []
     norm_ps, tfm = _timed(diag, "normalize", normalize_to_unit_box, ps)
 
@@ -94,7 +89,20 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     if cfg.eta_override is not None:
         warnings.append(f"eta_override = {cfg.eta_override:g} is set: the error bound need not apply")
     model = _timed(diag, "coefficients", build_model, working, tp)
+    return working, tfm, tp, model
 
+
+def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
+    """Reconstruct a mesh from an in-memory oriented point set.
+
+    Returns (mesh in original coordinates, diagnostics dict).  The
+    diagnostics' ``warnings`` list names every result that came from a
+    path which would otherwise pass silently: support radii clamped at
+    ``RHO_HARD_CAP``, an ``eta_override`` (the error bound then need not
+    apply) and an empty mesh.
+    """
+    diag = {"n_input_points": len(ps), "s": cfg.s, "voxel_width": cfg.voxel_width}
+    _, tfm, _, model = _fit(ps, cfg, diag)
     mesh = _timed(
         diag, "extract", extract_surface, model,
         model.centers, model.normals, cfg.voxel_width,
@@ -106,7 +114,7 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     diag["n_faces"] = mesh.n_faces
     diag["n_boundary_edges"] = boundary_edge_count(mesh)
     if mesh.n_faces == 0:
-        warnings.append("the mesh has no faces")
+        diag["warnings"].append("the mesh has no faces")
 
     inv = tfm.inverse()
     mesh = QuadMesh(inv.apply(mesh.vertices), mesh.faces, mesh.vertex_normals)
@@ -133,10 +141,7 @@ def run_reconstruct(cfg: ReconConfig):
 
 def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
     """Tune, build the quasi-solution, exact-solve, and report the error bound."""
-    norm_ps, _ = normalize_to_unit_box(ps)
-    idx = build_octree(norm_ps)
-    tp = tune_parameters(norm_ps, idx, cfg.s, cfg.noisy_mode, cfg.eta_override)
-    model = build_model(norm_ps, tp)
+    norm_ps, _, tp, model = _fit(ps, cfg, {})
     sys = exact.assemble(norm_ps, tp.rho, tp.eta, cap=cfg.exact_cap)
     res = exact.solve(sys)
     report = verify_error_bound(model, tp, res)
@@ -159,21 +164,14 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
     return report, row
 
 
-BOUND_CSV_FIELDS = [
-    "n", "eta", "a_bar", "bound", "measured_inf_error", "bound_a_posteriori",
-    "delta_a_inf", "d_inv_inf", "contraction_exact", "q", "applicable", "holds",
-    "method", "iterations",
-]
-
-
 def run_verify_bound(cfg: ReconConfig):
-    ps = load_points(cfg.input_path)
+    ps = _timed({}, "load", load_points, cfg.input_path)
     if len(ps) > cfg.exact_cap:
         raise StageError("verify-bound", f"n={len(ps)} exceeds exact-solver cap {cfg.exact_cap}")
     report, row = verify_bound_on_points(ps, cfg)
     if cfg.output_path:
         with open(cfg.output_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=BOUND_CSV_FIELDS)
+            writer = csv.DictWriter(fh, fieldnames=list(row))
             writer.writeheader()
             writer.writerow(row)
     return report, row

@@ -389,13 +389,25 @@ def test_extract_surface_chunk_invariant(sphere_model, monkeypatch):
     assert mesh.vertex_normals.tobytes() == ref.vertex_normals.tobytes()
 
 
-def test_extraction_memory_grows_with_surface():
+def test_extraction_memory_grows_with_surface(monkeypatch):
     # traced peak bytes of the search plus contour at two widths: halving w
     # quadruples the active voxels, and what that adds to the peak is the
-    # extraction's cost per active voxel
+    # extraction's cost per active voxel.  The peak inside axis_edge_roots
+    # above what is held at its call is taken the same way per edge
     _, _, model = tuned_model(sphere_points(3000, seed=4))
+    roots_fn, inner = dualcontour.axis_edge_roots, []
+
+    def traced_roots(table, corner, *args, **kwargs):
+        held, before = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = roots_fn(table, corner, *args, **kwargs)
+        inner.append((len(corner), tracemalloc.get_traced_memory()[1] - held, before))
+        return out
+
+    monkeypatch.setattr(dualcontour, "axis_edge_roots", traced_roots)
     runs = []
     for w in (0.02, 0.01):
+        inner.clear()
         tracemalloc.start()
         try:
             grid = collect_active_voxels(model, model.centers, model.normals, w)
@@ -405,10 +417,12 @@ def test_extraction_memory_grows_with_surface():
         finally:
             tracemalloc.stop()
         del grid
-        runs.append((n_active, peak))
-    (n0, peak0), (n1, peak1) = runs
+        (n_edges, growth, before), = inner
+        runs.append((n_active, max(peak, before), n_edges, growth))
+    (n0, peak0, e0, growth0), (n1, peak1, e1, growth1) = runs
     assert n1 > 3 * n0
     assert (peak1 - peak0) / (n1 - n0) <= 800
+    assert (growth1 - growth0) / (e1 - e0) <= 200
 
 
 def test_active_set_overflow(sphere_model):

@@ -365,7 +365,8 @@ class TestIsosurfaceHelpers:
 
     def test_axis_edge_roots_budget_and_order_bitwise(self, sphere_model, monkeypatch):
         # each edge is summed over its own pair run, so neither the chunk
-        # budget nor the order of the edges changes a bit of the result
+        # budget, the bricks per batch nor the order of the edges changes a
+        # bit of the result
         _, _, model = sphere_model
         w = 0.03
         origin = model.centers.min(axis=0) - 2 * w
@@ -376,11 +377,12 @@ class TestIsosurfaceHelpers:
         shuffled = tuple(x[perm] for x in edges)
         back = np.argsort(perm)
         results = []
-        for budget in (1 << 20, 1 << 16, 7):
+        for bricks, budget in ((1024, 1 << 20), (1, 1 << 16), (3, 1 << 16), (1024, 1 << 16), (1024, 7)):
+            monkeypatch.setattr("hrbfsurf.model._FILL_BRICKS", bricks)
             monkeypatch.setattr("hrbfsurf.model._EDGE_PAIRS", budget)
             roots, grads = axis_edge_roots(table, *shuffled, ROOT_TOL)
             results.append((roots[back].tobytes(), grads[back].tobytes()))
-        assert results[0] == results[1] == results[2]
+        assert all(r == results[0] for r in results)
         # at a budget of 7 every edge is a chunk of its own, and each root
         # still comes back on the caller's edge
         s = np.einsum("ij,ij->i", roots - shuffled[1], shuffled[2] - shuffled[1]) / w**2

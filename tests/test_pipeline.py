@@ -17,7 +17,7 @@ from hrbfsurf.pipeline import (
     write_diagnostics,
 )
 from hrbfsurf.model import RHO_HARD_CAP
-from hrbfsurf.pointset import HermitePointSet, load_mesh, save_points
+from hrbfsurf.pointset import HermitePointSet, load_mesh, save_mesh, save_points
 from hrbfsurf.sampling import icosphere, sphere_points
 
 
@@ -177,6 +177,28 @@ def test_cli_reconstruct_missing_input_exit_code(tmp_path, capsys):
     code = cli_main(["reconstruct", str(tmp_path / "no.xyz"), str(tmp_path / "o.obj")])
     assert code == 2
     assert "[load]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify-bound", "noise-bench", "select-centers"])
+@pytest.mark.parametrize(
+    "text, stage",
+    [("0 0 0 0 0\n", "[load]"), ("0.5 0.5 0.5 0 0 1\n" * 12, "[normalize]")],
+    ids=["malformed", "coincident"],
+)
+def test_cli_bad_input_exit_code(tmp_path, capsys, command, text, stage):
+    # exit code 1 is kept for a bound that does not hold; bad input is a
+    # stage failure (2) on every subcommand, named by its stage
+    src = tmp_path / "in.xyz"
+    src.write_text(text)
+    ref = tmp_path / "ref.obj"
+    save_mesh(icosphere(subdivisions=1), ref)
+    extra = {
+        "reconstruct": [str(tmp_path / "o.obj")],
+        "noise-bench": [str(ref), "--levels", "0"],
+        "select-centers": ["--csv", str(tmp_path / "c.csv")],
+    }.get(command, [])
+    assert cli_main([command, str(src), *extra]) == 2
+    assert stage in capsys.readouterr().err
 
 
 def test_cli_verify_bound(tmp_path, sphere_ps, capsys):
