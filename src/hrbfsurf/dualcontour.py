@@ -17,14 +17,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import ROOT_TOL, HrbfModel, LatticeTable, _unique, axis_edge_roots
+from .model import ROOT_TOL, HrbfModel, LatticeTable, _unique, axis_edge_roots, edge_records
 from .pointset import QuadMesh
 
 QEF_REG = 1e-3
 DEFAULT_MAX_ACTIVE = 5_000_000
 SEED_STEPS = 3  # normal probes per side when seeding the active-voxel search
 _FETCH_VOXELS = 1 << 14  # voxels per corner fetch in the search; bounds its scratch arrays
-_QEF_VOXELS = 1 << 16  # voxel rows per QEF chunk; bounds the per-incidence arrays
+_QEF_VOXELS = 1 << 14  # voxel rows per QEF chunk; bounds the per-incidence arrays
+_MAX_INCIDENCES = 2**31 - 1  # (voxel, edge) incidences; voxel rows and edge indices are int32
 
 # corner index = dx*4 + dy*2 + dz
 _CORNER_OFFSETS = np.array(
@@ -73,6 +74,13 @@ class ActiveSetOverflow(MemoryError):
             f"active voxel set exceeds the cap at width {width:g}; retry with w >= {suggested:g}"
         )
         self.suggested_width = suggested
+
+
+class IncidenceOverflow(MemoryError):
+    def __init__(self, count):
+        super().__init__(
+            f"{count} (voxel, edge) incidences overflow contour's int32 indices; retry with a larger width"
+        )
 
 
 def _sign_change(values):
@@ -152,23 +160,22 @@ def collect_active_voxels(
     return VoxelGrid(table, np.concatenate(active_coords), np.concatenate(active_vals))
 
 
-def _batch_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol, workers=1):
-    """Roots and unit normals on sign-change lattice edges with lower corners
-    ``corner``; p_neg holds the negative endpoints and f_neg, f_pos the values
-    at the two ends.  ``tol`` is a fraction of the edge length.
+def _batch_edge_roots(table: LatticeTable, edges, tol, workers=1):
+    """Roots and unit normals on sign-change lattice edges, an array of
+    ``model.EDGE_RECORD``.  ``tol`` is a fraction of the edge length.
 
-    Where no support covers a root, or the gradient vanishes, the normal is the
-    edge direction.
+    Where no support covers a root, or the gradient vanishes, the normal is
+    +-e_axis, pointing from the negative end to the positive end.
     """
-    mid, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, tol, workers=workers)
+    roots, grads = axis_edge_roots(table, edges, tol, workers=workers)
     norms = np.linalg.norm(grads, axis=1)
-    bad = ~np.isfinite(norms) | (norms < 1e-12)
-    if bad.any():
-        edge_dir = p_pos[bad] - p_neg[bad]
-        edge_dir /= np.maximum(np.linalg.norm(edge_dir, axis=1, keepdims=True), 1e-300)
-        grads[bad] = edge_dir
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms < 1e-12))
+    if len(bad):
+        grads[bad] = 0.0
+        grads[bad, edges["axis"][bad]] = np.where(edges["up"][bad], 1.0, -1.0)
         norms[bad] = 1.0
-    return mid, grads / norms[:, None]
+    grads /= norms[:, None]
+    return roots, grads
 
 
 def _qef_vertices(rows, q, nrm, grid, coords):
@@ -202,62 +209,79 @@ def _qef_vertices(rows, q, nrm, grid, coords):
     return verts, vnorm
 
 
-def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
-    """Vertices from QEF minimization plus one quad per interior isosurface edge."""
-    table = grid.table
-    w = grid.width
-    if grid.n_active == 0:
-        return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
-    coords = grid.coords
-    vals = grid.corner_values
-    m_vox = len(coords)
+def _unique_edges(grid: VoxelGrid):
+    """The sign-change edges of the active voxels, each once.
 
-    # unique sign-change edges, keyed by the lower corner's table key and the
-    # axis; an incidence keeps only its key, its voxel row and its edge number
-    vox_rows, edge_keys, edge_ids = [], [], []
-    for e, (ca, cb, axis) in enumerate(_EDGES):
+    Returns (vox_rows, starts, inverse, edges).  The (voxel, edge)
+    incidences come in groups by voxel edge number (``starts`` bounds the
+    groups), ascending in voxel row within each group; ``vox_rows`` holds
+    each incidence's voxel row and ``inverse`` the row of its edge in
+    ``edges``, an array of ``EDGE_RECORD`` in edge key order: the lower
+    corner's table key, then the axis.  Each edge is taken from its first
+    incidence.  Rows and indices are int32.
+    """
+    table, coords, vals = grid.table, grid.coords, grid.corner_values
+    vox_rows, keys = [], []
+    for ca, cb, axis in _EDGES:
         rows = np.flatnonzero((vals[:, ca] < 0) != (vals[:, cb] < 0))
-        edge_keys.append(table.keys(coords[rows] + _CORNER_OFFSETS[ca]) * 4 + axis)
-        vox_rows.append(rows)
-        edge_ids.append(np.full(len(rows), e, dtype=np.int8))
-    edge_keys = np.concatenate(edge_keys)
-    if len(edge_keys) == 0:
-        return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
+        keys.append(table.keys(coords[rows] + _CORNER_OFFSETS[ca]) * 4 + axis)
+        vox_rows.append(rows.astype(np.int32))
+    starts = np.cumsum([0] + [len(rows) for rows in vox_rows])
+    if starts[-1] > _MAX_INCIDENCES:
+        raise IncidenceOverflow(int(starts[-1]))
     vox_rows = np.concatenate(vox_rows)
-    _, first, inverse = np.unique(edge_keys, return_index=True, return_inverse=True)
-    u_row = vox_rows[first]
-    u_edge = _EDGES[np.concatenate(edge_ids)[first]]
-    del edge_keys, edge_ids, first  # the incidences keep only their voxel rows
-    u_lo = coords[u_row] + _CORNER_OFFSETS[u_edge[:, 0]]
-    u_axis = u_edge[:, 2]
-    u_vlo = vals[u_row, u_edge[:, 0]]
-    u_vhi = vals[u_row, u_edge[:, 1]]
-    del u_row, u_edge
-    p_neg = grid.corner_position(u_lo)
-    p_pos = p_neg.copy()
-    up = u_vlo < 0  # the negative end is the lower corner
-    p_pos[np.flatnonzero(up), u_axis[up]] += w
-    p_neg[np.flatnonzero(~up), u_axis[~up]] += w
-    f_neg, f_pos = np.minimum(u_vlo, u_vhi), np.maximum(u_vlo, u_vhi)
-    roots, root_normals = _batch_edge_roots(table, u_lo, p_neg, p_pos, f_neg, f_pos, ROOT_TOL, workers)
-    table.clear()  # later reads fill bricks again; the QEF arrays need the room
+    keys = np.concatenate(keys)
 
-    # QEF accumulation per voxel over its (voxel, unique edge) incidences, in
-    # chunks of voxel rows.  The stable sort keeps each voxel's incidences in
-    # their order above, the order in which bincount adds them, so the sums do
-    # not depend on the chunking
-    order = np.argsort(vox_rows, kind="stable")
-    bounds = np.searchsorted(vox_rows[order], np.arange(0, m_vox + _QEF_VOXELS, _QEF_VOXELS))
+    # a stable argsort and a neighbour compare; np.unique with index and
+    # inverse takes a slower path
+    order = np.argsort(keys, kind="stable")
+    keys.sort()
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    del keys
+    inverse = np.empty(len(order), dtype=np.int32)
+    inverse[order] = np.cumsum(new, dtype=np.int32) - 1
+    first = order[new]
+    del order, new
+
+    row = vox_rows[first]
+    e = np.searchsorted(starts, first, side="right") - 1  # the voxel edge number
+    del first
+    corner = coords[row]
+    corner += _CORNER_OFFSETS[_EDGES[e, 0]]
+    v_lo, v_hi = vals[row, _EDGES[e, 0]], vals[row, _EDGES[e, 1]]
+    del row
+    edges = edge_records(corner, _EDGES[e, 2], v_lo < 0, np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi))
+    return vox_rows, starts, inverse, edges
+
+
+def _chunked_qef(grid: VoxelGrid, vox_rows, starts, inverse, roots, normals):
+    """Vertices and vertex normals from the incidences of ``_unique_edges``
+    and their edges' roots and normals, ``_QEF_VOXELS`` voxel rows at a time.
+
+    A chunk is one slice of each incidence group.  Taken group by group, each
+    voxel's incidences keep their order, the order in which bincount adds
+    them, so the sums do not depend on the chunking.
+    """
+    m_vox = grid.n_active
+    cuts = [
+        s + np.searchsorted(vox_rows[s:t], np.arange(0, m_vox + _QEF_VOXELS, _QEF_VOXELS))
+        for s, t in zip(starts[:-1], starts[1:])
+    ]
     verts = np.empty((m_vox, 3))
     vnorm = np.empty((m_vox, 3))
-    for r0, i0, i1 in zip(range(0, m_vox, _QEF_VOXELS), bounds[:-1], bounds[1:]):
-        inc = order[i0:i1]
+    for k, r0 in enumerate(range(0, m_vox, _QEF_VOXELS)):
+        inc = np.concatenate([np.arange(c[k], c[k + 1]) for c in cuts])
+        at = inverse[inc]
         verts[r0 : r0 + _QEF_VOXELS], vnorm[r0 : r0 + _QEF_VOXELS] = _qef_vertices(
-            vox_rows[inc] - r0, roots[inverse[inc]], root_normals[inverse[inc]],
-            grid, coords[r0 : r0 + _QEF_VOXELS],
+            vox_rows[inc] - r0, roots[at], normals[at], grid, grid.coords[r0 : r0 + _QEF_VOXELS],
         )
+    return verts, vnorm
 
-    # quads: all four voxels around an interior edge must be active
+
+def _quads(table: LatticeTable, coords, edges):
+    """One quad of voxel rows per interior sign-change edge; an edge with a
+    voxel around it that is not active is an open boundary."""
     pk = table.keys(coords)
     sort_order = np.argsort(pk)
     sorted_keys = pk[sort_order]
@@ -269,20 +293,28 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
 
     faces = []
     for axis in (0, 1, 2):
-        sel = u_axis == axis
+        sel = edges["axis"] == axis
         if not sel.any():
             continue
-        lo = u_lo[sel]
-        increasing = u_vhi[sel] > u_vlo[sel]  # field grows along +axis
-        quad_rows = lookup(table.keys(lo[:, None, :] + _AXIS_RING[axis][None, :, :]))
-        complete = np.all(quad_rows >= 0, axis=1)  # else open boundary
+        lo = edges["corner"][sel]
+        quad_rows = np.stack([lookup(table.keys(lo + ring)) for ring in _AXIS_RING[axis]], axis=1)
+        complete = np.all(quad_rows >= 0, axis=1)
         quad_rows = quad_rows[complete]
-        flip = ~increasing[complete]
+        flip = ~edges["up"][sel][complete]  # the field falls along +axis
         quad_rows[flip] = quad_rows[flip, ::-1]
         faces.append(quad_rows)
+    return np.concatenate(faces, axis=0) if faces else np.empty((0, 4), np.int64)
 
-    faces = np.concatenate(faces, axis=0) if faces else np.empty((0, 4), np.int64)
-    return QuadMesh(verts, faces, vertex_normals=vnorm)
+
+def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
+    """Vertices from QEF minimization plus one quad per interior isosurface edge."""
+    vox_rows, starts, inverse, edges = _unique_edges(grid)
+    if len(edges) == 0:
+        return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
+    roots, normals = _batch_edge_roots(grid.table, edges, ROOT_TOL, workers)  # clears the table
+    verts, vnorm = _chunked_qef(grid, vox_rows, starts, inverse, roots, normals)
+    del vox_rows, inverse, roots, normals  # the quads need the room
+    return QuadMesh(verts, _quads(grid.table, grid.coords, edges), vertex_normals=vnorm)
 
 
 def extract_surface(
@@ -297,22 +329,24 @@ def extract_surface(
     return contour(grid, workers=workers)
 
 
-def _face_edges(faces):
-    k = faces.shape[1]
-    pairs = []
+def _face_edge_keys(faces, n_vertices):
+    """Key min * n_vertices + max of each face side, side by side: (k * nf,),
+    face index = position % nf."""
+    nf, k = faces.shape
+    keys = np.empty(k * nf, dtype=np.int64)
     for a in range(k):
-        b = (a + 1) % k
-        e = np.stack([faces[:, a], faces[:, b]], axis=1)
-        pairs.append(np.sort(e, axis=1))
-    return np.concatenate(pairs, axis=0)  # (k * nf, 2), face index = row % nf
+        u, v, out = faces[:, a], faces[:, (a + 1) % k], keys[a * nf : (a + 1) * nf]
+        np.minimum(u, v, out=out)
+        out *= n_vertices
+        out += np.maximum(u, v)
+    return keys
 
 
 def boundary_edge_count(mesh: QuadMesh):
     """Edges used by exactly one face (zero on a closed mesh)."""
     if mesh.n_faces == 0:
         return 0
-    edges = _face_edges(mesh.faces)
-    _, counts = np.unique(edges[:, 0] * mesh.n_vertices + edges[:, 1], return_counts=True)
+    _, counts = np.unique(_face_edge_keys(mesh.faces, mesh.n_vertices), return_counts=True)
     return int(np.count_nonzero(counts == 1))
 
 
@@ -321,12 +355,13 @@ def face_components(mesh: QuadMesh):
     nf = mesh.n_faces
     if nf == 0:
         return np.empty(0, dtype=np.int64)
-    edges = _face_edges(mesh.faces)
-    face_ids = np.tile(np.arange(nf), mesh.faces.shape[1])
-    keys = edges[:, 0] * mesh.n_vertices + edges[:, 1]
+    keys = _face_edge_keys(mesh.faces, mesh.n_vertices)
     order = np.argsort(keys, kind="stable")
-    keys, face_ids = keys[order], face_ids[order]
+    keys.sort()
     same = keys[1:] == keys[:-1]
+    del keys
+    face_ids = (order % nf).astype(np.int32 if nf < 2**31 else np.int64)
+    del order
     src = face_ids[:-1][same]
     dst = face_ids[1:][same]
     graph = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(nf, nf))

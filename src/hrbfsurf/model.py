@@ -271,49 +271,83 @@ def _unique(keys):
     return keys[first]
 
 
-def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol, workers=1):
-    """Roots on axis-aligned lattice edges; p_neg holds the negative endpoints.
+# one sign-change lattice edge: the integer lattice coords of its lower corner,
+# its axis, whether its negative end is the lower corner (``up``) and the
+# field values at its negative and positive ends
+EDGE_RECORD = np.dtype(
+    [("corner", np.int64, (3,)), ("f_neg", np.float64), ("f_pos", np.float64), ("axis", np.int8), ("up", np.bool_)],
+    align=True,
+)
 
-    ``corner`` holds the integer lattice coords of each edge's lower end,
-    which must lie inside the table, and ``f_neg``/``f_pos`` the field values
-    at the two ends.  Each edge starts from ``_cubic_start``, which reads the
-    table one edge beyond both ends.  ``tol`` is a fraction of the edge
-    length: an edge stops once its next step would move by at most that
-    much.  An edge lies in the closed cube of the brick holding its lower
-    corner, so that brick's kernel listing supplies its candidates, and the
-    iteration reduces to scalar work per (edge, kernel) pair: with
-    u = p_neg - c and L the signed edge length
-    along its axis a, the squared distance at parameter s is
+
+def edge_records(corner, axis, up, f_neg, f_pos):
+    """Sign-change lattice edges as an array of ``EDGE_RECORD``."""
+    edges = np.empty(len(f_neg), EDGE_RECORD)
+    edges["corner"], edges["axis"], edges["up"] = corner, axis, up
+    edges["f_neg"], edges["f_pos"] = f_neg, f_pos
+    return edges
+
+
+def _edge_ends(table, edges, a):
+    """Negative ends (n, 3) and signed lengths along their axis ``a`` of
+    ``EDGE_RECORD`` edges: the lower end lies at origin + corner * w and the
+    upper one w further along the axis, so a length is fl(x + w) - x or its
+    negative."""
+    p_neg = table.origin + edges["corner"] * table.width
+    x = p_neg[:, a]
+    x_hi = x + table.width
+    length = x_hi - x
+    down = ~edges["up"]
+    p_neg[down, a] = x_hi[down]
+    np.negative(length, out=length, where=down)
+    return p_neg, length
+
+
+def axis_edge_roots(table: LatticeTable, edges, tol, workers=1):
+    """Roots on sign-change lattice edges, given as an array of ``EDGE_RECORD``.
+
+    Each edge's lower corner must lie inside the table.  Each edge starts
+    from ``_cubic_start``, which reads the table one edge beyond both ends;
+    its ``fetch`` fills bricks, so it runs here in serial slices of
+    ``_EVAL_CHUNK`` edges, before the batches go to the threads.  The
+    batches read no cell values, so the table is cleared once the starts
+    are known, and its bricks' room goes to their scratch.  ``tol`` is
+    a fraction of the edge length: an edge stops once its next step would
+    move by at most that much.  An edge lies in the closed cube of the brick
+    holding its lower corner, so that brick's kernel listing supplies its
+    candidates, and the iteration reduces to scalar work per (edge, kernel)
+    pair: with u = p_neg - c for the negative end p_neg and L the signed edge
+    length along its axis a, the squared distance at parameter s is
     |u|^2 + 2 u_a L s + L^2 s^2 and <g, x-c> is <g,u> + g_a L s, so each step
-    costs one sqrt per pair instead of a fresh neighbor search.  Edges are
-    grouped by that brick and worked like the fill: each batch of
-    ``_FILL_BRICKS`` bricks lists its kernels once, on its own thread, and
-    cuts each axis's edges into chunks of about ``_EDGE_PAIRS`` pairs.  Each
-    edge is summed by ``add.reduceat`` over its ascending pair list, so the
-    result depends neither on the batching, the chunking nor the edge order.
+    costs one sqrt per pair instead of a fresh neighbor search.  Ends and
+    lengths are formed per chunk by ``_edge_ends``.  Edges are grouped by
+    that brick and worked like the fill: each batch of ``_FILL_BRICKS``
+    bricks lists its kernels once, on its own thread, and cuts each axis's
+    edges into chunks of about ``_EDGE_PAIRS`` pairs.  Each edge is summed
+    by ``add.reduceat`` over its ascending pair list, so the result depends
+    neither on the slicing, the batching, the chunking nor the edge order.
 
     Returns (roots, gradients); gradients are nan where no support covers the
     root (callers substitute the edge direction).
     """
     model = table.model
-    p_neg = np.asarray(p_neg, dtype=np.float64).reshape(-1, 3)
-    p_pos = np.asarray(p_pos, dtype=np.float64).reshape(-1, 3)
-    f_neg = np.asarray(f_neg, dtype=np.float64).reshape(-1)
-    f_pos = np.asarray(f_pos, dtype=np.float64).reshape(-1)
-    n = len(p_neg)
+    n = len(edges)
     if n == 0:
         return np.empty((0, 3)), np.empty((0, 3))
-    corner = np.asarray(corner, dtype=np.int64).reshape(-1, 3)
-    seg = p_pos - p_neg
-    axis = np.argmax(np.abs(seg), axis=1)
-    length = seg[np.arange(n), axis]
-    start = _cubic_start(table, corner, axis, length, f_neg, f_pos)
-    # edges grouped by the brick holding their lower corner; a stable sort and
-    # a neighbour compare find each brick's run
-    brick = np.ravel_multi_index(tuple(((corner - table.gmin) // _BRICK).T), tuple(table._nb))
+    start = np.empty(n)
+    brick = np.empty(n, np.int64)  # the brick holding each lower corner
+    for e0 in range(0, n, _EVAL_CHUNK):
+        part = edges[e0 : e0 + _EVAL_CHUNK]
+        start[e0 : e0 + _EVAL_CHUNK] = _cubic_start(table, part)
+        cell = (part["corner"] - table.gmin) // _BRICK
+        brick[e0 : e0 + _EVAL_CHUNK] = np.ravel_multi_index(tuple(cell.T), tuple(table._nb))
+    table.clear()
+    # edges grouped by brick; a stable sort and a neighbour compare find each
+    # brick's run
     order = np.argsort(brick, kind="stable")
     brick = brick[order]
     bounds = np.append(np.flatnonzero(np.diff(brick, prepend=-1)), n)
+    axis = edges["axis"]
     roots = np.empty((n, 3))
     grads = np.empty((n, 3))
 
@@ -323,19 +357,21 @@ def axis_edge_roots(table: LatticeTable, corner, p_neg, p_pos, f_neg, f_pos, tol
         ends = bounds[sl.start : sl.stop + 1]
         _, rows, kern = table._brick_kernels(brick[ends[:-1]])
         offsets = np.searchsorted(rows, np.arange(len(ends)))
-        edges = order[ends[0] : ends[-1]]
+        ids = order[ends[0] : ends[-1]]
         row = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
         for a in range(3):
-            pick = np.flatnonzero(axis[edges] == a)
-            e, first = edges[pick], offsets[row[pick]]
+            pick = np.flatnonzero(axis[ids] == a)
+            e, first = ids[pick], offsets[row[pick]]
             count = offsets[row[pick] + 1] - first
             cuts = _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS).tolist()
             for c0, c1 in zip(cuts[:-1], cuts[1:]):
                 c, ec = count[c0:c1], e[c0:c1]
                 qidx = np.repeat(np.arange(c1 - c0), c)
                 cidx = kern[np.arange(len(qidx)) + np.repeat(first[c0:c1] - np.cumsum(c) + c, c)]
+                chunk = edges[ec]
+                p_neg, length = _edge_ends(table, chunk, a)
                 roots[ec], grads[ec] = _edge_roots_chunk(
-                    model, p_neg[ec], a, length[ec], f_neg[ec], f_pos[ec], start[ec], qidx, cidx, tol
+                    model, p_neg, a, length, chunk["f_neg"], chunk["f_pos"], start[ec], qidx, cidx, tol
                 )
 
     _dispatch(run, [slice(b0, b0 + _FILL_BRICKS) for b0 in range(0, len(bounds) - 1, _FILL_BRICKS)], workers)
@@ -357,8 +393,8 @@ def _dispatch(run, slices, workers):
             job.result()
 
 
-def _cubic_start(table, corner, axis, length, f_neg, f_pos):
-    """First point s in [0, 1] on each edge, with s = 0 at the negative end.
+def _cubic_start(table, edges):
+    """First point s in [0, 1] on each ``EDGE_RECORD`` edge, with s = 0 at the negative end.
 
     The cells one edge beyond both ends give the field at s = -1 and 2
     (``fetch`` fills the bricks the search left unfilled).  The start is the
@@ -367,9 +403,9 @@ def _cubic_start(table, corner, axis, length, f_neg, f_pos):
     nan (outside the table or every support) or where the steps end at a
     point that is not finite or lies outside [0, 1].
     """
-    step = np.eye(3, dtype=np.int64)[axis]
+    corner, up, f_neg, f_pos = edges["corner"], edges["up"], edges["f_neg"], edges["f_pos"]
+    step = np.eye(3, dtype=np.int64)[edges["axis"]]
     below, above = table.fetch(corner - step), table.fetch(corner + 2 * step)
-    up = length > 0  # the negative end is the lower corner
     f_before, f_after = np.where(up, below, above), np.where(up, above, below)
     linear = -f_neg / (f_pos - f_neg)
     # the cubic is f_neg + s (c1 + s (c2 + s c3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hrbfsurf.model import build_model, tune_parameters
+from hrbfsurf.model import build_model, edge_records, tune_parameters
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import normalize_to_unit_box
 from hrbfsurf.sampling import sphere_points, torus_points
@@ -37,23 +37,25 @@ def random_unit_vectors(n, rng):
 
 def sign_change_edges(table, cells):
     """Lattice edges from ``cells`` along +x, +y and +z whose ends are defined
-    and differ in sign: (lower corners, negative ends, positive ends, values
-    at the negative ends, values at the positive ends)."""
+    and differ in sign: (``EDGE_RECORD`` array, negative ends, positive ends).
+    The lower end lies at origin + corner * w and the upper one w further
+    along the axis."""
     cells = np.unique(np.asarray(cells, dtype=np.int64).reshape(-1, 3), axis=0)
-    corner, p_neg, p_pos, f_neg, f_pos = [], [], [], [], []
-    for axis in range(3):
-        upper = cells + np.eye(3, dtype=np.int64)[axis]
-        va, vb = table.fetch(cells), table.fetch(upper)
+    corner, axis, f_lo, f_hi = [], [], [], []
+    for a in range(3):
+        va, vb = table.fetch(cells), table.fetch(cells + np.eye(3, dtype=np.int64)[a])
         hit = np.isfinite(va) & np.isfinite(vb) & ((va < 0) != (vb < 0))
-        a = table.origin + cells[hit] * table.width
-        b = table.origin + upper[hit] * table.width
-        neg = (va[hit] < 0)[:, None]
         corner.append(cells[hit])
-        p_neg.append(np.where(neg, a, b))
-        p_pos.append(np.where(neg, b, a))
-        f_neg.append(np.where(neg[:, 0], va[hit], vb[hit]))
-        f_pos.append(np.where(neg[:, 0], vb[hit], va[hit]))
-    return tuple(np.concatenate(x) for x in (corner, p_neg, p_pos, f_neg, f_pos))
+        axis.append(np.full(np.count_nonzero(hit), a))
+        f_lo.append(va[hit])
+        f_hi.append(vb[hit])
+    corner, axis, f_lo, f_hi = (np.concatenate(x) for x in (corner, axis, f_lo, f_hi))
+    up = f_lo < 0
+    edges = edge_records(corner, axis, up, np.where(up, f_lo, f_hi), np.where(up, f_hi, f_lo))
+    lo = table.origin + corner * table.width
+    hi = lo.copy()
+    hi[np.arange(len(hi)), axis] += table.width
+    return edges, np.where(up[:, None], lo, hi), np.where(up[:, None], hi, lo)
 
 
 def cells_near(points, origin, width, reach):

@@ -12,6 +12,7 @@ from hrbfsurf.dualcontour import (
     _EDGES,
     SEED_STEPS,
     ActiveSetOverflow,
+    IncidenceOverflow,
     QuadMesh,
     VoxelGrid,
     _batch_edge_roots,
@@ -24,7 +25,7 @@ from hrbfsurf.dualcontour import (
     remove_small_fragments,
 )
 from hrbfsurf.metrics import NoiseSpec, estimate_normals_pca, inject_noise
-from hrbfsurf.model import _BRICK, ROOT_TOL, ImplicitField, LatticeTable, model_from_arrays
+from hrbfsurf.model import _BRICK, ROOT_TOL, ImplicitField, LatticeTable, edge_records, model_from_arrays
 from hrbfsurf.pipeline import ReconConfig, StageError, reconstruct_points
 from hrbfsurf.pointset import HermitePointSet, normalize_to_unit_box
 from hrbfsurf.sampling import sphere_points, two_density_sphere
@@ -121,13 +122,31 @@ def test_batch_edge_roots_match_scalar(sphere_model):
     table = LatticeTable(sphere_model, origin, w)
     edges = sign_change_edges(table, cells_near(sphere_model.centers[:40], origin, w, 1))
     rows = np.random.default_rng(0).choice(len(edges[0]), 50, replace=False)
-    corner, p_neg, p_pos, f_neg, f_pos = (x[rows] for x in edges)
-    roots, normals = _batch_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, tol=1e-12)
+    edges, p_neg, p_pos = (x[rows] for x in edges)
+    roots, normals = _batch_edge_roots(table, edges, tol=1e-12)
     field = ImplicitField(sphere_model)
-    for i in range(len(corner)):
+    for i in range(len(edges)):
         hit = edge_root(field, p_neg[i], p_pos[i], tol=1e-12)
         np.testing.assert_allclose(roots[i], hit.position, atol=1e-9)
         np.testing.assert_allclose(normals[i], hit.normal, atol=1e-9)
+
+
+def test_batch_edge_roots_fallback_normal():
+    # one kernel at the origin with a zero normal: the field is 0 wherever it
+    # is defined.  Edges from cell (0, 0, 0) lie in its support, where the
+    # gradient is exactly zero; edges from the table's first cell lie outside
+    # it, where the gradient is nan.  Both get +-e_axis as their normal,
+    # pointing from the negative end to the positive end
+    model = model_from_arrays([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]], 0.5, 1.0)
+    table = LatticeTable(model, np.zeros(3), 0.1)
+    corner = np.repeat([[0, 0, 0], table.gmin], 6, axis=0)
+    axis = np.tile(np.repeat([0, 1, 2], 2), 2)
+    up = np.tile([True, False], 6)
+    edges = edge_records(corner, axis, up, np.full(12, -1.0), np.full(12, 1.0))
+    _, grads = dualcontour.axis_edge_roots(table, edges, ROOT_TOL)
+    assert np.all(grads[:6] == 0.0) and np.all(np.isnan(grads[6:]))
+    _, normals = _batch_edge_roots(table, edges, ROOT_TOL)
+    assert np.array_equal(normals, np.where(up, 1.0, -1.0)[:, None] * np.eye(3)[axis])
 
 
 def test_place_vertex_three_planes():
@@ -219,23 +238,18 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
     _, grid, mesh = sphere_grid_and_mesh
     w = grid.width
     corners = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
-    rows, lower, p_neg, p_pos, f_neg, f_pos = [], [], [], [], [], []
+    rows, lower, axes, up, f_neg, f_pos = [], [], [], [], [], []
     for ca, cb, axis in _EDGES:
         va, vb = grid.corner_values[:, ca], grid.corner_values[:, cb]
         for row in np.flatnonzero((va < 0) != (vb < 0)):
-            a = grid.corner_position(corners[row, ca])
-            b = a.copy()
-            b[axis] += w
             rows.append(row)
             lower.append(corners[row, ca])
-            p_neg.append(a if va[row] < 0 else b)
-            p_pos.append(b if va[row] < 0 else a)
+            axes.append(axis)
+            up.append(va[row] < 0)
             f_neg.append(min(va[row], vb[row]))
             f_pos.append(max(va[row], vb[row]))
     rows = np.array(rows)
-    roots, normals = _batch_edge_roots(
-        grid.table, lower, np.array(p_neg), np.array(p_pos), f_neg, f_pos, ROOT_TOL
-    )
+    roots, normals = _batch_edge_roots(grid.table, edge_records(lower, axes, up, f_neg, f_pos), ROOT_TOL)
     for row in range(grid.n_active):
         lo = grid.corner_position(grid.coords[row])
         sel = rows == row
@@ -377,16 +391,31 @@ def test_canonical_mesh_digest_ignores_vertex_order():
 
 
 def test_extract_surface_chunk_invariant(sphere_model, monkeypatch):
-    # QEF chunks of a few voxel rows and corner fetches of a few voxels give
-    # the same bytes as the default chunks
+    # QEF chunks of a few voxel rows, cubic starts over slices of a few edges
+    # and corner fetches of a few voxels give the same roots, gradients and
+    # mesh bytes as the default chunks
+    roots_fn, found = dualcontour.axis_edge_roots, []
+    monkeypatch.setattr(dualcontour, "axis_edge_roots", lambda *a, **k: found.append(roots_fn(*a, **k)) or found[-1])
     ref = extract_surface(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
     monkeypatch.setattr(dualcontour, "_QEF_VOXELS", 5)
     monkeypatch.setattr(dualcontour, "_FETCH_VOXELS", 3)
+    monkeypatch.setattr("hrbfsurf.model._EVAL_CHUNK", 4)
     mesh = extract_surface(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
     assert mesh.n_vertices > 1000
+    (ref_roots, ref_grads), (roots, grads) = found
+    assert roots.tobytes() == ref_roots.tobytes()
+    assert grads.tobytes() == ref_grads.tobytes()
     assert mesh.vertices.tobytes() == ref.vertices.tobytes()
     assert mesh.faces.tobytes() == ref.faces.tobytes()
     assert mesh.vertex_normals.tobytes() == ref.vertex_normals.tobytes()
+
+
+def test_contour_incidence_overflow(sphere_grid_and_mesh, monkeypatch):
+    # voxel rows and edge indices are int32, so contour refuses more incidences
+    _, grid, _ = sphere_grid_and_mesh
+    monkeypatch.setattr(dualcontour, "_MAX_INCIDENCES", 100)
+    with pytest.raises(IncidenceOverflow):
+        contour(grid)
 
 
 def test_extraction_memory_grows_with_surface(monkeypatch):
@@ -397,11 +426,11 @@ def test_extraction_memory_grows_with_surface(monkeypatch):
     _, _, model = tuned_model(sphere_points(3000, seed=4))
     roots_fn, inner = dualcontour.axis_edge_roots, []
 
-    def traced_roots(table, corner, *args, **kwargs):
+    def traced_roots(table, edges, *args, **kwargs):
         held, before = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out = roots_fn(table, corner, *args, **kwargs)
-        inner.append((len(corner), tracemalloc.get_traced_memory()[1] - held, before))
+        out = roots_fn(table, edges, *args, **kwargs)
+        inner.append((len(edges), tracemalloc.get_traced_memory()[1] - held, before))
         return out
 
     monkeypatch.setattr(dualcontour, "axis_edge_roots", traced_roots)
@@ -421,8 +450,9 @@ def test_extraction_memory_grows_with_surface(monkeypatch):
         runs.append((n_active, max(peak, before), n_edges, growth))
     (n0, peak0, e0, growth0), (n1, peak1, e1, growth1) = runs
     assert n1 > 3 * n0
-    assert (peak1 - peak0) / (n1 - n0) <= 800
-    assert (growth1 - growth0) / (e1 - e0) <= 200
+    # measured 251 B and 35 B; the bounds leave under 20% above them
+    assert (peak1 - peak0) / (n1 - n0) <= 300
+    assert (growth1 - growth0) / (e1 - e0) <= 42
 
 
 def test_active_set_overflow(sphere_model):

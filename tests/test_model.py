@@ -13,6 +13,7 @@ from hrbfsurf.model import (
     RHO_HARD_CAP,
     ROOT_TOL,
     _BRICK,
+    _EVAL_CHUNK,
     _candidate_pairs,
     _cubic_start,
     _eval_chunk,
@@ -248,13 +249,13 @@ class TestIsosurfaceHelpers:
         w = 0.05
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
-        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
-        assert len(corner) > 100
-        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, tol=1e-13)
+        edges, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        assert len(edges) > 100
+        roots, grads = axis_edge_roots(table, edges, tol=1e-13)
         rv = _eval_chunk(model, roots, False)[0]
         assert np.nanmax(np.abs(rv)) < 1e-6
         # scalar oracle: plain bisection on the field evaluation
-        for i in range(0, len(corner), 25):
+        for i in range(0, len(edges), 25):
             a, b = p_neg[i].copy(), p_pos[i].copy()
             for _ in range(40):
                 mid = 0.5 * (a + b)
@@ -272,8 +273,8 @@ class TestIsosurfaceHelpers:
         w = 0.05
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
-        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
-        roots, _ = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        edges, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        roots, _ = axis_edge_roots(table, edges, ROOT_TOL)
         s = np.einsum("ij,ij->i", roots - p_neg, p_pos - p_neg) / w**2
         assert np.all((s >= 0.0) & (s <= 1.0))
         np.testing.assert_allclose(p_neg + s[:, None] * (p_pos - p_neg), roots, rtol=0, atol=1e-15)
@@ -294,14 +295,14 @@ class TestIsosurfaceHelpers:
         model = model_from_arrays([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], [[1.0, 0.0, 0.0]] * 2, 0.4, 1.0)
         w = 0.6
         table = LatticeTable(model, np.array([-0.3, 0.0, 0.0]), w)
-        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, [[0, 0, 0]])
-        assert len(corner) == 1
-        np.testing.assert_allclose(-f_neg / (f_pos - f_neg), 0.5)
+        edges, p_neg, p_pos = sign_change_edges(table, [[0, 0, 0]])
+        assert len(edges) == 1
+        np.testing.assert_allclose(-edges["f_neg"] / (edges["f_pos"] - edges["f_neg"]), 0.5)
         assert np.isnan(_eval_chunk(model, np.zeros((1, 3)), False)[0][0])
         # the cubic start stays in the gap as well
-        start = _cubic_start(table, corner, np.zeros(1, np.int64), (p_pos - p_neg)[:, 0], f_neg, f_pos)
+        start = _cubic_start(table, edges)
         assert np.isnan(_eval_chunk(model, p_neg + start[:, None] * (p_pos - p_neg), False)[0][0])
-        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        roots, grads = axis_edge_roots(table, edges, ROOT_TOL)
         assert np.all(np.isfinite(roots))
         x = roots[0, 0]
         assert min(p_neg[0, 0], p_pos[0, 0]) <= x <= max(p_neg[0, 0], p_pos[0, 0])
@@ -322,15 +323,14 @@ class TestIsosurfaceHelpers:
         w = 0.2
         model = model_from_arrays([[0.0, 0.0, 0.03]], [[0.0, 0.0, 1.0]], rho, 1.0)
         table = LatticeTable(model, np.full(3, -0.1), w)
-        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(
-            table, table.gmin + np.indices(table.shape).reshape(3, -1).T
-        )
+        edges, p_neg, p_pos = sign_change_edges(table, table.gmin + np.indices(table.shape).reshape(3, -1).T)
+        corner, f_neg, f_pos = edges["corner"], edges["f_neg"], edges["f_pos"]
         axis = np.argmax(np.abs(p_pos - p_neg), axis=1)
         assert np.all(axis == 2)
         step = np.eye(3, dtype=np.int64)[axis]
         outside = (table.keys(corner - step) < 0) | (table.keys(corner + 2 * step) < 0)
         missing = np.isnan(table.fetch(corner - step)) | np.isnan(table.fetch(corner + 2 * step))
-        start = _cubic_start(table, corner, axis, (p_pos - p_neg)[:, 2], f_neg, f_pos)
+        start = _cubic_start(table, edges)
         linear = -f_neg / (f_pos - f_neg)
         if rho == 0.25:
             assert np.all(outside)
@@ -339,7 +339,7 @@ class TestIsosurfaceHelpers:
             # where the outer values exist, the cubic moves the start
             assert np.all(np.abs(start - linear)[~missing] > 1e-3)
         assert np.array_equal(start[missing], linear[missing])
-        roots, _ = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        roots, _ = axis_edge_roots(table, edges, ROOT_TOL)
         s = np.einsum("ij,ij->i", roots - p_neg, p_pos - p_neg) / w**2
         assert np.all((s >= 0.0) & (s <= 1.0))
         a, b = p_neg.copy(), p_pos.copy()
@@ -356,17 +356,17 @@ class TestIsosurfaceHelpers:
         w = 0.02
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
-        edges = sign_change_edges(table, cells_near(model.centers, origin, w, 4))
-        assert len(edges[0]) > 30000  # about 2M edge-kernel pairs: dozens of chunks
-        r1, g1 = axis_edge_roots(table, *edges, ROOT_TOL, workers=1)
-        r2, g2 = axis_edge_roots(table, *edges, ROOT_TOL, workers=3)
+        edges, _, _ = sign_change_edges(table, cells_near(model.centers, origin, w, 4))
+        assert len(edges) > 30000  # about 2M edge-kernel pairs: dozens of chunks
+        r1, g1 = axis_edge_roots(table, edges, ROOT_TOL, workers=1)
+        r2, g2 = axis_edge_roots(table, edges, ROOT_TOL, workers=3)
         assert r1.tobytes() == r2.tobytes()
         assert g1.tobytes() == g2.tobytes()
 
     def test_axis_edge_roots_budget_and_order_bitwise(self, sphere_model, monkeypatch):
         # each edge is summed over its own pair run, so neither the chunk
-        # budget, the bricks per batch nor the order of the edges changes a
-        # bit of the result
+        # budget, the bricks per batch, the cubic start's slice of edges nor
+        # the order of the edges changes a bit of the result
         _, _, model = sphere_model
         w = 0.03
         origin = model.centers.min(axis=0) - 2 * w
@@ -377,10 +377,14 @@ class TestIsosurfaceHelpers:
         shuffled = tuple(x[perm] for x in edges)
         back = np.argsort(perm)
         results = []
-        for bricks, budget in ((1024, 1 << 20), (1, 1 << 16), (3, 1 << 16), (1024, 1 << 16), (1024, 7)):
+        default = _EVAL_CHUNK
+        for bricks, budget, edge_slice in (
+            (1024, 1 << 20, default), (1, 1 << 16, default), (3, 1 << 16, 5), (1024, 1 << 16, 1), (1024, 7, default)
+        ):
             monkeypatch.setattr("hrbfsurf.model._FILL_BRICKS", bricks)
             monkeypatch.setattr("hrbfsurf.model._EDGE_PAIRS", budget)
-            roots, grads = axis_edge_roots(table, *shuffled, ROOT_TOL)
+            monkeypatch.setattr("hrbfsurf.model._EVAL_CHUNK", edge_slice)
+            roots, grads = axis_edge_roots(table, shuffled[0], ROOT_TOL)
             results.append((roots[back].tobytes(), grads[back].tobytes()))
         assert all(r == results[0] for r in results)
         # at a budget of 7 every edge is a chunk of its own, and each root
@@ -406,8 +410,8 @@ class TestIsosurfaceHelpers:
         ref, _, defined = field.evaluate(origin + cells * w)
         assert np.array_equal(defined, np.isfinite(got))
         np.testing.assert_allclose(got[defined], ref[defined], rtol=0, atol=1e-14)
-        corner, p_neg, p_pos, f_neg, f_pos = sign_change_edges(table, cells)
-        roots, grads = axis_edge_roots(table, corner, p_neg, p_pos, f_neg, f_pos, ROOT_TOL)
+        edges, _, _ = sign_change_edges(table, cells)
+        roots, grads = axis_edge_roots(table, edges, ROOT_TOL)
         # roots inside supports from more than one band
         qidx, cidx = _candidate_pairs(model.bands, roots)
         first_band = np.isin(cidx, model.bands.groups[0]["idx"])
