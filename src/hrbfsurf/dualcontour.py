@@ -157,7 +157,12 @@ def collect_active_voxels(
     found = np.append(np.sort(table.keys(np.concatenate(active_coords))), np.iinfo(np.int64).max)
     hit = found[np.searchsorted(found, probes)] == probes
     grow(_unique(probes[:, ~hit.any(axis=0)]))
-    return VoxelGrid(table, np.concatenate(active_coords), np.concatenate(active_vals))
+    # one list is dropped before the other is joined, so only one is held twice
+    coords = np.concatenate(active_coords)
+    active_coords.clear()
+    vals = np.concatenate(active_vals)
+    active_vals.clear()
+    return VoxelGrid(table, coords, vals)
 
 
 def _batch_edge_roots(table: LatticeTable, edges, tol, workers=1):

@@ -250,6 +250,11 @@ def _support_pairs(bands: RadiusBands, x):
 # candidate pairs per chunk: a chunk's ~20 per-pair float64 arrays then take
 # 0.5 MB each, so the few a pass touches at once fit a 2 MiB per-core L2
 _EDGE_PAIRS = 1 << 16
+# (brick, kernel) pairs per piece of a kernel listing: the kd-tree search's and
+# the gap test's scratch stay bounded however many kernels reach a brick.  At
+# 2**16 no array freed is large enough to raise glibc's trim threshold, and
+# the fill's and the edge chunks' temporaries are faulted in again and again
+_LIST_PAIRS = 1 << 17
 
 
 def _cuts(offsets, budget):
@@ -322,10 +327,12 @@ def axis_edge_roots(table: LatticeTable, edges, tol, workers=1):
     costs one sqrt per pair instead of a fresh neighbor search.  Ends and
     lengths are formed per chunk by ``_edge_ends``.  Edges are grouped by
     that brick and worked like the fill: each batch of ``_FILL_BRICKS``
-    bricks lists its kernels once, on its own thread, and cuts each axis's
-    edges into chunks of about ``_EDGE_PAIRS`` pairs.  Each edge is summed
+    bricks runs on its own thread and lists its kernels in pieces of about
+    ``_LIST_PAIRS`` pairs, and each piece cuts each axis's edges into chunks
+    of about ``_EDGE_PAIRS`` pairs.  Each edge is summed
     by ``add.reduceat`` over its ascending pair list, so the result depends
-    neither on the slicing, the batching, the chunking nor the edge order.
+    neither on the slicing, the batching, the pieces, the chunking nor the
+    edge order.
 
     Returns (roots, gradients); gradients are nan where no support covers the
     root (callers substitute the edge direction).
@@ -352,27 +359,26 @@ def axis_edge_roots(table: LatticeTable, edges, tol, workers=1):
     grads = np.empty((n, 3))
 
     def run(sl):
-        # a batch of bricks lists its kernels once; its chunks hold disjoint
-        # edges, written back at their rows in the caller's order
+        # a batch of bricks lists its kernels in pieces; its chunks hold
+        # disjoint edges, written back at their rows in the caller's order
         ends = bounds[sl.start : sl.stop + 1]
-        _, rows, kern = table._brick_kernels(brick[ends[:-1]])
-        offsets = np.searchsorted(rows, np.arange(len(ends)))
-        ids = order[ends[0] : ends[-1]]
-        row = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
-        for a in range(3):
-            pick = np.flatnonzero(axis[ids] == a)
-            e, first = ids[pick], offsets[row[pick]]
-            count = offsets[row[pick] + 1] - first
-            cuts = _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS).tolist()
-            for c0, c1 in zip(cuts[:-1], cuts[1:]):
-                c, ec = count[c0:c1], e[c0:c1]
-                qidx = np.repeat(np.arange(c1 - c0), c)
-                cidx = kern[np.arange(len(qidx)) + np.repeat(first[c0:c1] - np.cumsum(c) + c, c)]
-                chunk = edges[ec]
-                p_neg, length = _edge_ends(table, chunk, a)
-                roots[ec], grads[ec] = _edge_roots_chunk(
-                    model, p_neg, a, length, chunk["f_neg"], chunk["f_pos"], start[ec], qidx, cidx, tol
-                )
+        for k0, k1, _, rows, kern in table._pieces(brick[ends[:-1]]):
+            offsets = np.searchsorted(rows, np.arange(k1 - k0 + 1))
+            ids = order[ends[k0] : ends[k1]]
+            row = np.repeat(np.arange(k1 - k0), np.diff(ends[k0 : k1 + 1]))
+            for a in range(3):
+                pick = np.flatnonzero(axis[ids] == a)
+                e, first = ids[pick], offsets[row[pick]]
+                count = offsets[row[pick] + 1] - first
+                cuts = _cuts(np.concatenate([[0], np.cumsum(count)]), _EDGE_PAIRS).tolist()
+                for c0, c1 in zip(cuts[:-1], cuts[1:]):
+                    ec = e[c0:c1]
+                    chunk = edges[ec]
+                    p_neg, length = _edge_ends(table, chunk, a)
+                    roots[ec], grads[ec] = _edge_roots_chunk(
+                        model, p_neg, a, length, chunk["f_neg"], chunk["f_pos"], start[ec],
+                        kern, first[c0:c1], count[c0:c1], tol
+                    )
 
     _dispatch(run, [slice(b0, b0 + _FILL_BRICKS) for b0 in range(0, len(bounds) - 1, _FILL_BRICKS)], workers)
     return roots, grads
@@ -419,9 +425,11 @@ def _cubic_start(table, edges):
     return np.where(np.isfinite(s) & (s >= 0.0) & (s <= 1.0), s, linear)
 
 
-def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, qidx, cidx, tol):
+def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, kern, first, count, tol):
     """Roots and gradients for one chunk of edges along ``axis`` from its
-    candidate (edge, kernel) pairs; ``length`` holds the signed edge lengths.
+    candidate (edge, kernel) pairs: the kernels of edge i are
+    ``kern[first[i] : first[i] + count[i]]``.  ``length`` holds the signed
+    edge lengths.
 
     The root of each edge is found on s in [0, 1] by regula falsi with the
     Illinois modification (Dowell & Jarratt, BIT 1971), starting from
@@ -429,6 +437,8 @@ def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, qidx, cid
     undefined or the regula-falsi point is not finite or leaves the bracket.
     """
     n = len(p_neg)
+    qidx = np.repeat(np.arange(n), count)
+    cidx = kern[np.arange(len(qidx)) + np.repeat(first - np.cumsum(count) + count, count)]
     u = [np.take(p_neg[:, k], qidx) - np.take(model.centers_t[k], cidx) for k in range(3)]
     p_len = length[qidx]
     aa = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
@@ -457,6 +467,7 @@ def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, qidx, cid
     active = np.ones(n, dtype=bool)
     # the passes read t^2 = |x - c|^2 / rho^2 and <g, x - c>
     pairs = (qidx, aa / rho_sq, 2.0 * bb / rho_sq, gg / rho_sq, cc, dd)
+    del rho_sq
     runs = all_runs = _runs(qidx, n)
     for _ in range(ROOT_STEPS):
         if not active.any():
@@ -489,11 +500,15 @@ def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, qidx, cid
     roots = p_neg.copy()
     roots[:, axis] += s * length
 
-    # gradient of the field at the roots from the same pair set
+    # gradient of the field at the roots from the same pair set; the terms
+    # are dropped as soon as they are read
+    del pairs, runs
     s = s[qidx]
     u[axis] += s * p_len  # now x - c
     r = np.sqrt(aa + (2.0 * bb + gg * s) * s)
-    return roots, _gradient_sums(all_runs, u, g, cc + dd * s, r, rho, n)
+    gu = cc + dd * s
+    del aa, bb, gg, cc, dd, p_len, s
+    return roots, _gradient_sums(all_runs, u, g, gu, r, rho, n)
 
 
 def _gradient_sums(runs, u, g, gu, r, rho, n):
@@ -502,11 +517,17 @@ def _gradient_sums(runs, u, g, gu, r, rho, n):
     (1-t)^3 g - 3 (1-t)^2 <g, u> u / (rho r) with t = r / rho."""
     t = r / rho
     inside = t < 1.0
-    w1 = np.maximum(1.0 - t, 0.0)
+    w1 = np.maximum(np.subtract(1.0, t, out=t), 0.0, out=t)
     w2 = w1 * w1
     radial = 3.0 * w2 * gu / (rho * np.maximum(r, 1e-300))
-    tang = w2 * w1
-    return np.stack([_segment_sums(runs, tang * g[k] - radial * u[k], inside, n) for k in range(3)], axis=1)
+    tang = np.multiply(w2, w1, out=w2)
+    del t, w1
+    # the three rows share the runs and the mask, so they are summed as one
+    x = np.empty((3, len(r)))
+    for k in range(3):
+        np.multiply(tang, g[k], out=x[k])
+        x[k] -= radial * u[k]
+    return _segment_sums(runs, x, inside, n).T
 
 
 def _pair_terms(t, gu):
@@ -566,7 +587,7 @@ def _segment_sums(runs, x, inside, n):
 
 
 _BRICK = 4  # lattice cells along each edge of a brick
-_FILL_BRICKS = 1024  # bricks per kernel listing; bounds the pair lists
+_FILL_BRICKS = 1024  # bricks per thread batch; a batch is listed in ``_LIST_PAIRS`` pieces
 _FILL_PAIRS = 4096  # (brick, kernel) pairs per evaluation step; bounds the scratch arrays
 
 
@@ -701,15 +722,16 @@ class LatticeTable:
         vals = np.empty((n, _BRICK**3))
 
         def run(sl):
-            vals[sl] = self._batch_values(bricks[sl])
+            self._batch_values(bricks[sl], vals[sl])
 
         _dispatch(run, [slice(b0, b0 + _FILL_BRICKS) for b0 in range(0, n, _FILL_BRICKS)], self._workers)
 
         n0, n1 = self._n_filled, self._n_filled + n
         if n1 > len(self._store):
-            grown = np.empty((max(n1, 2 * len(self._store)), _BRICK**3))
-            grown[:n0] = self._store[:n0]
-            self._store = grown
+            # grown in place by a quarter: realloc can move a large store's
+            # pages instead of holding it twice for a copy.  Reads gather by
+            # index, which copies, so no view of the old buffer is left
+            self._store.resize((max(n1, len(self._store) + len(self._store) // 4), _BRICK**3), refcheck=False)
         self._store[n0:n1] = vals
         # ascending bricks keep the index sorted when inserted at their search positions
         at = np.searchsorted(self._keys, bricks)
@@ -731,30 +753,59 @@ class LatticeTable:
         first = np.stack(np.unravel_index(bricks, tuple(self._nb)), axis=1) * _BRICK
         centre = self.origin + (self.gmin + first + 0.5 * _BRICK) * self.width
         rows, kern = _candidate_pairs(self.model.bands, centre, 0.5 * np.sqrt(3.0) * _BRICK * self.width)
-        # squared distance from each kernel's center to the brick's cube,
-        # one axis at a time so that only (pairs,) columns are live
+        # squared distance from each kernel's center to the brick's cube, one
+        # axis at a time and in place, so that only a few (pairs,) columns
+        # are live; the cube's faces are placed once per brick
         gap = np.zeros(len(rows))
         for a in range(3):
-            first_r = np.take(first[:, a], rows)
             c = np.take(self.model.centers[:, a], kern)
-            near = self.origin[a] + (self.gmin[a] + first_r) * self.width - c
-            far = self.origin[a] + (self.gmin[a] + first_r + _BRICK) * self.width - c
-            gap += np.maximum(near, 0.0) ** 2 + np.minimum(far, 0.0) ** 2
+            near = np.take(self.origin[a] + (self.gmin[a] + first[:, a]) * self.width, rows)
+            far = np.take(self.origin[a] + (self.gmin[a] + first[:, a] + _BRICK) * self.width, rows)
+            near -= c
+            far -= c
+            np.maximum(near, 0.0, out=near)
+            np.minimum(far, 0.0, out=far)
+            near *= near
+            far *= far
+            near += far
+            gap += near
+            del c, near, far
         keep = np.flatnonzero(gap < (self.model.rho[kern] * (1.0 + 1e-9)) ** 2)
+        del gap
         return first, rows[keep], kern[keep]
 
-    def _batch_values(self, bricks):
-        """(len(bricks), 64) values of a batch of bricks."""
+    def _pieces(self, bricks):
+        """The kernel listings of ``bricks`` in pieces of consecutive bricks of
+        about ``_LIST_PAIRS`` pairs each: (start, stop, first, rows, kern) per
+        piece, as ``_brick_kernels`` gives them for ``bricks[start:stop]``.
+
+        Bricks that fit the budget even if every kernel met every brick are
+        listed whole.  Otherwise the first piece is sized from the pairs per
+        brick of a listing of every 32nd brick, and each later one from those
+        of the piece before it, so the pieces depend only on ``bricks``.
+        """
+        size = max(1, _LIST_PAIRS // len(self.model.rho))
+        if len(bricks) > size:
+            sample = bricks[::32]
+            size = len(sample) * _LIST_PAIRS // max(len(self._brick_kernels(sample)[1]), 1)
+        b0 = 0
+        while b0 < len(bricks):
+            b1 = min(b0 + max(1, size), len(bricks))
+            first, rows, kern = self._brick_kernels(bricks[b0:b1])
+            yield b0, b1, first, rows, kern
+            size = (b1 - b0) * _LIST_PAIRS // max(len(rows), 1)
+            b0 = b1
+
+    def _batch_values(self, bricks, out):
+        """Write the (len(bricks), 64) values of a batch of bricks to ``out``."""
         # the listing also serves edges that leave the brick, so some of its
         # kernels reach no cell of the brick; their slots add only zeros
-        first, rows, kern = self._brick_kernels(bricks)
-        offsets = np.searchsorted(rows, np.arange(len(bricks) + 1))
-        cuts = _cuts(offsets, _FILL_PAIRS).tolist()
-        out = np.empty((len(bricks), _BRICK**3))
-        for b0, b1 in zip(cuts[:-1], cuts[1:]):
-            p0, p1 = offsets[b0], offsets[b1]
-            out[b0:b1] = self._brick_values(first[b0:b1], rows[p0:p1] - b0, kern[p0:p1])
-        return out
+        for k0, k1, first, rows, kern in self._pieces(bricks):
+            offsets = np.searchsorted(rows, np.arange(k1 - k0 + 1))
+            cuts = _cuts(offsets, _FILL_PAIRS).tolist()
+            for b0, b1 in zip(cuts[:-1], cuts[1:]):
+                p0, p1 = offsets[b0], offsets[b1]
+                out[k0 + b0 : k0 + b1] = self._brick_values(first[b0:b1], rows[p0:p1] - b0, kern[p0:p1])
 
     def _brick_values(self, first, rows, kern):
         """(len(first), 64) values of bricks from their (row, kernel) pairs.

@@ -455,6 +455,48 @@ def test_extraction_memory_grows_with_surface(monkeypatch):
     assert (growth1 - growth0) / (e1 - e0) <= 42
 
 
+def test_wide_kernel_memory_bounded_by_listing_pieces(monkeypatch):
+    # noisy mode gives every center one wide radius, so hundreds of kernels
+    # reach each brick, and a batch's kernel listing grown with its bricks
+    # would set the peak.  Listed in pieces of _LIST_PAIRS pairs, the traced
+    # peak inside one _fill and inside axis_edge_roots, above what is held at
+    # the call, must not grow when _FILL_BRICKS doubles.  The budget is
+    # scaled down with the batches, so that each batch holds several pieces
+    _, tp, model = tuned_model(_noisy_sphere(), s=3.5, noisy_mode=True)
+    assert tp.uniform_support and tp.m > 300
+    w = 0.04
+    grid = collect_active_voxels(model, model.centers, model.normals, w)
+    bricks = grid.table._keys[:-1].copy()
+    roots_fn, found = dualcontour.axis_edge_roots, []
+    monkeypatch.setattr(
+        dualcontour, "axis_edge_roots", lambda table, edges, *a, **k: found.append(edges) or roots_fn(table, edges, *a, **k)
+    )
+    contour(grid)
+    (edges,) = found
+    assert len(bricks) > 1024
+    monkeypatch.setattr("hrbfsurf.model._LIST_PAIRS", 1 << 14)
+    peaks = []
+    for batch in (256, 512):
+        monkeypatch.setattr("hrbfsurf.model._FILL_BRICKS", batch)
+        table = LatticeTable(model, grid.table.origin, w)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            table._fill(bricks)
+            fill = tracemalloc.get_traced_memory()[1] - held
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            roots_fn(table, edges, ROOT_TOL)
+            roots = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        peaks.append((fill, roots))
+    (fill0, roots0), (fill1, roots1) = peaks
+    # listed whole, the larger batches raise the two peaks by 34% and 13% here
+    assert fill1 <= 1.05 * fill0
+    assert roots1 <= 1.05 * roots0
+
+
 def test_active_set_overflow(sphere_model):
     centers = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(ActiveSetOverflow) as exc:

@@ -365,8 +365,9 @@ class TestIsosurfaceHelpers:
 
     def test_axis_edge_roots_budget_and_order_bitwise(self, sphere_model, monkeypatch):
         # each edge is summed over its own pair run, so neither the chunk
-        # budget, the bricks per batch, the cubic start's slice of edges nor
-        # the order of the edges changes a bit of the result
+        # budget, the bricks per batch, the pieces a batch's kernels are
+        # listed in, the cubic start's slice of edges nor the order of the
+        # edges changes a bit of the result
         _, _, model = sphere_model
         w = 0.03
         origin = model.centers.min(axis=0) - 2 * w
@@ -376,17 +377,33 @@ class TestIsosurfaceHelpers:
         perm = np.random.default_rng(13).permutation(len(edges[0]))
         shuffled = tuple(x[perm] for x in edges)
         back = np.argsort(perm)
-        results = []
-        default = _EVAL_CHUNK
-        for bricks, budget, edge_slice in (
-            (1024, 1 << 20, default), (1, 1 << 16, default), (3, 1 << 16, 5), (1024, 1 << 16, 1), (1024, 7, default)
+        results, listings = [], []
+        listing = LatticeTable._brick_kernels
+        monkeypatch.setattr(LatticeTable, "_brick_kernels", lambda self, b: listings[-1].append(len(b)) or listing(self, b))
+        default, whole = _EVAL_CHUNK, 1 << 40
+        for bricks, budget, edge_slice, list_pairs in (
+            (1024, 1 << 20, default, whole),
+            (1, 1 << 16, default, whole),
+            (3, 1 << 16, 5, 1 << 17),
+            (1024, 1 << 16, 1, 1 << 17),
+            (1024, 7, default, 1 << 17),
+            (1024, 1 << 16, default, 300),
+            (1024, 1 << 16, default, 1),
         ):
             monkeypatch.setattr("hrbfsurf.model._FILL_BRICKS", bricks)
             monkeypatch.setattr("hrbfsurf.model._EDGE_PAIRS", budget)
             monkeypatch.setattr("hrbfsurf.model._EVAL_CHUNK", edge_slice)
+            monkeypatch.setattr("hrbfsurf.model._LIST_PAIRS", list_pairs)
+            listings.append([])
             roots, grads = axis_edge_roots(table, shuffled[0], ROOT_TOL)
             results.append((roots[back].tobytes(), grads[back].tobytes()))
         assert all(r == results[0] for r in results)
+        # the whole batch is one listing at the first budget; at 300 pairs it
+        # is cut into pieces of a few bricks, and at 1 pair into single bricks
+        n_bricks = listings[0][-1]
+        assert n_bricks > 100
+        assert max(listings[-2]) < n_bricks and len(listings[-2]) > 10
+        assert len(listings[-1]) > n_bricks
         # at a budget of 7 every edge is a chunk of its own, and each root
         # still comes back on the caller's edge
         s = np.einsum("ij,ij->i", roots - shuffled[1], shuffled[2] - shuffled[1]) / w**2
@@ -599,10 +616,14 @@ def test_lattice_fetch_order_bitwise(small_table_reference, batches):
 
 
 def test_lattice_fill_chunks_bitwise(small_table_reference, monkeypatch):
-    # chunks are cut on brick boundaries, so any pair budget gives the same bits
+    # evaluation chunks and listing pieces are cut on brick boundaries, so
+    # any pair budget gives the same bits; at a listing budget of 1 pair
+    # every brick is a piece of its own
     model, origin, ref = small_table_reference
-    monkeypatch.setattr("hrbfsurf.model._FILL_PAIRS", 7)
-    assert LatticeTable(model, origin, 0.1).values_flat.tobytes() == ref.tobytes()
+    for fill_pairs, list_pairs in ((7, 1 << 17), (1 << 12, 1), (7, 40)):
+        monkeypatch.setattr("hrbfsurf.model._FILL_PAIRS", fill_pairs)
+        monkeypatch.setattr("hrbfsurf.model._LIST_PAIRS", list_pairs)
+        assert LatticeTable(model, origin, 0.1).values_flat.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
