@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import ROOT_TOL, HrbfModel, LatticeTable, _unique, axis_edge_roots, edge_records
+from .model import EDGE_RECORD, ROOT_TOL, HrbfModel, LatticeTable, _unique, axis_edge_roots, edge_records
 from .pointset import QuadMesh
 
 QEF_REG = 1e-3
@@ -52,9 +52,13 @@ _EDGE_RING = np.stack(
 
 @dataclass
 class VoxelGrid:
+    """Active voxels as the table keys of their lower corners and 8-bit sign
+    codes (bit c is set where corner c is negative).  Corner values stay in
+    the table; ``coords`` and ``corner_values`` read them back."""
+
     table: LatticeTable  # corner (i,j,k) sits at table.origin + (i,j,k)*w
-    coords: np.ndarray  # (M, 3) integer coords of active voxels
-    corner_values: np.ndarray  # (M, 8)
+    keys: np.ndarray  # (M,) int64
+    codes: np.ndarray  # (M,) uint8
 
     @property
     def width(self):
@@ -62,7 +66,15 @@ class VoxelGrid:
 
     @property
     def n_active(self):
-        return len(self.coords)
+        return len(self.keys)
+
+    @property
+    def coords(self):  # (M, 3)
+        return self.table.coords(self.keys)
+
+    @property
+    def corner_values(self):  # (M, 8)
+        return self.table.fetch(self.coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
 
     def corner_position(self, coords):
         return self.table.origin + np.asarray(coords, dtype=np.float64) * self.width
@@ -81,11 +93,6 @@ class IncidenceOverflow(MemoryError):
         super().__init__(
             f"{count} (voxel, edge) incidences overflow contour's int32 indices; retry with a larger width"
         )
-
-
-def _sign_change(values):
-    """True where an 8-corner row has both negative and non-negative values."""
-    return (values.min(axis=1) < 0.0) & (values.max(axis=1) >= 0.0)
 
 
 def collect_active_voxels(
@@ -126,11 +133,10 @@ def collect_active_voxels(
     # keys of every tested voxel, sorted, behind -1 (the key of every voxel
     # outside the table) and a sentinel above every key
     tested = np.array([-1, np.iinfo(np.int64).max])
-    active_coords, active_vals = [np.empty((0, 3), np.int64)], [np.empty((0, 8))]
-    n_active = 0
+    active_keys, active_codes = [np.empty(0, np.int64)], [np.empty(0, np.uint8)]
 
     def grow(frontier):
-        nonlocal tested, n_active
+        nonlocal tested
         while len(frontier):
             at = np.searchsorted(tested, frontier)
             new = tested[at] != frontier
@@ -138,31 +144,28 @@ def collect_active_voxels(
             tested = np.insert(tested, at[new], fresh)
             grown = [np.empty(0, np.int64)]  # keys of the voxels around new sign-change edges
             for v0 in range(0, len(fresh), _FETCH_VOXELS):
-                coords = table.coords(fresh[v0 : v0 + _FETCH_VOXELS])
+                part = fresh[v0 : v0 + _FETCH_VOXELS]
+                coords = table.coords(part)
                 vals = table.fetch(coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
-                ok = np.all(np.isfinite(vals), axis=1) & _sign_change(np.nan_to_num(vals, nan=np.inf))
-                coords, vals = coords[ok], vals[ok]
-                active_coords.append(coords)
-                active_vals.append(vals)
-                n_active += len(coords)
-                rows, edges = np.nonzero((vals[:, _EDGES[:, 0]] < 0) != (vals[:, _EDGES[:, 1]] < 0))
-                grown.append(table.keys(coords[rows, None, :] + _EDGE_RING[edges]).ravel())
-            if n_active > max_active:
+                # active: every corner defined, some negative and some not
+                codes = np.packbits(vals < 0, axis=1, bitorder="little").ravel()
+                ok = np.all(np.isfinite(vals), axis=1) & (codes != 0) & (codes != 255)
+                active_keys.append(part[ok])
+                active_codes.append(codes[ok])
+                neg = vals[ok] < 0
+                rows, edges = np.nonzero(neg[:, _EDGES[:, 0]] != neg[:, _EDGES[:, 1]])
+                grown.append(_unique(table.keys(coords[ok][rows, None, :] + _EDGE_RING[edges])))
+            if (n_active := sum(map(len, active_keys))) > max_active:
                 raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
             frontier = _unique(np.concatenate(grown))
 
     grow(_unique(probes[SEED_STEPS]))
     # probes are looked up in the sorted active keys (ended by a sentinel
     # above every key), which fills nothing
-    found = np.append(np.sort(table.keys(np.concatenate(active_coords))), np.iinfo(np.int64).max)
+    found = np.append(np.sort(np.concatenate(active_keys)), np.iinfo(np.int64).max)
     hit = found[np.searchsorted(found, probes)] == probes
     grow(_unique(probes[:, ~hit.any(axis=0)]))
-    # one list is dropped before the other is joined, so only one is held twice
-    coords = np.concatenate(active_coords)
-    active_coords.clear()
-    vals = np.concatenate(active_vals)
-    active_vals.clear()
-    return VoxelGrid(table, coords, vals)
+    return VoxelGrid(table, np.concatenate(active_keys), np.concatenate(active_codes))
 
 
 def _batch_edge_roots(table: LatticeTable, edges, tol, workers=1):
@@ -221,43 +224,33 @@ def _unique_edges(grid: VoxelGrid):
     incidences come in groups by voxel edge number (``starts`` bounds the
     groups), ascending in voxel row within each group; ``vox_rows`` holds
     each incidence's voxel row and ``inverse`` the row of its edge in
-    ``edges``, an array of ``EDGE_RECORD`` in edge key order: the lower
-    corner's table key, then the axis.  Each edge is taken from its first
-    incidence.  Rows and indices are int32.
+    ``edges``, an array of ``EDGE_RECORD`` by axis (the groups of ``_EDGES``
+    are axis-major, so each axis is deduplicated alone), then by the lower
+    corner's table key.  Sign changes come from the voxels' codes and end
+    values from the bricks the search filled.  Rows and indices are int32.
     """
-    table, coords, vals = grid.table, grid.coords, grid.corner_values
-    vox_rows, keys = [], []
-    for ca, cb, axis in _EDGES:
-        rows = np.flatnonzero((vals[:, ca] < 0) != (vals[:, cb] < 0))
-        keys.append(table.keys(coords[rows] + _CORNER_OFFSETS[ca]) * 4 + axis)
-        vox_rows.append(rows.astype(np.int32))
+    table, keys, codes = grid.table, grid.keys, grid.codes
+    step = table.keys(table.gmin + _CORNER_OFFSETS)  # key of each corner less its voxel's
+    vox_rows = [np.flatnonzero(((codes >> a) ^ (codes >> b)) & 1).astype(np.int32) for a, b, _ in _EDGES.tolist()]
     starts = np.cumsum([0] + [len(rows) for rows in vox_rows])
     if starts[-1] > _MAX_INCIDENCES:
         raise IncidenceOverflow(int(starts[-1]))
-    vox_rows = np.concatenate(vox_rows)
-    keys = np.concatenate(keys)
-
-    # a stable argsort and a neighbour compare; np.unique with index and
-    # inverse takes a slower path
-    order = np.argsort(keys, kind="stable")
-    keys.sort()
-    new = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    del keys
-    inverse = np.empty(len(order), dtype=np.int32)
-    inverse[order] = np.cumsum(new, dtype=np.int32) - 1
-    first = order[new]
-    del order, new
-
-    row = vox_rows[first]
-    e = np.searchsorted(starts, first, side="right") - 1  # the voxel edge number
-    del first
-    corner = coords[row]
-    corner += _CORNER_OFFSETS[_EDGES[e, 0]]
-    v_lo, v_hi = vals[row, _EDGES[e, 0]], vals[row, _EDGES[e, 1]]
-    del row
-    edges = edge_records(corner, _EDGES[e, 2], v_lo < 0, np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi))
-    return vox_rows, starts, inverse, edges
+    inverse = np.empty(starts[-1], dtype=np.int32)
+    lower, bounds = [], [0]  # the distinct lower-corner keys along each axis, and their edge rows
+    for a in range(3):
+        k = np.concatenate([keys[vox_rows[e]] + step[_EDGES[e, 0]] for e in range(4 * a, 4 * a + 4)])
+        k, inv = np.unique(k, return_inverse=True)
+        inverse[starts[4 * a] : starts[4 * a + 4]] = inv + bounds[-1]
+        lower.append(k)
+        bounds.append(bounds[-1] + len(k))
+    # filled an axis at a time: whole-array fetches or a join would set the peak
+    edges = np.empty(bounds[-1], EDGE_RECORD)
+    for a, k in enumerate(lower):
+        corner = table.coords(k)
+        v_lo, v_hi = table.fetch(corner), table.fetch(corner + np.eye(3, dtype=np.int64)[a])
+        f_neg, f_pos = np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)
+        edges[bounds[a] : bounds[a + 1]] = edge_records(corner, a, v_lo < 0, f_neg, f_pos)
+    return np.concatenate(vox_rows), starts, inverse, edges
 
 
 def _chunked_qef(grid: VoxelGrid, vox_rows, starts, inverse, roots, normals):
@@ -279,22 +272,20 @@ def _chunked_qef(grid: VoxelGrid, vox_rows, starts, inverse, roots, normals):
         inc = np.concatenate([np.arange(c[k], c[k + 1]) for c in cuts])
         at = inverse[inc]
         verts[r0 : r0 + _QEF_VOXELS], vnorm[r0 : r0 + _QEF_VOXELS] = _qef_vertices(
-            vox_rows[inc] - r0, roots[at], normals[at], grid, grid.coords[r0 : r0 + _QEF_VOXELS],
+            vox_rows[inc] - r0, roots[at], normals[at], grid, grid.table.coords(grid.keys[r0 : r0 + _QEF_VOXELS])
         )
     return verts, vnorm
 
 
-def _quads(table: LatticeTable, coords, edges):
-    """One quad of voxel rows per interior sign-change edge; an edge with a
-    voxel around it that is not active is an open boundary."""
-    pk = table.keys(coords)
-    sort_order = np.argsort(pk)
-    sorted_keys = pk[sort_order]
+def _quads(table: LatticeTable, keys, edges):
+    """One quad of rows of the active voxels' ``keys`` per interior sign-change
+    edge; an edge with a voxel around it that is not active is an open boundary."""
+    sort_order = np.argsort(keys)
+    sorted_keys = keys[sort_order]
 
-    def lookup(keys):
-        pos = np.clip(np.searchsorted(sorted_keys, keys), 0, len(sorted_keys) - 1)
-        found = sorted_keys[pos] == keys
-        return np.where(found, sort_order[pos], -1)
+    def lookup(wanted):
+        pos = np.clip(np.searchsorted(sorted_keys, wanted), 0, len(sorted_keys) - 1)
+        return np.where(sorted_keys[pos] == wanted, sort_order[pos], -1)
 
     faces = []
     for axis in (0, 1, 2):
@@ -319,7 +310,7 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     roots, normals = _batch_edge_roots(grid.table, edges, ROOT_TOL, workers)  # clears the table
     verts, vnorm = _chunked_qef(grid, vox_rows, starts, inverse, roots, normals)
     del vox_rows, inverse, roots, normals  # the quads need the room
-    return QuadMesh(verts, _quads(grid.table, grid.coords, edges), vertex_normals=vnorm)
+    return QuadMesh(verts, _quads(grid.table, grid.keys, edges), vertex_normals=vnorm)
 
 
 def extract_surface(
@@ -365,7 +356,8 @@ def face_components(mesh: QuadMesh):
     keys.sort()
     same = keys[1:] == keys[:-1]
     del keys
-    face_ids = (order % nf).astype(np.int32 if nf < 2**31 else np.int64)
+    np.remainder(order, nf, out=order)
+    face_ids = order.astype(np.int32 if nf < 2**31 else np.int64)
     del order
     src = face_ids[:-1][same]
     dst = face_ids[1:][same]
@@ -377,7 +369,8 @@ def face_components(mesh: QuadMesh):
 def remove_small_fragments(mesh: QuadMesh, min_faces) -> QuadMesh:
     """Drop connected components with fewer than min_faces faces.
 
-    The largest component is always kept, even if below the cutoff.
+    The largest component is always kept, even if below the cutoff.  A
+    mesh that loses no face and uses every vertex is returned as it is.
     """
     if mesh.n_faces == 0:
         return mesh
@@ -386,9 +379,10 @@ def remove_small_fragments(mesh: QuadMesh, min_faces) -> QuadMesh:
     keep_label = sizes >= min_faces
     if not keep_label.any():
         keep_label[np.argmax(sizes)] = True
-    faces = mesh.faces[keep_label[labels]]
-    used = _unique(faces)
-    remap = -np.ones(mesh.n_vertices, dtype=np.int64)
-    remap[used] = np.arange(len(used))
+    faces = mesh.faces if keep_label.all() else mesh.faces[keep_label[labels]]
+    used = np.bincount(faces.ravel(), minlength=mesh.n_vertices) > 0
+    if len(faces) == mesh.n_faces and used.all():
+        return mesh
+    remap = np.cumsum(used) - 1
     vn = mesh.vertex_normals[used] if mesh.vertex_normals is not None else None
     return QuadMesh(mesh.vertices[used], remap[faces], vn)

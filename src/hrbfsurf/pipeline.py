@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,9 +123,9 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
 
 
 def write_diagnostics(diag, path):
+    """Write ``diag`` as one JSON object; numpy scalars become plain numbers."""
     with open(path, "w") as fh:
-        for k, v in diag.items():
-            fh.write(f"{k}={v}\n")
+        json.dump(diag, fh, indent=1, default=lambda v: v.item())
 
 
 def run_reconstruct(cfg: ReconConfig):
@@ -153,6 +154,7 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
         "measured_inf_error": report.measured_inf_error,
         "bound_a_posteriori": report.bound_a_posteriori,
         "delta_a_inf": res.delta_a_inf,
+        "a_bar_over_delta_a": report.a_bar / res.delta_a_inf,
         "d_inv_inf": res.d_inv_inf,
         "contraction_exact": res.d_inv_inf * res.delta_a_inf,
         "q": sys.contraction,

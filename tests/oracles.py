@@ -28,7 +28,6 @@ from hrbfsurf.dualcontour import (
     _RING,
     _UV,
     VoxelGrid,
-    _sign_change,
 )
 from hrbfsurf.model import LatticeTable
 from hrbfsurf.octree import MAX_DEPTH, PointOctree
@@ -129,6 +128,17 @@ def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
     return QuadMesh(vertices, faces, vertex_normals)
 
 
+def _sign_change(values):
+    """True where an 8-corner row has both negative and non-negative values."""
+    return (values.min(axis=1) < 0.0) & (values.max(axis=1) >= 0.0)
+
+
+def _grid(table, coords, vals) -> VoxelGrid:
+    """A ``VoxelGrid`` from per-round lists of active coords and corner values."""
+    neg = np.concatenate(vals) < 0
+    return VoxelGrid(table, table.keys(np.concatenate(coords)), np.packbits(neg, axis=1, bitorder="little").ravel())
+
+
 def grow_active_voxels(model, centers, normals, width) -> VoxelGrid:
     """Active voxels in the order of the edge-growth search.
 
@@ -173,7 +183,7 @@ def grow_active_voxels(model, centers, normals, width) -> VoxelGrid:
     active = set(table.keys(np.concatenate(found_coords)).tolist())
     lonely = [i for i in range(len(centers)) if not any(p[i] in active for p in probes)]
     grow({p[i] for p in probes for i in lonely})
-    return VoxelGrid(table, np.concatenate(found_coords), np.concatenate(found_vals))
+    return _grid(table, found_coords, found_vals)
 
 
 def search_active_voxels(model, centers, normals, width) -> VoxelGrid:
@@ -202,7 +212,7 @@ def search_active_voxels(model, centers, normals, width) -> VoxelGrid:
         found_coords.append(coords[ok])
         found_vals.append(vals[ok])
         frontier = np.unique(table.keys(coords[ok][:, None, :] + steps[None, :, :]))
-    return VoxelGrid(table, np.concatenate(found_coords), np.concatenate(found_vals))
+    return _grid(table, found_coords, found_vals)
 
 
 @dataclass

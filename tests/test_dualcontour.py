@@ -173,7 +173,7 @@ def test_place_vertex_requires_points():
 
 def test_voxel_grid_corner_position(sphere_model):
     table = LatticeTable(sphere_model, np.array([1.0, 2.0, 3.0]), 0.5)
-    g = VoxelGrid(table, np.zeros((1, 3), np.int64), np.zeros((1, 8)))
+    g = VoxelGrid(table, np.zeros(1, np.int64), np.zeros(1, np.uint8))
     assert g.width == 0.5
     np.testing.assert_allclose(g.corner_position([[2, 0, -2]]), [[2.0, 2.0, 2.0]])
 
@@ -277,6 +277,35 @@ def test_contour_independent_of_filled_bricks(sphere_grid_and_mesh):
     assert mesh.vertex_normals.tobytes() == ref.vertex_normals.tobytes()
 
 
+def test_unique_edges_reads_filled_bricks(sphere_model):
+    # sign changes come from the codes and end values from the bricks the
+    # search filled; re-sorted by (key, axis), the axis-major records are
+    # those taken from each edge's first incidence in edge key order
+    grid = collect_active_voxels(sphere_model, _AXIS_POINTS, _AXIS_POINTS, width=0.1)
+    table, filled = grid.table, grid.table._n_filled
+    vox_rows, starts, inverse, edges = dualcontour._unique_edges(grid)
+    assert table._n_filled == filled
+    coords, vals = grid.coords, grid.corner_values
+    rows, keys, recs = [], [], []
+    for ca, cb, axis in _EDGES:
+        hit = np.flatnonzero((vals[:, ca] < 0) != (vals[:, cb] < 0))
+        lower = coords[hit] + _CORNER_OFFSETS[ca]
+        v_lo, v_hi = vals[hit, ca], vals[hit, cb]
+        rows.append(hit)
+        keys.append(table.keys(lower) * 4 + axis)
+        recs.append(edge_records(lower, axis, v_lo < 0, np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)))
+    keys, recs = np.concatenate(keys), np.concatenate(recs)
+    assert np.array_equal(vox_rows, np.concatenate(rows))
+    assert np.array_equal(starts, np.cumsum([0] + [len(r) for r in rows]))
+    edge_keys = table.keys(edges["corner"]) * 4 + edges["axis"]
+    assert np.array_equal(edge_keys[inverse], keys)
+    assert np.all(np.diff(edges["axis"]) >= 0)
+    _, first = np.unique(keys, return_index=True)
+    got = edges[np.argsort(edge_keys)]
+    for name in edges.dtype.names:
+        assert got[name].tobytes() == recs[first][name].tobytes()
+
+
 def test_extract_surface_deterministic(sphere_model):
     centers = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     m1 = extract_surface(sphere_model, centers, centers, width=0.15)
@@ -294,8 +323,11 @@ def test_search_order_matches_set_oracle(sphere_ps, monkeypatch, fetch_voxels):
     grid = collect_active_voxels(model, model.centers, model.normals, 0.04)
     ref = grow_active_voxels(model, model.centers, model.normals, 0.04)
     assert grid.n_active > 1000
-    assert grid.coords.tobytes() == ref.coords.tobytes()
-    assert grid.corner_values.tobytes() == ref.corner_values.tobytes()
+    assert grid.keys.tobytes() == ref.keys.tobytes()
+    vals = grid.corner_values
+    assert vals.tobytes() == ref.corner_values.tobytes()
+    # bit c of a code is set where corner c is negative
+    assert np.array_equal((grid.codes[:, None] >> np.arange(8)) & 1, vals < 0)
 
 
 def _noisy_sphere():
@@ -334,11 +366,12 @@ def test_search_active_set_matches_face_bfs(make_points, tuning, width):
     _, _, model = tuned_model(make_points(), **tuning)
     grid = collect_active_voxels(model, model.centers, model.normals, width)
     ref = search_active_voxels(model, model.centers, model.normals, width)
-    keys, ref_keys = grid.table.keys(grid.coords), ref.table.keys(ref.coords)
-    order, ref_order = np.argsort(keys), np.argsort(ref_keys)
+    order, ref_order = np.argsort(grid.keys), np.argsort(ref.keys)
     assert grid.n_active > 1000
-    assert keys[order].tobytes() == ref_keys[ref_order].tobytes()
-    assert grid.corner_values[order].tobytes() == ref.corner_values[ref_order].tobytes()
+    assert grid.keys[order].tobytes() == ref.keys[ref_order].tobytes()
+    vals = grid.corner_values
+    assert vals[order].tobytes() == ref.corner_values[ref_order].tobytes()
+    assert np.array_equal((grid.codes[:, None] >> np.arange(8)) & 1, vals < 0)
 
 
 def test_search_fills_only_bricks_of_active_or_seed_voxels():
@@ -450,8 +483,8 @@ def test_extraction_memory_grows_with_surface(monkeypatch):
         runs.append((n_active, max(peak, before), n_edges, growth))
     (n0, peak0, e0, growth0), (n1, peak1, e1, growth1) = runs
     assert n1 > 3 * n0
-    # measured 251 B and 35 B; the bounds leave under 20% above them
-    assert (peak1 - peak0) / (n1 - n0) <= 300
+    # measured 157 B and 38 B; the bounds leave under 20% above them
+    assert (peak1 - peak0) / (n1 - n0) <= 188
     assert (growth1 - growth0) / (e1 - e0) <= 42
 
 
@@ -571,4 +604,9 @@ def test_remove_small_fragments():
     # when everything is below the cutoff, the largest component survives
     kept_all = remove_small_fragments(mesh, min_faces=100)
     assert kept_all.n_faces == 3
-    assert remove_small_fragments(mesh, min_faces=0).n_faces == 4
+    # nothing dropped and every vertex used: the input comes back as it is
+    assert remove_small_fragments(mesh, min_faces=0) is mesh
+    # a vertex no face uses is dropped even when every face is kept
+    padded = remove_small_fragments(QuadMesh(np.arange(39.0).reshape(13, 3), faces), min_faces=0)
+    assert padded.faces.tobytes() == faces.tobytes()
+    assert padded.vertices.tobytes() == np.arange(36.0).tobytes()

@@ -1,5 +1,7 @@
 """Pipeline drivers and CLI: reconstruction, bound verification, benchmarks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ def test_run_reconstruct_files(tmp_path, sphere_ps):
     src = tmp_path / "in.xyz"
     save_points(sphere_ps, src)
     out = tmp_path / "out.obj"
-    diag_path = tmp_path / "diag.txt"
+    diag_path = tmp_path / "diag.json"
     cfg = ReconConfig(
         input_path=str(src), output_path=str(out),
         diagnostics_path=str(diag_path), voxel_width=0.03,
@@ -101,9 +103,11 @@ def test_run_reconstruct_files(tmp_path, sphere_ps):
     _, diag = run_reconstruct(cfg)
     mesh = load_mesh(str(out))
     assert mesh.n_faces == diag["n_faces"]
-    text = diag_path.read_text()
-    assert f"n_faces={diag['n_faces']}" in text
-    assert "eta=" in text
+    with open(diag_path) as fh:
+        written = json.load(fh)
+    assert written["n_faces"] == diag["n_faces"]
+    assert written["eta"] == diag["eta"]
+    assert written["warnings"] == []
 
 
 def test_run_reconstruct_missing_input(tmp_path):
@@ -158,9 +162,11 @@ def test_noise_bench_schedule_and_rows(sphere_ps):
 
 
 def test_write_diagnostics_format(tmp_path):
-    path = tmp_path / "d.txt"
-    write_diagnostics({"a": 1, "b": 2.5}, path)
-    assert path.read_text() == "a=1\nb=2.5\n"
+    path = tmp_path / "d.json"
+    diag = {"a": 1, "b": 2.5, "m": np.int64(71), "uniform": np.bool_(True), "warnings": ["w1", "w2"]}
+    write_diagnostics(diag, path)
+    with open(path) as fh:
+        assert json.load(fh) == {"a": 1, "b": 2.5, "m": 71, "uniform": True, "warnings": ["w1", "w2"]}
 
 
 def test_cli_reconstruct_roundtrip(tmp_path, sphere_ps, capsys):
