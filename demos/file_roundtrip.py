@@ -2,7 +2,7 @@
 
 Shows the same entry points the command line uses: points go out as xyz,
 come back through the file loader, and the mesh lands on disk as OBJ with a
-plain-text diagnostics file alongside.
+JSON diagnostics file (one object, ``warnings`` list included) alongside.
 """
 
 import tempfile
@@ -17,7 +17,7 @@ def main():
     workdir = Path(tempfile.mkdtemp(prefix="hrbfsurf_demo_"))
     src = workdir / "torus.xyz"
     out = workdir / "torus.obj"
-    diag = workdir / "torus_diag.txt"
+    diag = workdir / "torus_diag.json"
 
     save_points(torus_points(4000, seed=2), src)
     code = cli_main(

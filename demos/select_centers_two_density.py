@@ -3,8 +3,12 @@
 Uneven sampling is the hard case for a fixed-amplifier reconstruction: the
 support radii tuned for the dense half leave holes on the sparse half.  The
 spherical-cover selection picks a small subset of points with per-center
-radii sized so every input point stays covered, which closes the mesh while
-using a fraction of the centers.
+radii sized so every input point stays covered, which is meant to close the
+mesh with a fraction of the centers.  It does not yet: the reconstruction
+drops the cover radii and re-tunes supports over the selected centers alone,
+which leaves a mesh with no faces (an open item in ROADMAP.md).  So each run's face count
+is printed beside its boundary edges; an empty mesh has no boundary edges
+either.
 """
 
 import numpy as np
@@ -33,8 +37,8 @@ def main():
     _, raw = reconstruct_points(ps, cfg)
     cfg_sel = ReconConfig(voxel_width=0.01, min_fragment_faces=0, center_select=True)
     _, sel = reconstruct_points(ps, cfg_sel)
-    print(f"boundary edges, raw points:       {raw['n_boundary_edges']}")
-    print(f"boundary edges, selected centers: {sel['n_boundary_edges']}")
+    for name, diag in (("raw points", raw), ("selected centers", sel)):
+        print(f"{name + ':':18s} {diag['n_faces']} faces, {diag['n_boundary_edges']} boundary edges")
 
 
 if __name__ == "__main__":

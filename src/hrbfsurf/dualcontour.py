@@ -48,13 +48,15 @@ _AXIS_RING = np.stack([_RING @ np.eye(3, dtype=np.int64)[list(_UV[a])] for a in 
 _EDGE_RING = np.stack(
     [ring[np.any(ring, axis=1)] for ring in _CORNER_OFFSETS[_EDGES[:, 0], None] + _AXIS_RING[_EDGES[:, 2]]]
 )
+# the ring slot of the voxel itself around each voxel edge, (12,)
+_RING_POS = np.all(_AXIS_RING[_EDGES[:, 2]] == -_CORNER_OFFSETS[_EDGES[:, 0], None], axis=2).argmax(axis=1)
 
 
 @dataclass
 class VoxelGrid:
     """Active voxels as the table keys of their lower corners and 8-bit sign
     codes (bit c is set where corner c is negative).  Corner values stay in
-    the table; ``coords`` and ``corner_values`` read them back."""
+    the table."""
 
     table: LatticeTable  # corner (i,j,k) sits at table.origin + (i,j,k)*w
     keys: np.ndarray  # (M,) int64
@@ -67,14 +69,6 @@ class VoxelGrid:
     @property
     def n_active(self):
         return len(self.keys)
-
-    @property
-    def coords(self):  # (M, 3)
-        return self.table.coords(self.keys)
-
-    @property
-    def corner_values(self):  # (M, 8)
-        return self.table.fetch(self.coords[:, None, :] + _CORNER_OFFSETS[None, :, :])
 
     def corner_position(self, coords):
         return self.table.origin + np.asarray(coords, dtype=np.float64) * self.width
@@ -277,29 +271,18 @@ def _chunked_qef(grid: VoxelGrid, vox_rows, starts, inverse, roots, normals):
     return verts, vnorm
 
 
-def _quads(table: LatticeTable, keys, edges):
-    """One quad of rows of the active voxels' ``keys`` per interior sign-change
-    edge; an edge with a voxel around it that is not active is an open boundary."""
-    sort_order = np.argsort(keys)
-    sorted_keys = keys[sort_order]
-
-    def lookup(wanted):
-        pos = np.clip(np.searchsorted(sorted_keys, wanted), 0, len(sorted_keys) - 1)
-        return np.where(sorted_keys[pos] == wanted, sort_order[pos], -1)
-
-    faces = []
-    for axis in (0, 1, 2):
-        sel = edges["axis"] == axis
-        if not sel.any():
-            continue
-        lo = edges["corner"][sel]
-        quad_rows = np.stack([lookup(table.keys(lo + ring)) for ring in _AXIS_RING[axis]], axis=1)
-        complete = np.all(quad_rows >= 0, axis=1)
-        quad_rows = quad_rows[complete]
-        flip = ~edges["up"][sel][complete]  # the field falls along +axis
-        quad_rows[flip] = quad_rows[flip, ::-1]
-        faces.append(quad_rows)
-    return np.concatenate(faces, axis=0) if faces else np.empty((0, 4), np.int64)
+def _quads(vox_rows, starts, inverse, edges):
+    """One quad of active voxel rows per interior sign-change edge: incidence
+    group e of ``_unique_edges`` fills ring slot ``_RING_POS[e]`` of its edges.
+    An edge with a voxel around it that is not active is an open boundary."""
+    quads = np.full((len(edges), 4), -1, dtype=np.int32)
+    for e, (s, t) in enumerate(zip(starts[:-1], starts[1:])):
+        quads[inverse[s:t], _RING_POS[e]] = vox_rows[s:t]
+    complete = np.all(quads >= 0, axis=1)
+    quads = quads[complete]
+    flip = ~edges["up"][complete]  # the field falls along +axis
+    quads[flip] = quads[flip, ::-1]
+    return quads
 
 
 def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
@@ -309,8 +292,10 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
         return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
     roots, normals = _batch_edge_roots(grid.table, edges, ROOT_TOL, workers)  # clears the table
     verts, vnorm = _chunked_qef(grid, vox_rows, starts, inverse, roots, normals)
-    del vox_rows, inverse, roots, normals  # the quads need the room
-    return QuadMesh(verts, _quads(grid.table, grid.keys, edges), vertex_normals=vnorm)
+    del roots, normals  # the quads need the room
+    faces = _quads(vox_rows, starts, inverse, edges)
+    del vox_rows, inverse, edges  # and the int64 faces after them
+    return QuadMesh(verts, faces, vertex_normals=vnorm)
 
 
 def extract_surface(

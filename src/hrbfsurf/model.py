@@ -140,6 +140,9 @@ def tune_parameters(
         raise ValueError("need at least 2 points to tune supports")
     if s < 1.0:
         raise ValueError("amplifier s must be >= 1")
+    # eta < 0 passes the bound's test A_bar/(1 + eta) < 1 and can zero 20 + eta rho^2
+    if eta_override is not None and not eta_override >= 0:
+        raise ValueError(f"eta_override must be >= 0, got {eta_override:g}")
 
     d_bar = 0.75 * idx.mean_leaf_diagonal
     rho0 = s * d_bar
@@ -147,20 +150,14 @@ def tune_parameters(
     m = int(counts.max())
 
     rho = np.full(n, rho0)
-    active = np.ones(n, dtype=bool)
+    grow = np.arange(n)  # the centers still growing; one drops out over m or at the cap
     # 1.05^420 * rho0 overflows any sane cap; the loop exits on the cap first.
     for _ in range(420):
-        if not active.any():
+        trial = np.minimum(rho[grow] * GROWTH_FACTOR, RHO_HARD_CAP)
+        fits = strict_counts(idx, points[grow], trial, workers=workers) <= m
+        rho[grow[fits]] = trial[fits]
+        if not len(grow := grow[fits & (trial < RHO_HARD_CAP)]):
             break
-        trial = rho[active] * GROWTH_FACTOR
-        trial = np.minimum(trial, RHO_HARD_CAP)
-        cnt = strict_counts(idx, points[active], trial, workers=workers)
-        over = cnt > m
-        capped = trial >= RHO_HARD_CAP
-        ai = np.flatnonzero(active)
-        grow = ~over
-        rho[ai[grow]] = trial[grow]
-        active[ai[over | (capped & grow)]] = False
 
     if noisy_mode:
         rho = np.full(n, rho.min())

@@ -1,7 +1,8 @@
 """Oriented point sets, quad meshes and their file formats.
 
 ASCII formats are written with 9 significant digits.  Binary PLY stores
-positions and normals as little-endian float32.
+positions and normals as little-endian float32; x..nz are read as float or
+double, beside any other scalar vertex properties.
 """
 
 from __future__ import annotations
@@ -187,14 +188,19 @@ def _load_xyz(path):
 
 
 _PLY_PROPS = ("x", "y", "z", "nx", "ny", "nz")
+_PLY_TYPES = dict(zip(  # PLY scalar types, by either name, as numpy codes
+    "char uchar short ushort int uint float double int8 uint8 int16 uint16 int32 uint32 float32 float64".split(),
+    "i1 u1 i2 u2 i4 u4 f4 f8".split() * 2))
 
 
 def _parse_ply_header(fh):
+    """(format, vertex count, [(name, type)] of the vertex properties)."""
     magic = fh.readline().strip()
     if magic != b"ply":
         raise PointFileError("not a PLY file", line=1)
     fmt = None
     count = None
+    element = None
     props = []
     lineno = 1
     while True:
@@ -207,22 +213,27 @@ def _parse_ply_header(fh):
             continue
         if tokens[0] == "format":
             fmt = tokens[1]
-        elif tokens[0] == "element" and tokens[1] == "vertex":
-            count = int(tokens[2])
-        elif tokens[0] == "property" and count is not None:
-            props.append(tokens[-1])
+        elif tokens[0] == "element":
+            element = tokens[1]
+            if element == "vertex":
+                count = int(tokens[2])
+            elif count is None:
+                raise PointFileError("the vertex element must come first", line=lineno)
+        elif tokens[0] == "property" and element == "vertex":
+            props.append((tokens[-1], tokens[1]))
         elif tokens[0] == "end_header":
             break
     if fmt is None or count is None:
         raise PointFileError("incomplete PLY header")
-    if tuple(props[:6]) != _PLY_PROPS:
-        raise PointFileError(f"expected vertex properties {_PLY_PROPS}, got {tuple(props)}")
-    return fmt, count
+    names = tuple(name for name, _ in props)
+    if names[:6] != _PLY_PROPS:
+        raise PointFileError(f"expected vertex properties {_PLY_PROPS}, got {names}")
+    return fmt, count, props
 
 
 def _load_ply(path):
     with open(path, "rb") as fh:
-        fmt, count = _parse_ply_header(fh)
+        fmt, count, props = _parse_ply_header(fh)
         if fmt == "ascii":
             rows = []
             for i in range(count):
@@ -232,10 +243,16 @@ def _load_ply(path):
                 rows.append([float(v) for v in parts[:6]])
             data = np.array(rows, dtype=np.float64).reshape(-1, 6)
         elif fmt == "binary_little_endian":
-            raw = fh.read(count * 6 * 4)
-            if len(raw) < count * 6 * 4:
+            # one little-endian record per vertex; x..nz must be float or double
+            kinds = [_PLY_TYPES.get(kind) for _, kind in props]
+            if None in kinds or any(k[0] != "f" for k in kinds[:6]):
+                raise PointFileError(f"unsupported binary vertex layout {props}")
+            dtype = np.dtype([(name, "<" + k) for (name, _), k in zip(props, kinds)])
+            raw = fh.read(count * dtype.itemsize)
+            if len(raw) < count * dtype.itemsize:
                 raise PointFileError("truncated binary vertex data")
-            data = np.frombuffer(raw, dtype="<f4").reshape(count, 6).astype(np.float64)
+            rec = np.frombuffer(raw, dtype=dtype, count=count)
+            data = np.stack([rec[p].astype(np.float64) for p in _PLY_PROPS], axis=1)
         else:
             raise PointFileError(f"unsupported PLY format {fmt!r}")
     if count == 0:

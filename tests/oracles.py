@@ -8,7 +8,8 @@ of active voxels.  ``grow_active_voxels`` is the active-voxel search's rule
 one corner fetch per round; ``search_active_voxels`` is the earlier rule, a
 breadth-first search by face adjacency from every center and probe, kept as a
 reference for the active set.  ``canonical_mesh_digest`` hashes a mesh
-independently of its vertex order.
+independently of its vertex order.  ``voxel_coords`` and
+``voxel_corner_values`` read an active set's voxels back from its table.
 ``kernel_evaluate`` evaluates one kernel at one point,
 ``radius_query`` lists the indexed points strictly inside one ball, and
 ``octree_leaves`` subdivides a point set recursively into octree leaves.
@@ -93,18 +94,29 @@ def place_vertex(positions, normals, box=None, reg=QEF_REG):
     return v
 
 
+def voxel_coords(grid: VoxelGrid):
+    """(M, 3) table coordinates of the active voxels' lower corners."""
+    return grid.table.coords(grid.keys)
+
+
+def voxel_corner_values(grid: VoxelGrid):
+    """(M, 8) corner values of the active voxels, read back from the table."""
+    return grid.table.fetch(voxel_coords(grid)[:, None, :] + _CORNER_OFFSETS[None, :, :])
+
+
 def emit_quads(grid: VoxelGrid, vertices, vertex_normals=None) -> QuadMesh:
     """Quads from precomputed voxel vertices (one per active voxel)."""
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     if len(vertices) != grid.n_active:
         raise ValueError("one vertex per active voxel required")
-    vox_index = {tuple(c): i for i, c in enumerate(grid.coords.tolist())}
-    corner_coords = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
+    coords, values = voxel_coords(grid), voxel_corner_values(grid)
+    vox_index = {tuple(c): i for i, c in enumerate(coords.tolist())}
+    corner_coords = coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
     seen = set()
     faces = []
     for ca, cb, axis in _EDGES:
-        va = grid.corner_values[:, ca]
-        vb = grid.corner_values[:, cb]
+        va = values[:, ca]
+        vb = values[:, cb]
         hit = np.flatnonzero((va < 0) != (vb < 0))
         for row in hit:
             lo = corner_coords[row, ca]

@@ -38,6 +38,8 @@ from oracles import (
     grow_active_voxels,
     place_vertex,
     search_active_voxels,
+    voxel_coords,
+    voxel_corner_values,
 )
 
 
@@ -194,10 +196,11 @@ def test_active_voxels_straddle_surface(sphere_grid_and_mesh):
     _, grid, _ = sphere_grid_and_mesh
     assert grid.n_active > 100
     # every active voxel has corners on both sides
-    assert np.all(grid.corner_values.min(axis=1) < 0)
-    assert np.all(grid.corner_values.max(axis=1) >= 0)
+    vals = voxel_corner_values(grid)
+    assert np.all(vals.min(axis=1) < 0)
+    assert np.all(vals.max(axis=1) >= 0)
     # voxel centers sit within a corner diagonal of the surface
-    centers = grid.corner_position(grid.coords) + 0.05
+    centers = grid.corner_position(voxel_coords(grid)) + 0.05
     r = np.linalg.norm(centers, axis=1)
     assert np.abs(r - 1.0).max() < 0.1 * np.sqrt(3.0)
 
@@ -217,19 +220,40 @@ def test_sphere_mesh_closed_and_accurate(sphere_grid_and_mesh):
     assert (outward > 0).mean() > 0.999
 
 
+def _canonical_faces(faces):
+    # the same quad may start at a different ring corner
+    out = set()
+    for fc in faces.tolist():
+        k = int(np.argmin(fc))
+        out.add(tuple(fc[k:] + fc[:k]))
+    return out
+
+
 def test_contour_matches_emit_quads(sphere_grid_and_mesh):
     _, grid, mesh = sphere_grid_and_mesh
     ref = emit_quads(grid, mesh.vertices, mesh.vertex_normals)
-    got = {tuple(fc) for fc in mesh.faces.tolist()}
-    want = {tuple(fc) for fc in ref.faces.tolist()}
-    # the same quad may start at a different ring corner; compare canonically
-    def canon(fs):
-        out = set()
-        for fc in fs:
-            k = int(np.argmin(fc))
-            out.add(tuple(fc[k:] + fc[:k]))
-        return out
-    assert canon(got) == canon(want)
+    assert _canonical_faces(mesh.faces) == _canonical_faces(ref.faces)
+
+
+def test_open_cap_quads_match_emit_quads():
+    # a cap of the sphere leaves an open rim, where an edge has a voxel around
+    # it that is not active; the quads come from the (voxel, edge) incidences,
+    # with the voxels of incidence group e in ring slot _RING_POS[e]
+    ps = sphere_points(1500, seed=1)
+    cap = ps.points[:, 2] > 0.2
+    model = model_from_arrays(ps.points[cap], ps.normals[cap], 0.3, 1.0)
+    grid = collect_active_voxels(model, model.centers, model.normals, 0.05)
+    vox_rows, starts, inverse, edges = dualcontour._unique_edges(grid)
+    coords = voxel_coords(grid)
+    for e, (s, t) in enumerate(zip(starts[:-1], starts[1:])):
+        ring = dualcontour._AXIS_RING[_EDGES[e, 2], dualcontour._RING_POS[e]]
+        assert t > s
+        assert np.array_equal(edges["corner"][inverse[s:t]] + ring, coords[vox_rows[s:t]])
+    mesh = contour(grid)
+    assert mesh.n_faces > 1000
+    assert boundary_edge_count(mesh) > 0
+    ref = emit_quads(grid, mesh.vertices, mesh.vertex_normals)
+    assert _canonical_faces(mesh.faces) == _canonical_faces(ref.faces)
 
 
 def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
@@ -237,10 +261,11 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
     # same edge intersections that contour computes
     _, grid, mesh = sphere_grid_and_mesh
     w = grid.width
-    corners = grid.coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
+    coords, vals = voxel_coords(grid), voxel_corner_values(grid)
+    corners = coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
     rows, lower, axes, up, f_neg, f_pos = [], [], [], [], [], []
     for ca, cb, axis in _EDGES:
-        va, vb = grid.corner_values[:, ca], grid.corner_values[:, cb]
+        va, vb = vals[:, ca], vals[:, cb]
         for row in np.flatnonzero((va < 0) != (vb < 0)):
             rows.append(row)
             lower.append(corners[row, ca])
@@ -251,13 +276,13 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
     rows = np.array(rows)
     roots, normals = _batch_edge_roots(grid.table, edge_records(lower, axes, up, f_neg, f_pos), ROOT_TOL)
     for row in range(grid.n_active):
-        lo = grid.corner_position(grid.coords[row])
+        lo = grid.corner_position(coords[row])
         sel = rows == row
         want = place_vertex(roots[sel], normals[sel], box=(lo, lo + w))
         np.testing.assert_allclose(mesh.vertices[row], want, atol=1e-9)
     # one pass over every incidence in the order above, the order in which
     # contour's chunks add each voxel's terms, gives the same bytes
-    verts, vnorm = _qef_vertices(rows, roots, normals, grid, grid.coords)
+    verts, vnorm = _qef_vertices(rows, roots, normals, grid, coords)
     assert mesh.vertices.tobytes() == verts.tobytes()
     assert mesh.vertex_normals.tobytes() == vnorm.tobytes()
 
@@ -285,7 +310,7 @@ def test_unique_edges_reads_filled_bricks(sphere_model):
     table, filled = grid.table, grid.table._n_filled
     vox_rows, starts, inverse, edges = dualcontour._unique_edges(grid)
     assert table._n_filled == filled
-    coords, vals = grid.coords, grid.corner_values
+    coords, vals = voxel_coords(grid), voxel_corner_values(grid)
     rows, keys, recs = [], [], []
     for ca, cb, axis in _EDGES:
         hit = np.flatnonzero((vals[:, ca] < 0) != (vals[:, cb] < 0))
@@ -324,8 +349,8 @@ def test_search_order_matches_set_oracle(sphere_ps, monkeypatch, fetch_voxels):
     ref = grow_active_voxels(model, model.centers, model.normals, 0.04)
     assert grid.n_active > 1000
     assert grid.keys.tobytes() == ref.keys.tobytes()
-    vals = grid.corner_values
-    assert vals.tobytes() == ref.corner_values.tobytes()
+    vals = voxel_corner_values(grid)
+    assert vals.tobytes() == voxel_corner_values(ref).tobytes()
     # bit c of a code is set where corner c is negative
     assert np.array_equal((grid.codes[:, None] >> np.arange(8)) & 1, vals < 0)
 
@@ -369,8 +394,8 @@ def test_search_active_set_matches_face_bfs(make_points, tuning, width):
     order, ref_order = np.argsort(grid.keys), np.argsort(ref.keys)
     assert grid.n_active > 1000
     assert grid.keys[order].tobytes() == ref.keys[ref_order].tobytes()
-    vals = grid.corner_values
-    assert vals[order].tobytes() == ref.corner_values[ref_order].tobytes()
+    vals = voxel_corner_values(grid)
+    assert vals[order].tobytes() == voxel_corner_values(ref)[ref_order].tobytes()
     assert np.array_equal((grid.codes[:, None] >> np.arange(8)) & 1, vals < 0)
 
 
@@ -384,7 +409,7 @@ def test_search_fills_only_bricks_of_active_or_seed_voxels():
     steps = np.arange(-SEED_STEPS, SEED_STEPS + 1)
     probes = model.centers + (steps * w)[:, None, None] * model.normals
     seeds = np.floor((probes.reshape(-1, 3) - table.origin) / w).astype(np.int64)
-    voxels = np.concatenate([grid.coords, seeds[table.keys(seeds) >= 0]])
+    voxels = np.concatenate([voxel_coords(grid), seeds[table.keys(seeds) >= 0]])
     cells = (voxels[:, None, :] + _CORNER_OFFSETS[None, :, :]).reshape(-1, 3) - table.gmin
     cells = cells[np.all((cells >= 0) & (cells < table.shape), axis=1)]
     read = np.unique(np.ravel_multi_index(tuple((cells // _BRICK).T), tuple(table._nb)))

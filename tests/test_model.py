@@ -85,6 +85,17 @@ class TestTuning:
         tp = tune_parameters(norm_ps, idx, eta_override=3.5)
         assert tp.eta == 3.5
 
+    def test_rejects_negative_eta_override(self, sphere_ps):
+        # eta < 0 passes the bound's test A_bar/(1 + eta) < 1 once 1 + eta < 0,
+        # and b_j = rho^2 n / (20 + eta rho^2) grows without bound as eta -> -20/rho^2;
+        # eta = 0 (no regularization) stays allowed
+        norm_ps, _ = normalize_to_unit_box(sphere_ps)
+        idx = build_octree(norm_ps)
+        for eta in (-5.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="eta_override"):
+                tune_parameters(norm_ps, idx, eta_override=eta)
+        assert tune_parameters(norm_ps, idx, eta_override=0.0).eta == 0.0
+
     def test_rejects_bad_args(self, sphere_ps):
         norm_ps, _ = normalize_to_unit_box(sphere_ps)
         idx = build_octree(norm_ps)

@@ -207,6 +207,19 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, command, text, stage):
     assert stage in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "verify-bound"])
+def test_cli_negative_eta_override_fails_tune(tmp_path, capsys, command):
+    # a negative eta used to pass as a certificate (applicable=True with a
+    # negative bound) and as a reconstruction with only a warning
+    src = tmp_path / "in.xyz"
+    save_points(sphere_points(400, seed=3), src)
+    extra = [str(tmp_path / "o.obj")] if command == "reconstruct" else []
+    assert cli_main([command, str(src), *extra, "--eta-override", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "[tune]" in captured.err
+    assert "applicable=" not in captured.out
+
+
 def test_cli_verify_bound(tmp_path, sphere_ps, capsys):
     src = tmp_path / "in.xyz"
     save_points(sphere_ps, src)

@@ -132,6 +132,58 @@ def test_ply_truncated_binary(tmp_path, small_ps):
         load_points(path)
 
 
+def _write_binary_ply(path, props, points, normals, elements_after=""):
+    """A little-endian binary point file whose vertex record holds ``props``,
+    (PLY type, name, numpy code) in order; unnamed columns are zero."""
+    rec = np.zeros(len(points), np.dtype([(name, "<" + code) for _, name, code in props]))
+    for name, col in zip(("x", "y", "z", "nx", "ny", "nz"), np.concatenate([points, normals], axis=1).T):
+        rec[name] = col
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(points)}"]
+    header += [f"property {kind} {name}" for kind, name, _ in props]
+    path.write_bytes(("\n".join(header) + "\n" + elements_after + "end_header\n").encode("ascii") + rec.tobytes())
+
+
+_XYZ_NXYZ = ("x", "y", "z", "nx", "ny", "nz")
+
+
+@pytest.mark.parametrize(
+    "props, elements_after, exact",
+    [
+        ([("float", n, "f4") for n in _XYZ_NXYZ] + [("uchar", "red", "u1")], "", np.float32),
+        ([("double", n, "f8") for n in _XYZ_NXYZ], "", np.float64),
+        ([("float32", n, "f4") for n in _XYZ_NXYZ], "element face 0\nproperty list uchar int vertex_indices\n",
+         np.float32),
+    ],
+    ids=["extra-uchar", "double", "face-element-after"],
+)
+def test_ply_binary_reads_declared_layout(tmp_path, small_ps, props, elements_after, exact):
+    # x..nz are taken by name from the record the header declares; six
+    # float32 columns of 24 bytes a vertex used to be read whatever it said
+    path = tmp_path / "p.ply"
+    _write_binary_ply(path, props, small_ps.points, small_ps.normals, elements_after)
+    got = load_points(path)
+    assert got.points.tobytes() == small_ps.points.astype(exact).astype(np.float64).tobytes()
+    np.testing.assert_allclose(got.normals, small_ps.normals, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "props, elements_before",
+    [
+        ([("int", n, "i4") for n in _XYZ_NXYZ], ""),
+        ([("float", n, "f4") for n in _XYZ_NXYZ] + [("list", "idx", "u1")], ""),
+        ([("float", n, "f4") for n in _XYZ_NXYZ], "element face 0\n"),
+    ],
+    ids=["int-coords", "list-property", "face-element-first"],
+)
+def test_ply_binary_rejects_other_layouts(tmp_path, small_ps, props, elements_before):
+    path = tmp_path / "p.ply"
+    _write_binary_ply(path, props, small_ps.points, small_ps.normals)
+    if elements_before:
+        path.write_bytes(path.read_bytes().replace(b"element vertex", elements_before.encode() + b"element vertex"))
+    with pytest.raises(PointFileError):
+        load_points(path)
+
+
 def test_quadmesh_validate():
     mesh = QuadMesh(np.zeros((3, 3)), np.array([[0, 1, 2, 3]]))
     with pytest.raises(ValueError):
