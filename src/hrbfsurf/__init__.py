@@ -28,7 +28,7 @@ from .model import (
     ImplicitField,
     verify_error_bound,
 )
-from .exact import ExactSystem, ExactSolveResult, assemble, solve, eval_exact
+from .exact import ExactSystem, ExactSolveResult, assemble, solve
 from .covers import SphericalCover, CoverParams, quadric_error, select_centers, doc_at
 from .dualcontour import extract_surface, remove_small_fragments, boundary_edge_count
 from .metrics import (

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import kernel
-from .model import RadiusBands, _runs, _segment_sums, _support_pairs
+from .model import _PAIR_SLICE, RadiusBands, _cuts, _support_pairs
 
 DEFAULT_POINT_CAP = 5000
 _RESIDUAL_TOL = 1e-9  # residual gate of ``solve``, relative to 1 + ||y||inf
@@ -83,24 +83,29 @@ def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
     # (i, j) with ||p_i - p_j|| < rho_j, self pairs included, sorted by i, then j
     i_idx, j_idx = _support_pairs(RadiusBands(points, rho), points)
     indptr = np.searchsorted(i_idx, np.arange(n + 1))
-    offsets = points[i_idx] - points[j_idx]
-    rj = rho[j_idx]
-    blocks = np.empty((len(i_idx), 4, 4))
-    blocks[:, 0, 0] = kernel.value(offsets, rj)
-    grad = kernel.gradient(offsets, rj)
-    blocks[:, 0, 1:], blocks[:, 1:, 0] = -grad, grad
-    del grad
-    np.negative(kernel.hessian(offsets, rj), out=blocks[:, 1:, 1:])
-    del offsets, rj
-    own = np.flatnonzero(i_idx == j_idx)  # the self block of each row, in row order
-    blocks[own] += eta * np.eye(4)
-
     d_diag = np.repeat(kernel.D2_PEAK / rho**2 + eta, 4)
     d_diag[0::4] = 1.0 + eta
-    # per block, the row sums of |block - D|; D lies on the self blocks only
-    sums = np.abs(blocks).sum(axis=2)
-    sums[own] = np.abs(blocks[own] - d_diag.reshape(n, 4, 1) * np.eye(4)).sum(axis=2)
-    row_sums = np.add.reduceat(sums, indptr[:-1], axis=0).ravel()  # every row holds its self block
+    blocks = np.empty((len(i_idx), 4, 4))
+    row_sums = np.empty((n, 4))
+    # one slice of whole rows at a time, so that no per-pair temporary spans
+    # all pairs; every step is elementwise or sums within one row
+    cuts = _cuts(indptr, _PAIR_SLICE)
+    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = indptr[r0], indptr[r1]
+        i, j, blk = i_idx[lo:hi], j_idx[lo:hi], blocks[lo:hi]
+        offsets, rj = points[i] - points[j], rho[j]
+        blk[:, 0, 0] = kernel.value(offsets, rj)
+        grad = kernel.gradient(offsets, rj)
+        blk[:, 0, 1:], blk[:, 1:, 0] = -grad, grad
+        np.negative(kernel.hessian(offsets, rj), out=blk[:, 1:, 1:])
+        own = np.flatnonzero(i == j)  # the self block of each row, in row order
+        blk[own] += eta * np.eye(4)
+        # per block, the row sums of |block - D|; D lies on the self blocks only
+        sums = np.abs(blk).sum(axis=2)
+        sums[own] = np.abs(blk[own] - d_diag.reshape(n, 4, 1)[r0:r1] * np.eye(4)).sum(axis=2)
+        # every row holds its self block, so no run is empty
+        row_sums[r0:r1] = np.add.reduceat(sums, indptr[r0:r1] - lo, axis=0)
+    row_sums = row_sums.ravel()
     delta_a_inf = float(row_sums.max())
     contraction = float((row_sums / d_diag).max())
 
@@ -199,30 +204,3 @@ def solve(sys: ExactSystem, cond_limit=None) -> ExactSolveResult:
         method=method,
         iterations=iterations,
     )
-
-
-def eval_exact(ps, rho, lam, x, want_gradient=False):
-    """Evaluate the exact interpolant sum_j a_j phi_j - <b_j, grad phi_j> at x.
-
-    Values and gradients are 0 outside every support.
-    """
-    points = np.asarray(ps.points, dtype=np.float64)
-    n = len(points)
-    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,))
-    lam = np.asarray(lam, dtype=np.float64).reshape(n, 4)
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-
-    qi, j = _support_pairs(RadiusBands(points, rho), x)
-    offs, rj = x[qi] - points[j], rho[j]
-    a, b = lam[j, 0], lam[j, 1:]
-    g = kernel.gradient(offs, rj)
-    terms = [a * kernel.value(offs, rj) - np.einsum("ij,ij->i", b, g)]
-    if want_gradient:
-        h = kernel.hessian(offs, rj)
-        terms.extend((a[:, None] * g - np.einsum("kij,kj->ki", h, b)).T)
-    # every pair lies inside its support; a query outside every support sums to nan, here 0
-    sums = _segment_sums(_runs(qi, len(x)), np.stack(terms), np.ones(len(qi), dtype=bool), len(x))
-    sums = np.where(np.isnan(sums), 0.0, sums)
-    if want_gradient:
-        return sums[0], sums[1:].T.copy()
-    return sums[0]

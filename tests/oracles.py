@@ -13,12 +13,16 @@ independently of its vertex order.  ``voxel_coords`` and
 ``kernel_evaluate`` evaluates one kernel at one point,
 ``radius_query`` lists the indexed points strictly inside one ball, and
 ``octree_leaves`` subdivides a point set recursively into octree leaves.
+``assemble_whole`` assembles the exact system with every per-pair array
+spanning all support pairs at once, and ``eval_exact`` evaluates the exact
+interpolant at query points.
 """
 
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from hrbfsurf import kernel
 from hrbfsurf.dualcontour import (
@@ -30,7 +34,8 @@ from hrbfsurf.dualcontour import (
     _UV,
     VoxelGrid,
 )
-from hrbfsurf.model import LatticeTable
+from hrbfsurf.exact import ExactSystem
+from hrbfsurf.model import LatticeTable, RadiusBands, _candidate_pairs, _runs, _segment_sums, _support_pairs
 from hrbfsurf.octree import MAX_DEPTH, PointOctree
 from hrbfsurf.pointset import QuadMesh
 
@@ -318,3 +323,70 @@ def canonical_mesh_digest(mesh: QuadMesh) -> str:
         h.update(np.ascontiguousarray(normals[order]).tobytes())
     h.update(np.ascontiguousarray(faces).tobytes())
     return h.hexdigest()
+
+
+def assemble_whole(ps, rho, eta) -> ExactSystem:
+    """``exact.assemble`` in one pass: the strict support test, the blocks and
+    the row sums of |block - D| each take every support pair at once."""
+    points = np.asarray(ps.points, dtype=np.float64)
+    normals = np.asarray(ps.normals, dtype=np.float64)
+    n = len(points)
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,)).copy()
+    i_idx, j_idx = _candidate_pairs(RadiusBands(points, rho), points)
+    inside = np.linalg.norm(points[i_idx] - points[j_idx], axis=1) < rho[j_idx]
+    i_idx, j_idx = i_idx[inside], j_idx[inside]
+    indptr = np.searchsorted(i_idx, np.arange(n + 1))
+    offsets = points[i_idx] - points[j_idx]
+    rj = rho[j_idx]
+    blocks = np.empty((len(i_idx), 4, 4))
+    blocks[:, 0, 0] = kernel.value(offsets, rj)
+    grad = kernel.gradient(offsets, rj)
+    blocks[:, 0, 1:], blocks[:, 1:, 0] = -grad, grad
+    blocks[:, 1:, 1:] = -kernel.hessian(offsets, rj)
+    own = np.flatnonzero(i_idx == j_idx)
+    blocks[own] += eta * np.eye(4)
+    d_diag = np.repeat(kernel.D2_PEAK / rho**2 + eta, 4)
+    d_diag[0::4] = 1.0 + eta
+    sums = np.abs(blocks).sum(axis=2)
+    sums[own] = np.abs(blocks[own] - d_diag.reshape(n, 4, 1) * np.eye(4)).sum(axis=2)
+    row_sums = np.add.reduceat(sums, indptr[:-1], axis=0).ravel()
+    mat = sp.bsr_matrix((blocks, j_idx, indptr), shape=(4 * n, 4 * n))
+    y = np.zeros(4 * n)
+    y.reshape(-1, 4)[:, 1:] = normals
+    return ExactSystem(
+        n=n,
+        matrix=mat,
+        y=y,
+        eta=eta,
+        rho=rho,
+        delta_a_inf=float(row_sums.max()),
+        contraction=float((row_sums / d_diag).max()),
+        d_diag=d_diag,
+    )
+
+
+def eval_exact(ps, rho, lam, x, want_gradient=False):
+    """Evaluate the exact interpolant sum_j a_j phi_j - <b_j, grad phi_j> at x.
+
+    Values and gradients are 0 outside every support.
+    """
+    points = np.asarray(ps.points, dtype=np.float64)
+    n = len(points)
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,))
+    lam = np.asarray(lam, dtype=np.float64).reshape(n, 4)
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
+
+    qi, j = _support_pairs(RadiusBands(points, rho), x)
+    offs, rj = x[qi] - points[j], rho[j]
+    a, b = lam[j, 0], lam[j, 1:]
+    g = kernel.gradient(offs, rj)
+    terms = [a * kernel.value(offs, rj) - np.einsum("ij,ij->i", b, g)]
+    if want_gradient:
+        h = kernel.hessian(offs, rj)
+        terms.extend((a[:, None] * g - np.einsum("kij,kj->ki", h, b)).T)
+    # every pair lies inside its support; a query outside every support sums to nan, here 0
+    sums = _segment_sums(_runs(qi, len(x)), np.stack(terms), np.ones(len(qi), dtype=bool), len(x))
+    sums = np.where(np.isnan(sums), 0.0, sums)
+    if want_gradient:
+        return sums[0], sums[1:].T.copy()
+    return sums[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrbfsurf import dualcontour
+from hrbfsurf import dualcontour, exact
 from hrbfsurf.dualcontour import (
     _CORNER_OFFSETS,
     _EDGES,
@@ -511,6 +511,29 @@ def test_extraction_memory_grows_with_surface(monkeypatch):
     # measured 157 B and 38 B; the bounds leave under 20% above them
     assert (peak1 - peak0) / (n1 - n0) <= 188
     assert (growth1 - growth0) / (e1 - e0) <= 42
+
+
+def test_exact_assembly_memory_grows_with_pairs():
+    # traced peak bytes of exact.assemble at two sizes: what doubling the
+    # points adds to the peak, per added support pair, is the assembly's cost
+    # per pair.  The matrix it returns holds 132 B per pair (a 4x4 block and an
+    # int32 column index)
+    runs = []
+    for n in (1500, 3000):
+        ps, tp, _ = tuned_model(sphere_points(n, seed=1))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            system = exact.assemble(ps, tp.rho, tp.eta)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        runs.append((len(system.matrix.indices), peak))
+        del system
+    (p0, peak0), (p1, peak1) = runs
+    assert p1 > 1.5 * p0
+    # measured 145 B, and 305 B with every per-pair array spanning all pairs
+    assert (peak1 - peak0) / (p1 - p0) <= 170
 
 
 def test_wide_kernel_memory_bounded_by_listing_pieces(monkeypatch):

@@ -11,16 +11,15 @@ from hrbfsurf.exact import (
     _neumann_ceiling,
     assemble,
     condition_estimate,
-    eval_exact,
     solve,
 )
-from hrbfsurf.model import RadiusBands, _support_pairs, model_from_arrays, quasi_lambda
+from hrbfsurf.model import RadiusBands, _cuts, _support_pairs, model_from_arrays, quasi_lambda
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import HermitePointSet
 from hrbfsurf.sampling import sphere_points, torus_points
 
 from conftest import random_unit_vectors, tuned_model
-from oracles import radius_query
+from oracles import assemble_whole, eval_exact, radius_query
 
 
 def _random_ps(n, seed, spread=1.0):
@@ -224,6 +223,39 @@ def test_neumann_matches_lu_oracle(shape, s):
     # the first Neumann step bounds the distance from the quasi-solution D^-1 y
     quasi_err = np.max(np.abs(sys.y / sys.d_diag - oracle))
     assert quasi_err <= res.bound_a_posteriori
+
+
+@pytest.mark.parametrize("case", ["sphere", "torus", "bands"])
+def test_sliced_assembly_matches_whole(case, monkeypatch):
+    # a budget of 64 pairs cuts the system into many slices of whole rows,
+    # and a row longer than the budget becomes a slice of its own
+    budget = 64
+    monkeypatch.setattr("hrbfsurf.exact._PAIR_SLICE", budget)
+    monkeypatch.setattr("hrbfsurf.model._PAIR_SLICE", budget)
+    if case == "bands":
+        ps = _random_ps(200, 14, spread=0.8)
+        rho = np.random.default_rng(15).uniform(0.15, 0.9, 200)
+        assert len(RadiusBands(ps.points, rho).groups) > 2
+        eta = 0.0
+    else:
+        ps = sphere_points(500, seed=3) if case == "sphere" else torus_points(500, seed=4)
+        ps, tp, _ = tuned_model(ps, s=1.0 if case == "sphere" else 2.0)
+        rho, eta = tp.rho, tp.eta
+    sys, ref = assemble(ps, rho, eta), assemble_whole(ps, rho, eta)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(sys.matrix, name), getattr(ref.matrix, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sys.y.tobytes() == ref.y.tobytes() and sys.d_diag.tobytes() == ref.d_diag.tobytes()
+    assert sys.delta_a_inf == ref.delta_a_inf and sys.contraction == ref.contraction
+    cuts = _cuts(sys.matrix.indptr, budget)
+    assert len(cuts) > 10
+    if case == "torus":  # s = 2 gives rows longer than the budget
+        lone = cuts[:-1][np.diff(cuts) == 1]
+        assert np.any(np.diff(sys.matrix.indptr)[lone] > budget)
+    if case == "bands":
+        res, want = solve(sys), solve(ref)
+        assert res.method == want.method == "lu"
+        assert res.lam.tobytes() == want.lam.tobytes()
 
 
 def test_neumann_ceiling_alone_reaches_rounding_level(monkeypatch):
