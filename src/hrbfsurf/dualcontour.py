@@ -174,7 +174,7 @@ def _batch_edge_roots(table: LatticeTable, edges, tol, workers=1):
     bad = np.flatnonzero(~np.isfinite(norms) | (norms < 1e-12))
     if len(bad):
         grads[bad] = 0.0
-        grads[bad, edges["axis"][bad]] = np.where(edges["up"][bad], 1.0, -1.0)
+        grads[bad, edges["axis"][bad]] = np.where(edges["f_lo"][bad] < 0.0, 1.0, -1.0)
         norms[bad] = 1.0
     grads /= norms[:, None]
     return roots, grads
@@ -241,9 +241,8 @@ def _unique_edges(grid: VoxelGrid):
     edges = np.empty(bounds[-1], EDGE_RECORD)
     for a, k in enumerate(lower):
         corner = table.coords(k)
-        v_lo, v_hi = table.fetch(corner), table.fetch(corner + np.eye(3, dtype=np.int64)[a])
-        f_neg, f_pos = np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)
-        edges[bounds[a] : bounds[a + 1]] = edge_records(corner, a, v_lo < 0, f_neg, f_pos)
+        f_lo, f_hi = table.fetch(corner), table.fetch(corner + np.eye(3, dtype=np.int64)[a])
+        edges[bounds[a] : bounds[a + 1]] = edge_records(corner, a, f_lo, f_hi)
     return np.concatenate(vox_rows), starts, inverse, edges
 
 
@@ -280,7 +279,7 @@ def _quads(vox_rows, starts, inverse, edges):
         quads[inverse[s:t], _RING_POS[e]] = vox_rows[s:t]
     complete = np.all(quads >= 0, axis=1)
     quads = quads[complete]
-    flip = ~edges["up"][complete]  # the field falls along +axis
+    flip = edges["f_lo"][complete] >= 0.0  # the field falls along +axis
     quads[flip] = quads[flip, ::-1]
     return quads
 

@@ -284,35 +284,17 @@ def _unique(keys):
 
 
 # one sign-change lattice edge: the integer lattice coords of its lower corner,
-# its axis, whether its negative end is the lower corner (``up``) and the
-# field values at its negative and positive ends
+# its axis and the field values at its lower and upper corners
 EDGE_RECORD = np.dtype(
-    [("corner", np.int64, (3,)), ("f_neg", np.float64), ("f_pos", np.float64), ("axis", np.int8), ("up", np.bool_)],
-    align=True,
+    [("corner", np.int64, (3,)), ("f_lo", np.float64), ("f_hi", np.float64), ("axis", np.int8)], align=True
 )
 
 
-def edge_records(corner, axis, up, f_neg, f_pos):
+def edge_records(corner, axis, f_lo, f_hi):
     """Sign-change lattice edges as an array of ``EDGE_RECORD``."""
-    edges = np.empty(len(f_neg), EDGE_RECORD)
-    edges["corner"], edges["axis"], edges["up"] = corner, axis, up
-    edges["f_neg"], edges["f_pos"] = f_neg, f_pos
+    edges = np.empty(len(f_lo), EDGE_RECORD)
+    edges["corner"], edges["axis"], edges["f_lo"], edges["f_hi"] = corner, axis, f_lo, f_hi
     return edges
-
-
-def _edge_ends(table, edges, a):
-    """Negative ends (n, 3) and signed lengths along their axis ``a`` of
-    ``EDGE_RECORD`` edges: the lower end lies at origin + corner * w and the
-    upper one w further along the axis, so a length is fl(x + w) - x or its
-    negative."""
-    p_neg = table.origin + edges["corner"] * table.width
-    x = p_neg[:, a]
-    x_hi = x + table.width
-    length = x_hi - x
-    down = ~edges["up"]
-    p_neg[down, a] = x_hi[down]
-    np.negative(length, out=length, where=down)
-    return p_neg, length
 
 
 def axis_edge_roots(table: LatticeTable, edges, tol, workers=1):
@@ -328,16 +310,16 @@ def axis_edge_roots(table: LatticeTable, edges, tol, workers=1):
     move by at most that much.  An edge lies in the closed cube of the brick
     holding its lower corner, so that brick's kernel listing supplies its
     candidates, and the iteration reduces to scalar work per (edge, kernel)
-    pair: with u = p_neg - c for the negative end p_neg and L the signed edge
-    length along its axis a, the squared distance at parameter s is
-    |u|^2 + 2 u_a L s + L^2 s^2 and <g, x-c> is <g,u> + g_a L s, so each step
-    costs one sqrt per pair instead of a fresh neighbor search.  Ends and
-    lengths are formed per chunk by ``_edge_ends``.  Edges are grouped by
-    that brick and worked like the fill: each batch of ``_FILL_BRICKS``
-    bricks runs on its own thread and lists its kernels in pieces of about
-    ``_LIST_PAIRS`` pairs, and each piece cuts each axis's edges into chunks
-    of about ``_EDGE_PAIRS`` pairs.  Each edge is summed
-    by ``add.reduceat`` over its ascending pair list, so the result depends
+    pair: an edge is x = p + s w e_a for s in [0, 1], with p = origin +
+    corner * w its lower corner and a its axis, whichever end is negative.
+    With u = p - c the squared distance is |u|^2 + 2 u_a w s + w^2 s^2 and
+    <g, x-c> is <g,u> + g_a w s, so each step costs one sqrt per pair
+    instead of a fresh neighbor search.  Edges are grouped by that brick
+    and worked like the fill: each batch of ``_FILL_BRICKS`` bricks runs on
+    its own thread and lists its kernels in pieces of about
+    ``_LIST_PAIRS`` pairs, and each piece cuts each axis's edges into
+    chunks of about ``_EDGE_PAIRS`` pairs.  Each edge is summed by
+    ``add.reduceat`` over its ascending pair list, so the result depends
     neither on the slicing, the batching, the pieces, the chunking nor the
     edge order.
 
@@ -381,10 +363,9 @@ def axis_edge_roots(table: LatticeTable, edges, tol, workers=1):
                 for c0, c1 in zip(cuts[:-1], cuts[1:]):
                     ec = e[c0:c1]
                     chunk = edges[ec]
-                    p_neg, length = _edge_ends(table, chunk, a)
                     roots[ec], grads[ec] = _edge_roots_chunk(
-                        model, p_neg, a, length, chunk["f_neg"], chunk["f_pos"], start[ec],
-                        kern, first[c0:c1], count[c0:c1], tol
+                        model, table.origin + chunk["corner"] * table.width, a, table.width,
+                        chunk["f_lo"], chunk["f_hi"], start[ec], kern, first[c0:c1], count[c0:c1], tol
                     )
 
     _dispatch(run, [slice(b0, b0 + _FILL_BRICKS) for b0 in range(0, len(bounds) - 1, _FILL_BRICKS)], workers)
@@ -407,7 +388,8 @@ def _dispatch(run, slices, workers):
 
 
 def _cubic_start(table, edges):
-    """First point s in [0, 1] on each ``EDGE_RECORD`` edge, with s = 0 at the negative end.
+    """First point s in [0, 1] on each ``EDGE_RECORD`` edge, with s = 0 at its
+    lower corner and s = 1 one width along its axis.
 
     The cells one edge beyond both ends give the field at s = -1 and 2
     (``fetch`` fills the bricks the search left unfilled).  The start is the
@@ -416,59 +398,57 @@ def _cubic_start(table, edges):
     nan (outside the table or every support) or where the steps end at a
     point that is not finite or lies outside [0, 1].
     """
-    corner, up, f_neg, f_pos = edges["corner"], edges["up"], edges["f_neg"], edges["f_pos"]
+    corner, f_lo, f_hi = edges["corner"], edges["f_lo"], edges["f_hi"]
     step = np.eye(3, dtype=np.int64)[edges["axis"]]
-    below, above = table.fetch(corner - step), table.fetch(corner + 2 * step)
-    f_before, f_after = np.where(up, below, above), np.where(up, above, below)
-    linear = -f_neg / (f_pos - f_neg)
-    # the cubic is f_neg + s (c1 + s (c2 + s c3))
-    c3 = (f_after - f_before + 3.0 * (f_neg - f_pos)) / 6.0
-    c2 = 0.5 * (f_pos + f_before) - f_neg
-    c1 = 0.5 * (f_pos - f_before) - c3
+    f_before, f_after = table.fetch(corner - step), table.fetch(corner + 2 * step)
+    linear = -f_lo / (f_hi - f_lo)
+    # the cubic is f_lo + s (c1 + s (c2 + s c3))
+    c3 = (f_after - f_before + 3.0 * (f_lo - f_hi)) / 6.0
+    c2 = 0.5 * (f_hi + f_before) - f_lo
+    c1 = 0.5 * (f_hi - f_before) - c3
     s = linear
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_START_STEPS):
-            s = s - (f_neg + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * c3 * s))
+            s = s - (f_lo + s * (c1 + s * (c2 + s * c3))) / (c1 + s * (2.0 * c2 + 3.0 * c3 * s))
     return np.where(np.isfinite(s) & (s >= 0.0) & (s <= 1.0), s, linear)
 
 
-def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, kern, first, count, tol):
+def _edge_roots_chunk(model, p_lo, axis, width, f_lo, f_hi, start, kern, first, count, tol):
     """Roots and gradients for one chunk of edges along ``axis`` from its
     candidate (edge, kernel) pairs: the kernels of edge i are
-    ``kern[first[i] : first[i] + count[i]]``.  ``length`` holds the signed
-    edge lengths.
+    ``kern[first[i] : first[i] + count[i]]``.  Edge i runs from its lower
+    corner ``p_lo[i]`` (s = 0, value ``f_lo[i]``) to one ``width`` along
+    ``axis`` (s = 1, value ``f_hi[i]``).
 
     The root of each edge is found on s in [0, 1] by regula falsi with the
     Illinois modification (Dowell & Jarratt, BIT 1971), starting from
     ``start``.  A bisection step replaces it wherever the last value is
     undefined or the regula-falsi point is not finite or leaves the bracket.
     """
-    n = len(p_neg)
+    n = len(p_lo)
     qidx = np.repeat(np.arange(n), count)
     cidx = kern[np.arange(len(qidx)) + np.repeat(first - np.cumsum(count) + count, count)]
-    u = [np.take(p_neg[:, k], qidx) - np.take(model.centers_t[k], cidx) for k in range(3)]
-    p_len = length[qidx]
+    u = [np.take(p_lo[:, k], qidx) - np.take(model.centers_t[k], cidx) for k in range(3)]
     aa = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    bb = u[axis] * p_len
-    gg = np.maximum(p_len * p_len, 1e-300)
+    bb = u[axis] * width
+    gg = width * width
     # drop pairs whose support misses the whole segment: the minimum of the
     # distance quadratic over s in [0, 1] already exceeds rho
     s_close = np.clip(-bb / gg, 0.0, 1.0)
     d2_min = aa + (2.0 * bb + gg * s_close) * s_close
     near = np.flatnonzero(d2_min < model.rho[cidx] ** 2)
     del s_close, d2_min
-    qidx, cidx, aa, bb, gg, p_len = qidx[near], cidx[near], aa[near], bb[near], gg[near], p_len[near]
+    qidx, cidx, aa, bb = qidx[near], cidx[near], aa[near], bb[near]
     u = [x[near] for x in u]
     g = [model.g_t[k][cidx] for k in range(3)]
     cc = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
-    dd = g[axis] * p_len
+    dd = g[axis] * width
     rho = model.rho[cidx]
     rho_sq = rho**2
 
+    up = f_lo < 0.0  # the field rises along +axis
     lo = np.zeros(n)
     hi = np.ones(n)
-    f_lo = f_neg.copy()
-    f_hi = f_pos.copy()
     s = start
     kept = np.zeros(n, dtype=np.int8)  # end the last step kept: -1 lo, 1 hi
     active = np.ones(n, dtype=bool)
@@ -480,15 +460,16 @@ def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, kern, fir
         if not active.any():
             break
         v = _edge_values(pairs, runs, s, n)
-        # undefined values shrink the bracket from the positive side
-        neg = active & (v < 0.0)
-        pos = active & ~(v < 0.0)
+        # a value moves the end whose sign it shares; undefined values count
+        # as positive, so they shrink the bracket from the positive end
+        to_lo = active & ((v < 0.0) == up)
+        to_hi = active & ((v < 0.0) != up)
         # Illinois: an end kept twice in a row has its stored value halved
-        f_hi = np.where(neg & (kept == 1), 0.5 * f_hi, f_hi)
-        f_lo = np.where(pos & (kept == -1), 0.5 * f_lo, f_lo)
-        lo, f_lo = np.where(neg, s, lo), np.where(neg, v, f_lo)
-        hi, f_hi = np.where(pos, s, hi), np.where(pos, v, f_hi)  # nan where undefined
-        kept = np.where(neg, 1, np.where(pos, -1, kept))
+        f_hi = np.where(to_lo & (kept == 1), 0.5 * f_hi, f_hi)
+        f_lo = np.where(to_hi & (kept == -1), 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(to_lo, s, lo), np.where(to_lo, v, f_lo)
+        hi, f_hi = np.where(to_hi, s, hi), np.where(to_hi, v, f_hi)  # nan where undefined
+        kept = np.where(to_lo, 1, np.where(to_hi, -1, kept))
         # the regula-falsi point, or the midpoint where it is not finite or
         # leaves the bracket
         s_next = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
@@ -504,17 +485,17 @@ def _edge_roots_chunk(model, p_neg, axis, length, f_neg, f_pos, start, kern, fir
         if len(live) < 0.75 * len(pairs[0]):
             pairs = tuple(x[live] for x in pairs)
             runs = _runs(pairs[0], n)
-    roots = p_neg.copy()
-    roots[:, axis] += s * length
+    roots = p_lo.copy()
+    roots[:, axis] += s * width
 
     # gradient of the field at the roots from the same pair set; the terms
     # are dropped as soon as they are read
     del pairs, runs
     s = s[qidx]
-    u[axis] += s * p_len  # now x - c
+    u[axis] += s * width  # now x - c
     r = np.sqrt(aa + (2.0 * bb + gg * s) * s)
     gu = cc + dd * s
-    del aa, bb, gg, cc, dd, p_len, s
+    del aa, bb, cc, dd, s
     return roots, _gradient_sums(all_runs, u, g, gu, r, rho, n)
 
 

@@ -145,16 +145,14 @@ def _renormalize(points, normals):
 
 
 def _detect_format(path):
-    path = Path(path)
-    if path.suffix.lower() == ".xyz":
+    """The point format a file's suffix names: PLY is written as ascii and
+    read in the encoding its header declares."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".xyz":
         return "xyz-ascii"
-    if path.suffix.lower() == ".ply":
-        with open(path, "rb") as fh:
-            header = fh.read(256)
-        if b"binary_little_endian" in header:
-            return "ply-binary-LE"
+    if suffix == ".ply":
         return "ply-ascii"
-    raise PointFileError(f"cannot infer format from {path.name}")
+    raise PointFileError(f"cannot infer format from {Path(path).name}")
 
 
 def load_points(path, fmt=None) -> HermitePointSet:
@@ -193,13 +191,15 @@ _PLY_TYPES = dict(zip(  # PLY scalar types, by either name, as numpy codes
     "i1 u1 i2 u2 i4 u4 f4 f8".split() * 2))
 
 
-def _parse_ply_header(fh):
-    """(format, vertex count, [(name, type)] of the vertex properties)."""
+def _parse_ply_header(fh, names_first):
+    """(format, {element: count}, [(name, type)] of the vertex properties) of
+    a PLY file open in binary mode; the vertex property names must begin with
+    ``names_first``."""
     magic = fh.readline().strip()
     if magic != b"ply":
         raise PointFileError("not a PLY file", line=1)
     fmt = None
-    count = None
+    counts = {}
     element = None
     props = []
     lineno = 1
@@ -215,25 +215,25 @@ def _parse_ply_header(fh):
             fmt = tokens[1]
         elif tokens[0] == "element":
             element = tokens[1]
-            if element == "vertex":
-                count = int(tokens[2])
-            elif count is None:
+            if element != "vertex" and "vertex" not in counts:
                 raise PointFileError("the vertex element must come first", line=lineno)
+            counts[element] = int(tokens[2])
         elif tokens[0] == "property" and element == "vertex":
             props.append((tokens[-1], tokens[1]))
         elif tokens[0] == "end_header":
             break
-    if fmt is None or count is None:
+    if fmt is None or "vertex" not in counts:
         raise PointFileError("incomplete PLY header")
     names = tuple(name for name, _ in props)
-    if names[:6] != _PLY_PROPS:
-        raise PointFileError(f"expected vertex properties {_PLY_PROPS}, got {names}")
-    return fmt, count, props
+    if names[: len(names_first)] != names_first:
+        raise PointFileError(f"expected vertex properties {names_first}, got {names}")
+    return fmt, counts, props
 
 
 def _load_ply(path):
     with open(path, "rb") as fh:
-        fmt, count, props = _parse_ply_header(fh)
+        fmt, counts, props = _parse_ply_header(fh, _PLY_PROPS)
+        count = counts["vertex"]
         if fmt == "ascii":
             rows = []
             for i in range(count):
@@ -322,23 +322,16 @@ def save_mesh(mesh: QuadMesh, path, fmt=None):
         raise PointFileError(f"unknown mesh format {fmt!r}")
 
 
-def _load_mesh_ply(path) -> QuadMesh:
-    verts, faces = [], []
-    with open(path) as fh:
-        n_vert = n_face = 0
-        for line in fh:
-            parts = line.split()
-            if parts[:2] == ["element", "vertex"]:
-                n_vert = int(parts[2])
-            elif parts[:2] == ["element", "face"]:
-                n_face = int(parts[2])
-            elif parts[:1] == ["end_header"]:
-                break
-        for _ in range(n_vert):
-            verts.append([float(v) for v in fh.readline().split()[:3]])
-        for _ in range(n_face):
-            parts = fh.readline().split()
-            faces.append([int(v) for v in parts[1 : 1 + int(parts[0])]])
+def _load_mesh_ply(fh) -> QuadMesh:
+    """An ascii PLY mesh from ``fh``, open in binary mode at its start."""
+    fmt, counts, _ = _parse_ply_header(fh, _PLY_PROPS[:3])
+    if fmt != "ascii":
+        raise PointFileError(f"unsupported PLY mesh format {fmt!r}: meshes are read from ascii PLY")
+    verts = [[float(v) for v in fh.readline().split()[:3]] for _ in range(counts["vertex"])]
+    faces = []
+    for _ in range(counts.get("face", 0)):
+        parts = fh.readline().split()
+        faces.append([int(v) for v in parts[1 : 1 + int(parts[0])]])
     verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
     width = max((len(f) for f in faces), default=4)
     face_arr = np.array([f for f in faces if len(f) == width], dtype=np.int64).reshape(-1, width)
@@ -347,9 +340,10 @@ def _load_mesh_ply(path) -> QuadMesh:
 
 def load_mesh(path) -> QuadMesh:
     """Read a mesh written by save_mesh: OBJ (v/vn/f records) or ascii PLY."""
-    with open(path) as fh:
-        if fh.readline().strip() == "ply":
-            return _load_mesh_ply(path)
+    with open(path, "rb") as fh:
+        if fh.readline().strip() == b"ply":
+            fh.seek(0)
+            return _load_mesh_ply(fh)
     verts, normals, faces = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

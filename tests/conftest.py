@@ -37,9 +37,9 @@ def random_unit_vectors(n, rng):
 
 def sign_change_edges(table, cells):
     """Lattice edges from ``cells`` along +x, +y and +z whose ends are defined
-    and differ in sign: (``EDGE_RECORD`` array, negative ends, positive ends).
-    The lower end lies at origin + corner * w and the upper one w further
-    along the axis."""
+    and differ in sign: (``EDGE_RECORD`` array, lower ends, upper ends).  The
+    lower end lies at origin + corner * w and the upper one w further along
+    the axis."""
     cells = np.unique(np.asarray(cells, dtype=np.int64).reshape(-1, 3), axis=0)
     corner, axis, f_lo, f_hi = [], [], [], []
     for a in range(3):
@@ -50,12 +50,10 @@ def sign_change_edges(table, cells):
         f_lo.append(va[hit])
         f_hi.append(vb[hit])
     corner, axis, f_lo, f_hi = (np.concatenate(x) for x in (corner, axis, f_lo, f_hi))
-    up = f_lo < 0
-    edges = edge_records(corner, axis, up, np.where(up, f_lo, f_hi), np.where(up, f_hi, f_lo))
     lo = table.origin + corner * table.width
     hi = lo.copy()
     hi[np.arange(len(hi)), axis] += table.width
-    return edges, np.where(up[:, None], lo, hi), np.where(up[:, None], hi, lo)
+    return edge_records(corner, axis, f_lo, f_hi), lo, hi
 
 
 def cells_near(points, origin, width, reach):

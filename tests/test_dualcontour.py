@@ -124,11 +124,11 @@ def test_batch_edge_roots_match_scalar(sphere_model):
     table = LatticeTable(sphere_model, origin, w)
     edges = sign_change_edges(table, cells_near(sphere_model.centers[:40], origin, w, 1))
     rows = np.random.default_rng(0).choice(len(edges[0]), 50, replace=False)
-    edges, p_neg, p_pos = (x[rows] for x in edges)
+    edges, lo, hi = (x[rows] for x in edges)
     roots, normals = _batch_edge_roots(table, edges, tol=1e-12)
     field = ImplicitField(sphere_model)
     for i in range(len(edges)):
-        hit = edge_root(field, p_neg[i], p_pos[i], tol=1e-12)
+        hit = edge_root(field, lo[i], hi[i], tol=1e-12)
         np.testing.assert_allclose(roots[i], hit.position, atol=1e-9)
         np.testing.assert_allclose(normals[i], hit.normal, atol=1e-9)
 
@@ -144,7 +144,8 @@ def test_batch_edge_roots_fallback_normal():
     corner = np.repeat([[0, 0, 0], table.gmin], 6, axis=0)
     axis = np.tile(np.repeat([0, 1, 2], 2), 2)
     up = np.tile([True, False], 6)
-    edges = edge_records(corner, axis, up, np.full(12, -1.0), np.full(12, 1.0))
+    f_lo = np.where(up, -1.0, 1.0)
+    edges = edge_records(corner, axis, f_lo, -f_lo)
     _, grads = dualcontour.axis_edge_roots(table, edges, ROOT_TOL)
     assert np.all(grads[:6] == 0.0) and np.all(np.isnan(grads[6:]))
     _, normals = _batch_edge_roots(table, edges, ROOT_TOL)
@@ -263,18 +264,17 @@ def test_contour_vertices_match_place_vertex(sphere_grid_and_mesh):
     w = grid.width
     coords, vals = voxel_coords(grid), voxel_corner_values(grid)
     corners = coords[:, None, :] + _CORNER_OFFSETS[None, :, :]
-    rows, lower, axes, up, f_neg, f_pos = [], [], [], [], [], []
+    rows, lower, axes, f_lo, f_hi = [], [], [], [], []
     for ca, cb, axis in _EDGES:
         va, vb = vals[:, ca], vals[:, cb]
         for row in np.flatnonzero((va < 0) != (vb < 0)):
             rows.append(row)
             lower.append(corners[row, ca])
             axes.append(axis)
-            up.append(va[row] < 0)
-            f_neg.append(min(va[row], vb[row]))
-            f_pos.append(max(va[row], vb[row]))
+            f_lo.append(va[row])
+            f_hi.append(vb[row])
     rows = np.array(rows)
-    roots, normals = _batch_edge_roots(grid.table, edge_records(lower, axes, up, f_neg, f_pos), ROOT_TOL)
+    roots, normals = _batch_edge_roots(grid.table, edge_records(lower, axes, f_lo, f_hi), ROOT_TOL)
     for row in range(grid.n_active):
         lo = grid.corner_position(coords[row])
         sel = rows == row
@@ -315,10 +315,9 @@ def test_unique_edges_reads_filled_bricks(sphere_model):
     for ca, cb, axis in _EDGES:
         hit = np.flatnonzero((vals[:, ca] < 0) != (vals[:, cb] < 0))
         lower = coords[hit] + _CORNER_OFFSETS[ca]
-        v_lo, v_hi = vals[hit, ca], vals[hit, cb]
         rows.append(hit)
         keys.append(table.keys(lower) * 4 + axis)
-        recs.append(edge_records(lower, axis, v_lo < 0, np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)))
+        recs.append(edge_records(lower, axis, vals[hit, ca], vals[hit, cb]))
     keys, recs = np.concatenate(keys), np.concatenate(recs)
     assert np.array_equal(vox_rows, np.concatenate(rows))
     assert np.array_equal(starts, np.cumsum([0] + [len(r) for r in rows]))

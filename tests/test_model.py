@@ -254,20 +254,36 @@ class TestCandidatePairs:
         assert np.all(dp <= model.rho_max + 1e-12)
 
 
+def _bisected(model, edges, lo, hi, steps):
+    """Plain bisection on the field over ``steps`` halvings of each edge from
+    its lower ends ``lo`` and upper ends ``hi``: the midpoints of the final
+    brackets.  A point moves the negative end only where the field is defined
+    and negative."""
+    up = (edges["f_lo"] < 0)[:, None]
+    a, b = np.where(up, lo, hi), np.where(up, hi, lo)  # the negative and positive ends
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        v = _eval_chunk(model, mid, False)[0]
+        neg = (np.isfinite(v) & (v < 0))[:, None]
+        a = np.where(neg, mid, a)
+        b = np.where(neg, b, mid)
+    return 0.5 * (a + b)
+
+
 class TestIsosurfaceHelpers:
     def test_axis_edge_roots_match_scalar_bisection(self, sphere_model):
         _, _, model = sphere_model
         w = 0.05
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
-        edges, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        edges, lo, hi = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
         assert len(edges) > 100
         roots, grads = axis_edge_roots(table, edges, tol=1e-13)
         rv = _eval_chunk(model, roots, False)[0]
         assert np.nanmax(np.abs(rv)) < 1e-6
         # scalar oracle: plain bisection on the field evaluation
         for i in range(0, len(edges), 25):
-            a, b = p_neg[i].copy(), p_pos[i].copy()
+            a, b = (lo[i], hi[i]) if edges["f_lo"][i] < 0 else (hi[i], lo[i])
             for _ in range(40):
                 mid = 0.5 * (a + b)
                 v = _eval_chunk(model, mid[None], False)[0][0]
@@ -284,42 +300,38 @@ class TestIsosurfaceHelpers:
         w = 0.05
         origin = model.centers.min(axis=0) - 2 * w
         table = LatticeTable(model, origin, w)
-        edges, p_neg, p_pos = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
+        edges, lo, hi = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
         roots, _ = axis_edge_roots(table, edges, ROOT_TOL)
-        s = np.einsum("ij,ij->i", roots - p_neg, p_pos - p_neg) / w**2
+        s = np.einsum("ij,ij->i", roots - lo, hi - lo) / w**2
         assert np.all((s >= 0.0) & (s <= 1.0))
-        np.testing.assert_allclose(p_neg + s[:, None] * (p_pos - p_neg), roots, rtol=0, atol=1e-15)
-        a, b = p_neg.copy(), p_pos.copy()
-        for _ in range(52):
-            mid = 0.5 * (a + b)
-            v = _eval_chunk(model, mid, False)[0]
-            neg = np.isfinite(v) & (v < 0)
-            a = np.where(neg[:, None], mid, a)
-            b = np.where(neg[:, None], b, mid)
-        err = np.linalg.norm(roots - 0.5 * (a + b), axis=1)
+        np.testing.assert_allclose(lo + s[:, None] * (hi - lo), roots, rtol=0, atol=1e-15)
+        err = np.linalg.norm(roots - _bisected(model, edges, lo, hi, 52), axis=1)
         assert err.max() <= ROOT_TOL * w
 
-    def test_axis_edge_roots_bisect_across_support_gap(self):
+    @pytest.mark.parametrize("nx", [1.0, -1.0], ids=["falling", "rising"])
+    def test_axis_edge_roots_bisect_across_support_gap(self, nx):
         # two kernels whose supports leave a gap around x = 0: the edge from
         # x = -0.3 to 0.3 has defined ends of opposite sign, but its linear
-        # guess x = 0 is covered by no support, so the bisection branch runs
-        model = model_from_arrays([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], [[1.0, 0.0, 0.0]] * 2, 0.4, 1.0)
+        # guess x = 0 is covered by no support, so the bisection branch runs.
+        # With normals +x the field falls along the edge, with -x it rises
+        model = model_from_arrays([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], [[nx, 0.0, 0.0]] * 2, 0.4, 1.0)
         w = 0.6
         table = LatticeTable(model, np.array([-0.3, 0.0, 0.0]), w)
-        edges, p_neg, p_pos = sign_change_edges(table, [[0, 0, 0]])
+        edges, lo, hi = sign_change_edges(table, [[0, 0, 0]])
         assert len(edges) == 1
-        np.testing.assert_allclose(-edges["f_neg"] / (edges["f_pos"] - edges["f_neg"]), 0.5)
+        assert (edges["f_lo"][0] < 0) == (nx < 0)
+        np.testing.assert_allclose(-edges["f_lo"] / (edges["f_hi"] - edges["f_lo"]), 0.5)
         assert np.isnan(_eval_chunk(model, np.zeros((1, 3)), False)[0][0])
         # the cubic start stays in the gap as well
         start = _cubic_start(table, edges)
-        assert np.isnan(_eval_chunk(model, p_neg + start[:, None] * (p_pos - p_neg), False)[0][0])
+        assert np.isnan(_eval_chunk(model, lo + start[:, None] * (hi - lo), False)[0][0])
         roots, grads = axis_edge_roots(table, edges, ROOT_TOL)
         assert np.all(np.isfinite(roots))
         x = roots[0, 0]
-        assert min(p_neg[0, 0], p_pos[0, 0]) <= x <= max(p_neg[0, 0], p_pos[0, 0])
+        assert lo[0, 0] <= x <= hi[0, 0]
         # undefined points shrink the bracket from the positive side, so the
         # root ends at the negative kernel's support boundary
-        c_neg = -0.5 if p_neg[0, 0] < 0 else 0.5
+        c_neg = 0.5 if nx > 0 else -0.5
         assert abs(abs(x - c_neg) - 0.4) <= ROOT_TOL * w
 
     @pytest.mark.parametrize("rho", [0.25, 0.5])
@@ -334,15 +346,15 @@ class TestIsosurfaceHelpers:
         w = 0.2
         model = model_from_arrays([[0.0, 0.0, 0.03]], [[0.0, 0.0, 1.0]], rho, 1.0)
         table = LatticeTable(model, np.full(3, -0.1), w)
-        edges, p_neg, p_pos = sign_change_edges(table, table.gmin + np.indices(table.shape).reshape(3, -1).T)
-        corner, f_neg, f_pos = edges["corner"], edges["f_neg"], edges["f_pos"]
-        axis = np.argmax(np.abs(p_pos - p_neg), axis=1)
+        edges, lo, hi = sign_change_edges(table, table.gmin + np.indices(table.shape).reshape(3, -1).T)
+        corner, f_lo, f_hi = edges["corner"], edges["f_lo"], edges["f_hi"]
+        axis = np.argmax(hi - lo, axis=1)
         assert np.all(axis == 2)
         step = np.eye(3, dtype=np.int64)[axis]
         outside = (table.keys(corner - step) < 0) | (table.keys(corner + 2 * step) < 0)
         missing = np.isnan(table.fetch(corner - step)) | np.isnan(table.fetch(corner + 2 * step))
         start = _cubic_start(table, edges)
-        linear = -f_neg / (f_pos - f_neg)
+        linear = -f_lo / (f_hi - f_lo)
         if rho == 0.25:
             assert np.all(outside)
         else:
@@ -351,16 +363,9 @@ class TestIsosurfaceHelpers:
             assert np.all(np.abs(start - linear)[~missing] > 1e-3)
         assert np.array_equal(start[missing], linear[missing])
         roots, _ = axis_edge_roots(table, edges, ROOT_TOL)
-        s = np.einsum("ij,ij->i", roots - p_neg, p_pos - p_neg) / w**2
+        s = np.einsum("ij,ij->i", roots - lo, hi - lo) / w**2
         assert np.all((s >= 0.0) & (s <= 1.0))
-        a, b = p_neg.copy(), p_pos.copy()
-        for _ in range(52):
-            mid = 0.5 * (a + b)
-            v = _eval_chunk(model, mid, False)[0]
-            neg = np.isfinite(v) & (v < 0)
-            a = np.where(neg[:, None], mid, a)
-            b = np.where(neg[:, None], b, mid)
-        assert np.linalg.norm(roots - 0.5 * (a + b), axis=1).max() <= ROOT_TOL * w
+        assert np.linalg.norm(roots - _bisected(model, edges, lo, hi, 52), axis=1).max() <= ROOT_TOL * w
 
     def test_axis_edge_roots_worker_bitwise(self, sphere_model):
         _, _, model = sphere_model

@@ -207,6 +207,19 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, command, text, stage):
     assert stage in capsys.readouterr().err
 
 
+def test_cli_noise_bench_binary_reference_mesh_fails_load(tmp_path, capsys):
+    # the reference mesh must be ascii PLY or OBJ; a binary PLY is a load
+    # failure that names its format, not a decoding error
+    src = tmp_path / "in.xyz"
+    save_points(sphere_points(200, seed=3), src)
+    ref = tmp_path / "ref.ply"
+    ref.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty float x\n"
+                    b"property float y\nproperty float z\nend_header\n" + np.zeros(3, "<f4").tobytes())
+    assert cli_main(["noise-bench", str(src), str(ref), "--levels", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "[load]" in err and "binary_little_endian" in err
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "verify-bound"])
 def test_cli_negative_eta_override_fails_tune(tmp_path, capsys, command):
     # a negative eta used to pass as a certificate (applicable=True with a

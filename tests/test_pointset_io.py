@@ -84,6 +84,12 @@ def test_format_autodetect(tmp_path, small_ps):
     assert len(load_points(p2)) == len(small_ps)
     with pytest.raises(PointFileError):
         load_points(tmp_path / "a.csv")
+    # a save takes the format from the suffix alone: .ply writes ascii PLY to
+    # a fresh path and over an existing binary file alike
+    for path in (tmp_path / "fresh.ply", p2):
+        save_points(small_ps, path)
+        assert path.read_bytes().startswith(b"ply\nformat ascii 1.0\n")
+        np.testing.assert_allclose(load_points(path).points, small_ps.points, atol=1e-7)
 
 
 def test_zero_normals_dropped(tmp_path):
@@ -212,6 +218,18 @@ def test_mesh_obj_roundtrip(tmp_path):
     np.testing.assert_allclose(back.vertices, verts)
     assert back.faces.tolist() == [[0, 1, 2, 3]]
     np.testing.assert_allclose(back.vertex_normals, vn)
+
+
+def test_mesh_binary_ply_rejected_by_format(tmp_path):
+    # meshes are read from ascii PLY; a binary one used to fail to decode
+    path = tmp_path / "m.ply"
+    header = "ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+    header += "".join(f"property float {c}\n" for c in "xyz")
+    header += "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    body = np.eye(3, dtype="<f4").tobytes() + np.uint8(3).tobytes() + np.arange(3, dtype="<i4").tobytes()
+    path.write_bytes(header.encode("ascii") + body)
+    with pytest.raises(PointFileError, match="binary_little_endian"):
+        load_mesh(path)
 
 
 def test_mesh_ply_triangulates(tmp_path):
