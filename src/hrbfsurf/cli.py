@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import exact
 from .covers import CoverParams, select_centers
@@ -20,16 +21,27 @@ from .pipeline import (
 from .pointset import load_mesh, load_points, normalize_to_unit_box
 
 
-def _add_common(p):
+def _add_fit(p):
+    """Options of every driver that fits a model."""
     p.add_argument("--amplifier", "-s", type=float, default=1.0, dest="s",
                    help="support-size amplifier (>= 1)")
-    p.add_argument("--voxel-width", "-w", type=float, default=0.01)
+    p.add_argument("--threads", type=int, default=1)
+
+
+def _add_tuning(p):
+    """Tuning options of the drivers that fit one model to the input as
+    given; ``noise-bench`` sets the support mode per noise level."""
     p.add_argument("--noisy-mode", action="store_true",
                    help="uniform (minimal) support size for highly noisy input")
     p.add_argument("--eta-override", type=float, default=None)
+
+
+def _add_extraction(p):
+    """Options of the drivers that extract a mesh."""
+    p.add_argument("--voxel-width", "-w", type=float, default=0.01)
     p.add_argument("--min-fragment-faces", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of center selection (reconstruct) or of noise and sampling (noise-bench)")
 
 
 def build_parser():
@@ -41,13 +53,16 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--diagnostics", default=None)
     p.add_argument("--center-select", action="store_true")
-    _add_common(p)
+    _add_fit(p)
+    _add_tuning(p)
+    _add_extraction(p)
 
     p = sub.add_parser("verify-bound", help="exact-solver check of the quasi-solution bound")
     p.add_argument("input")
     p.add_argument("--csv", default=None)
     p.add_argument("--exact-cap", type=int, default=exact.DEFAULT_POINT_CAP)
-    _add_common(p)
+    _add_fit(p)
+    _add_tuning(p)
 
     p = sub.add_parser("noise-bench", help="noise-robustness benchmark against a reference mesh")
     p.add_argument("input")
@@ -55,7 +70,8 @@ def build_parser():
     p.add_argument("--levels", type=float, nargs="+", default=[10.0, 30.0, 60.0])
     p.add_argument("--csv", default=None)
     p.add_argument("--samples", type=int, default=20000)
-    _add_common(p)
+    _add_fit(p)
+    _add_extraction(p)
 
     cover = CoverParams()
     p = sub.add_parser("select-centers", help="spherical-cover center selection dump")
@@ -69,16 +85,9 @@ def build_parser():
 
 
 def _cfg_from(args, **extra):
-    return ReconConfig(
-        s=args.s,
-        voxel_width=args.voxel_width,
-        noisy_mode=args.noisy_mode,
-        eta_override=args.eta_override,
-        min_fragment_faces=args.min_fragment_faces,
-        threads=args.threads,
-        seed=args.seed,
-        **extra,
-    )
+    """A ReconConfig from the parsed options that name its fields, and ``extra``."""
+    names = {f.name for f in fields(ReconConfig)}
+    return ReconConfig(**{k: v for k, v in vars(args).items() if k in names}, **extra)
 
 
 def main(argv=None):
@@ -90,14 +99,12 @@ def main(argv=None):
                 input_path=args.input,
                 output_path=args.output,
                 diagnostics_path=args.diagnostics,
-                center_select=args.center_select,
             )
             _, diag = run_reconstruct(cfg)
             for k, v in diag.items():
                 print(f"{k}={v}")
         elif args.command == "verify-bound":
-            cfg = _cfg_from(args, input_path=args.input, output_path=args.csv,
-                            exact_cap=args.exact_cap)
+            cfg = _cfg_from(args, input_path=args.input, output_path=args.csv)
             report, row = run_verify_bound(cfg)
             for k, v in row.items():
                 print(f"{k}={v}")

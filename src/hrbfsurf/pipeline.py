@@ -5,8 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,18 +192,18 @@ def run_noise_bench(
     """Reconstruct at several noise levels and report two-sided distances.
 
     The amplifier per level follows the published schedule for 10/30/60%
-    (``NOISE_S_SCHEDULE``); other levels keep ``cfg.s``.
+    (``NOISE_S_SCHEDULE``); other levels keep ``cfg.s``.  Each level sets
+    ``noisy_mode`` from its noise level, tunes its own η and fits every
+    point, so a ``cfg`` that sets ``noisy_mode``, ``eta_override`` or
+    ``center_select`` raises ValueError rather than be run without them.
     """
+    unset = ReconConfig()
+    for name in ("eta_override", "noisy_mode", "center_select"):
+        if getattr(cfg, name) != getattr(unset, name):
+            raise ValueError(f"run_noise_bench does not take {name} (got {getattr(cfg, name)!r})")
     rows = []
     for delta in delta_levels:
-        level_cfg = ReconConfig(
-            s=NOISE_S_SCHEDULE.get(float(delta), cfg.s),
-            voxel_width=cfg.voxel_width,
-            noisy_mode=delta > 0,
-            min_fragment_faces=cfg.min_fragment_faces,
-            threads=cfg.threads,
-            seed=cfg.seed,
-        )
+        level_cfg = replace(cfg, s=NOISE_S_SCHEDULE.get(float(delta), cfg.s), noisy_mode=delta > 0)
         noisy = inject_noise(ps, NoiseSpec(delta, seed=cfg.seed + int(delta)))
         if delta > 0:
             noisy = estimate_normals_pca(noisy.points, ps.normals, p_neighbors=6)

@@ -322,24 +322,74 @@ def save_mesh(mesh: QuadMesh, path, fmt=None):
         raise PointFileError(f"unknown mesh format {fmt!r}")
 
 
+def _floats(tokens, lineno):
+    """The first three of ``tokens`` as floats; too few, or one that is not
+    a number, raises PointFileError naming ``lineno``."""
+    if len(tokens) < 3:
+        raise PointFileError(f"expected 3 coordinates, got {len(tokens)}", line=lineno)
+    try:
+        return [float(t) for t in tokens[:3]]
+    except ValueError as exc:
+        raise PointFileError(str(exc), line=lineno) from exc
+
+
+def _face_array(faces, n_vertices, base):
+    """One index array from ``faces``, a list of (line number, the face's
+    vertex indices as written, counted from ``base``).  All triangles or all
+    quads keep their width; any other mix is fan-split into triangles, so no
+    face is dropped.  A face with fewer than 3 indices, or one that names no
+    vertex, raises PointFileError naming its line."""
+    rows = []
+    for lineno, idx in faces:
+        if len(idx) < 3:
+            raise PointFileError(f"face has {len(idx)} vertex indices, needs at least 3", line=lineno)
+        for i in idx:
+            if not base <= i < n_vertices + base:
+                raise PointFileError(f"face index {i} names none of the {n_vertices} vertices", line=lineno)
+        rows.append([i - base for i in idx])
+    widths = {len(r) for r in rows}
+    if len(widths) > 1 or widths - {3, 4}:
+        rows = [[r[0], r[k], r[k + 1]] for r in rows for k in range(1, len(r) - 1)]
+    width = len(rows[0]) if rows else 4
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
 def _load_mesh_ply(fh) -> QuadMesh:
     """An ascii PLY mesh from ``fh``, open in binary mode at its start."""
     fmt, counts, _ = _parse_ply_header(fh, _PLY_PROPS[:3])
     if fmt != "ascii":
         raise PointFileError(f"unsupported PLY mesh format {fmt!r}: meshes are read from ascii PLY")
-    verts = [[float(v) for v in fh.readline().split()[:3]] for _ in range(counts["vertex"])]
+    n_header = fh.tell()
+    fh.seek(0)
+    first = fh.read(n_header).count(b"\n") + 1  # the line number of the first record
+    lines = fh.read().decode("ascii", "replace").splitlines()
+    n_verts, n_faces = counts["vertex"], counts.get("face", 0)
+    if len(lines) < n_verts + n_faces:
+        raise PointFileError(
+            f"the header declares {n_verts} vertices and {n_faces} faces, "
+            f"the file ends after {len(lines)} records", line=first + len(lines))
+    verts = [_floats(lines[i].split(), first + i) for i in range(n_verts)]
     faces = []
-    for _ in range(counts.get("face", 0)):
-        parts = fh.readline().split()
-        faces.append([int(v) for v in parts[1 : 1 + int(parts[0])]])
+    for i in range(n_verts, n_verts + n_faces):
+        lineno, parts = first + i, lines[i].split()
+        try:
+            k = int(parts[0]) if parts else 0
+            idx = [int(t) for t in parts[1 : 1 + k]]
+        except ValueError as exc:
+            raise PointFileError(str(exc), line=lineno) from exc
+        if len(idx) != k:
+            raise PointFileError(f"face declares {k} indices, holds {len(idx)}", line=lineno)
+        faces.append((lineno, idx))
     verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
-    width = max((len(f) for f in faces), default=4)
-    face_arr = np.array([f for f in faces if len(f) == width], dtype=np.int64).reshape(-1, width)
-    return QuadMesh(verts, face_arr)
+    return QuadMesh(verts, _face_array(faces, len(verts), base=0))
 
 
 def load_mesh(path) -> QuadMesh:
-    """Read a mesh written by save_mesh: OBJ (v/vn/f records) or ascii PLY."""
+    """Read a mesh written by save_mesh: OBJ (v/vn/f records) or ascii PLY.
+
+    Every face is kept: a file of all triangles or all quads loads as it is,
+    any other mix as triangles.  A short record or a face index outside the
+    vertices raises PointFileError naming its line."""
     with open(path, "rb") as fh:
         if fh.readline().strip() == b"ply":
             fh.seek(0)
@@ -351,16 +401,14 @@ def load_mesh(path) -> QuadMesh:
             if not parts:
                 continue
             if parts[0] == "v":
-                verts.append([float(v) for v in parts[1:4]])
+                verts.append(_floats(parts[1:], lineno))
             elif parts[0] == "vn":
-                normals.append([float(v) for v in parts[1:4]])
+                normals.append(_floats(parts[1:], lineno))
             elif parts[0] == "f":
                 try:
-                    faces.append([int(t.split("/")[0]) - 1 for t in parts[1:]])
+                    faces.append((lineno, [int(t.split("/")[0]) for t in parts[1:]]))
                 except ValueError as exc:
                     raise PointFileError(str(exc), line=lineno) from exc
     verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
-    width = max((len(f) for f in faces), default=4)
-    face_arr = np.array([f for f in faces if len(f) == width], dtype=np.int64).reshape(-1, width)
     vn = np.array(normals, dtype=np.float64) if len(normals) == len(verts) and normals else None
-    return QuadMesh(verts, face_arr, vn)
+    return QuadMesh(verts, _face_array(faces, len(verts), base=1), vn)

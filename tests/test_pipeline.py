@@ -161,6 +161,15 @@ def test_noise_bench_schedule_and_rows(sphere_ps):
         assert row["n_faces"] > 0
 
 
+@pytest.mark.parametrize("field, value", [("eta_override", 500.0), ("eta_override", 0.0),
+                                          ("noisy_mode", True), ("center_select", True)])
+def test_noise_bench_refuses_settings_it_would_drop(sphere_ps, field, value):
+    # each level sets noisy_mode, tunes its own eta and fits every point
+    cfg = ReconConfig(voxel_width=0.03, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        run_noise_bench(sphere_ps, icosphere(subdivisions=1), [0.0], cfg, n_samples=100)
+
+
 def test_write_diagnostics_format(tmp_path):
     path = tmp_path / "d.json"
     diag = {"a": 1, "b": 2.5, "m": np.int64(71), "uniform": np.bool_(True), "warnings": ["w1", "w2"]}
@@ -218,6 +227,35 @@ def test_cli_noise_bench_binary_reference_mesh_fails_load(tmp_path, capsys):
     assert cli_main(["noise-bench", str(src), str(ref), "--levels", "0"]) == 2
     err = capsys.readouterr().err
     assert "[load]" in err and "binary_little_endian" in err
+
+
+def test_cli_noise_bench_short_reference_mesh_fails_load(tmp_path, capsys):
+    # a PLY that declares 3 vertices and 1 face but holds 2 vertex lines
+    # used to fail with "list index out of range"
+    src = tmp_path / "in.xyz"
+    save_points(sphere_points(200, seed=3), src)
+    ref = tmp_path / "ref.ply"
+    ref.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+                   "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+                   "end_header\n0 0 0\n1 0 0\n")
+    assert cli_main(["noise-bench", str(src), str(ref), "--levels", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "[load] line 12" in err and "declares 3 vertices" in err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("verify-bound", ["-w", "0.5"]), ("verify-bound", ["--voxel-width", "0.5"]),
+     ("verify-bound", ["--min-fragment-faces", "5"]), ("verify-bound", ["--seed", "7"]),
+     ("noise-bench", ["--noisy-mode"]), ("noise-bench", ["--eta-override", "500"])],
+)
+def test_cli_rejects_options_its_driver_does_not_read(tmp_path, capsys, command, option):
+    positional = [str(tmp_path / "in.xyz")] + ([str(tmp_path / "ref.obj")] if command == "noise-bench" else [])
+    with pytest.raises(SystemExit) as info:
+        cli_main([command, *positional, *option])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hrbfsurf") and f"unrecognized arguments: {' '.join(option)}" in err
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "verify-bound"])

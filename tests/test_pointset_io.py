@@ -240,3 +240,83 @@ def test_mesh_ply_triangulates(tmp_path):
     text = path.read_text()
     assert "element face 2" in text
     assert text.count("\n3 ") + text.startswith("3 ") == 2
+
+
+_SQUARE_AND_APEX = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
+
+
+def _ply_mesh(vertex_lines, face_lines, n_vertices=None, n_faces=None):
+    n_vertices = len(vertex_lines) if n_vertices is None else n_vertices
+    n_faces = len(face_lines) if n_faces is None else n_faces
+    return (
+        f"ply\nformat ascii 1.0\nelement vertex {n_vertices}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"element face {n_faces}\nproperty list uchar int vertex_indices\nend_header\n"
+        + "".join(line + "\n" for line in vertex_lines + face_lines)
+    )
+
+
+_PLY_VERTS = ["0 0 0", "1 0 0", "1 1 0", "0 1 0", "0.5 0.5 1"]
+
+
+@pytest.mark.parametrize("suffix", [".obj", ".ply"])
+def test_mesh_mixed_faces_keep_every_face_as_triangles(tmp_path, suffix):
+    # one quad and one triangle used to load as the quad alone
+    path = tmp_path / f"m{suffix}"
+    if suffix == ".obj":
+        path.write_text(_SQUARE_AND_APEX + "f 1 2 3 4\nf 1 2 5\n")
+    else:
+        path.write_text(_ply_mesh(_PLY_VERTS, ["4 0 1 2 3", "3 0 1 4"]))
+    mesh = load_mesh(path)
+    assert mesh.faces.tolist() == [[0, 1, 2], [0, 2, 3], [0, 1, 4]]
+
+
+@pytest.mark.parametrize("suffix", [".obj", ".ply"])
+def test_mesh_pentagon_fan_split(tmp_path, suffix):
+    path = tmp_path / f"m{suffix}"
+    if suffix == ".obj":
+        path.write_text(_SQUARE_AND_APEX + "f 1 2 3 4 5\n")
+    else:
+        path.write_text(_ply_mesh(_PLY_VERTS, ["5 0 1 2 3 4"]))
+    assert load_mesh(path).faces.tolist() == [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
+
+
+@pytest.mark.parametrize(
+    "obj_body, ply_faces, line_obj, line_ply, match",
+    [
+        ("f 1 2\n", ["2 0 1"], 6, 15, "2 vertex indices"),
+        ("f 1 2 6\n", ["3 0 1 5"], 6, 15, "face index"),
+        ("f 0 1 2\n", ["3 -1 0 1"], 6, 15, "face index"),
+        ("f 1 2 3\nv 1 2\n", ["4 0 1 2"], 7, 15, "expected 3 coordinates|declares 4"),
+    ],
+    ids=["short-face", "index-past-end", "index-before-start", "short-record"],
+)
+@pytest.mark.parametrize("suffix", [".obj", ".ply"])
+def test_mesh_bad_records_name_their_line(tmp_path, suffix, obj_body, ply_faces, line_obj, line_ply, match):
+    path = tmp_path / f"m{suffix}"
+    if suffix == ".obj":
+        path.write_text(_SQUARE_AND_APEX + obj_body)
+    else:
+        path.write_text(_ply_mesh(_PLY_VERTS, ply_faces))
+    line = line_obj if suffix == ".obj" else line_ply
+    with pytest.raises(PointFileError, match=match) as info:
+        load_mesh(path)
+    assert info.value.line == line
+
+
+def test_mesh_ply_fewer_records_than_declared(tmp_path):
+    # 3 vertices and 1 face declared, 2 vertex lines held: used to raise
+    # IndexError from the face loop
+    path = tmp_path / "m.ply"
+    path.write_text(_ply_mesh(["0 0 0", "1 0 0"], [], n_vertices=3, n_faces=1))
+    with pytest.raises(PointFileError, match="declares 3 vertices and 1 faces") as info:
+        load_mesh(path)
+    assert info.value.line == 12  # the first line the file lacks
+
+
+def test_mesh_ply_short_vertex_record(tmp_path):
+    path = tmp_path / "m.ply"
+    path.write_text(_ply_mesh(["0 0 0", "1 0", "1 1 0"], ["3 0 1 2"]))
+    with pytest.raises(PointFileError, match="expected 3 coordinates") as info:
+        load_mesh(path)
+    assert info.value.line == 11
