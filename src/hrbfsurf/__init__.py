@@ -2,9 +2,10 @@
 
 The library builds a signed implicit function from point positions and unit
 normals as a weighted sum of compactly supported Wendland kernels, without
-solving a global linear system.  A desk-scale exact solver is included as an
-oracle for verifying the quasi-solution's error bound, and a dual-contouring
-variant extracts the zero isosurface over the supported region only.
+solving a global linear system.  An exact solver, matrix-free when the
+damping makes it a contraction, is included as an oracle for verifying the
+quasi-solution's error bound, and a dual-contouring variant extracts the
+zero isosurface over the supported region only.
 """
 
 from .pointset import (
@@ -28,7 +29,7 @@ from .model import (
     ImplicitField,
     verify_error_bound,
 )
-from .exact import ExactSystem, ExactSolveResult, assemble, solve
+from .exact import SupportOperator, ExactSolveResult, build_operator, solve
 from .covers import SphericalCover, CoverParams, quadric_error, select_centers, doc_at
 from .dualcontour import extract_surface, remove_small_fragments, boundary_edge_count
 from .metrics import (

@@ -1,17 +1,24 @@
-"""Desk-scale exact HRBF solver used as the oracle for error-bound checks.
+"""Exact HRBF solver used as the oracle for error-bound checks.
 
-Assembles the regularized 4n x 4n block system A + eta I = D + dA over
-compact supports as a block-sparse (BSR) matrix of 4x4 blocks, one per
-support pair.  Row-block i stacks the value and gradient constraints at
-point i; column-block j carries kernel j (support rho_j).  The diagonal
-blocks reduce to D = diag(1, 20/rho^2, ...) + eta I, the same matrix the
-quasi-solution D^-1 y inverts in closed form.
+The regularized 4n x 4n system A + eta I = D + dA couples point i to every
+kernel j whose support holds it.  Row-block i stacks the value and gradient
+constraints at point i; column-block j carries kernel j (support rho_j).  The
+diagonal blocks reduce to D = diag(1, 20/rho^2, ...) + eta I, the same matrix
+the quasi-solution D^-1 y inverts in closed form.
 
-When q = ||D^-1 dA||inf < 1, which the tuned eta guarantees, the system is
-solved by the Neumann series that starts at the quasi-solution (Jacobi
-iteration, Saad, Iterative Methods for Sparse Linear Systems, ch. 4); it
-converges for any such q.  Otherwise (eta = 0, small eta overrides) it is
-factored by sparse LU.
+``SupportOperator`` holds the system without its blocks.  Per support pair it
+keeps the column j, the offset u = p_i - p_j and the radial terms (phi, gamma,
+beta) of ``kernel.radial_terms``, 56 bytes against 132 for a stored 4x4 block
+and its index; the block is [[phi, -gamma u^T], [gamma u, -(gamma I + beta u u^T)]].
+||dA||inf and q = ||D^-1 dA||inf are row sums of |entries|, and ``apply`` gives
+(A + eta I) lambda; both take the pairs one row-aligned slice at a time.
+
+When q < 1, which the tuned eta guarantees, the system is solved by the
+Neumann series that starts at the quasi-solution (Jacobi iteration, Saad,
+Iterative Methods for Sparse Linear Systems, ch. 4) through ``apply``; it
+converges for any such q, at any n.  Otherwise (eta = 0, small eta overrides)
+the block matrix is built on demand and factored by sparse LU, which fill-in
+keeps to desk scale.
 """
 
 from __future__ import annotations
@@ -25,12 +32,12 @@ import scipy.sparse.linalg as spla
 from . import kernel
 from .model import _PAIR_SLICE, RadiusBands, _cuts, _support_pairs
 
-DEFAULT_POINT_CAP = 5000
+DEFAULT_POINT_CAP = 5000  # points the LU path takes
 _RESIDUAL_TOL = 1e-9  # residual gate of ``solve``, relative to 1 + ||y||inf
 
 
 class SolverCapError(ValueError):
-    """The exact solver is desk-scale only."""
+    """The LU path is desk-scale only."""
 
 
 class IllConditionedError(RuntimeError):
@@ -39,21 +46,76 @@ class IllConditionedError(RuntimeError):
         self.condition_estimate = condition_estimate
 
 
+def _row_slices(indptr):
+    """(first row, end row) of each slice of whole rows of about ``_PAIR_SLICE`` pairs."""
+    cuts = _cuts(indptr, _PAIR_SLICE)
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
 @dataclass
-class ExactSystem:
+class SupportOperator:
     n: int
-    matrix: sp.bsr_matrix  # A + eta I, 4n x 4n in 4x4 blocks, columns ascending per block row
     y: np.ndarray  # rhs, blocks (0, n_i)
     eta: float
     rho: np.ndarray
-    delta_a_inf: float  # ||A + eta I - D||inf, exact from assembled blocks
-    contraction: float  # q = ||D^-1 dA||inf, exact; <= d_inv_inf * delta_a_inf
-    d_diag: np.ndarray = field(repr=False, default=None)  # diagonal of D
+    d_diag: np.ndarray = field(repr=False)  # diagonal of D
+    indptr: np.ndarray = field(repr=False)  # row i's pairs are indptr[i]:indptr[i + 1]
+    cols: np.ndarray = field(repr=False)  # kernel j of each pair, ascending within a row
+    u: np.ndarray = field(repr=False)  # (3, pairs): p_i - p_j
+    terms: np.ndarray = field(repr=False)  # (3, pairs): phi, gamma, beta
+    delta_a_inf: float  # ||A + eta I - D||inf
+    contraction: float  # q = ||D^-1 dA||inf; <= d_inv_inf * delta_a_inf
 
     @property
     def d_inv_inf(self):
         rho_max = float(self.rho.max())
         return max(1.0 / (1.0 + self.eta), rho_max**2 / (kernel.D2_PEAK + self.eta * rho_max**2))
+
+    def apply(self, lam):
+        """(A + eta I) lam, each row summed over its support pairs."""
+        slices = _row_slices(self.indptr)
+        lam_t = np.ascontiguousarray(lam.reshape(self.n, 4).T)  # rows a, b_x, b_y, b_z
+        out = self.eta * lam_t
+        size = max(int(self.indptr[r1] - self.indptr[r0]) for r0, r1 in slices)
+        # one set of scratch arrays, reused by every slice
+        gathered, rows = np.empty((4, size)), np.empty((4, size))
+        ub, w, tmp = np.empty(size), np.empty(size), np.empty(size)
+        for r0, r1 in slices:
+            lo, hi = self.indptr[r0], self.indptr[r1]
+            k = hi - lo
+            u, (phi, gamma, beta) = self.u[:, lo:hi], self.terms[:, lo:hi]
+            lam_j = gathered[:, :k]
+            for c in range(4):  # columns are in range; "clip" skips the buffer "raise" takes
+                np.take(lam_t[c], self.cols[lo:hi], out=lam_j[c], mode="clip")
+            a, b = lam_j[0], lam_j[1:]
+            np.multiply(u[0], b[0], out=ub[:k])
+            for c in (1, 2):
+                ub[:k] += np.multiply(u[c], b[c], out=tmp[:k])
+            # value row: phi a - gamma <u, b>; gradient row c: u_c (gamma a - beta <u, b>) - gamma b_c
+            np.multiply(phi, a, out=rows[0, :k])
+            rows[0, :k] -= np.multiply(gamma, ub[:k], out=tmp[:k])
+            np.multiply(gamma, a, out=w[:k])
+            w[:k] -= np.multiply(beta, ub[:k], out=tmp[:k])
+            for c in range(3):
+                np.multiply(u[c], w[:k], out=rows[1 + c, :k])
+                rows[1 + c, :k] -= np.multiply(gamma, b[c], out=tmp[:k])
+            # every row holds its self pair, so no run is empty
+            out[:, r0:r1] += np.add.reduceat(rows[:, :k], self.indptr[r0:r1] - lo, axis=1)
+        return out.T.ravel()
+
+    def matrix(self):
+        """A + eta I as a BSR matrix of 4x4 blocks, one per support pair."""
+        phi, gamma, beta = self.terms
+        u = self.u.T
+        blocks = np.empty((len(self.cols), 4, 4))
+        blocks[:, 0, 0] = phi
+        blocks[:, 1:, 0] = gamma[:, None] * u
+        blocks[:, 0, 1:] = -blocks[:, 1:, 0]
+        np.multiply(u[:, :, None] * u[:, None, :], -beta[:, None, None], out=blocks[:, 1:, 1:])
+        blocks[:, (1, 2, 3), (1, 2, 3)] -= gamma[:, None]
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        blocks[rows == self.cols] += self.eta * np.eye(4)
+        return sp.bsr_matrix((blocks, self.cols, self.indptr), shape=(4 * self.n, 4 * self.n))
 
 
 @dataclass
@@ -69,70 +131,81 @@ class ExactSolveResult:
     iterations: int  # Neumann steps taken; 0 for LU
 
 
-def assemble(ps, rho, eta, cap=DEFAULT_POINT_CAP) -> ExactSystem:
-    """Assemble (A + eta I) as 4x4 blocks, one per support pair, and y."""
+def build_operator(ps, rho, eta) -> SupportOperator:
+    """List the support pairs once and keep their terms, ||dA||inf, q and y."""
     points = np.asarray(ps.points, dtype=np.float64)
     normals = np.asarray(ps.normals, dtype=np.float64)
     n = len(points)
-    if n > cap:
-        raise SolverCapError(f"exact solver is desk-scale only (n={n} > cap={cap})")
     rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,)).copy()
     if np.any(rho <= 0):
         raise ValueError("radii must be positive")
 
     # (i, j) with ||p_i - p_j|| < rho_j, self pairs included, sorted by i, then j
-    i_idx, j_idx = _support_pairs(RadiusBands(points, rho), points)
+    i_idx, cols = _support_pairs(RadiusBands(points, rho), points)
     indptr = np.searchsorted(i_idx, np.arange(n + 1))
+    del i_idx
     d_diag = np.repeat(kernel.D2_PEAK / rho**2 + eta, 4)
     d_diag[0::4] = 1.0 + eta
-    blocks = np.empty((len(i_idx), 4, 4))
+    u, terms = np.empty((3, len(cols))), np.empty((3, len(cols)))
     row_sums = np.empty((n, 4))
-    # one slice of whole rows at a time, so that no per-pair temporary spans
-    # all pairs; every step is elementwise or sums within one row
-    cuts = _cuts(indptr, _PAIR_SLICE)
-    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+    for r0, r1 in _row_slices(indptr):
         lo, hi = indptr[r0], indptr[r1]
-        i, j, blk = i_idx[lo:hi], j_idx[lo:hi], blocks[lo:hi]
-        offsets, rj = points[i] - points[j], rho[j]
-        blk[:, 0, 0] = kernel.value(offsets, rj)
-        grad = kernel.gradient(offsets, rj)
-        blk[:, 0, 1:], blk[:, 1:, 0] = -grad, grad
-        np.negative(kernel.hessian(offsets, rj), out=blk[:, 1:, 1:])
-        own = np.flatnonzero(i == j)  # the self block of each row, in row order
-        blk[own] += eta * np.eye(4)
-        # per block, the row sums of |block - D|; D lies on the self blocks only
-        sums = np.abs(blk).sum(axis=2)
-        sums[own] = np.abs(blk[own] - d_diag.reshape(n, 4, 1)[r0:r1] * np.eye(4)).sum(axis=2)
-        # every row holds its self block, so no run is empty
+        i, j = np.repeat(np.arange(r0, r1), np.diff(indptr[r0 : r1 + 1])), cols[lo:hi]
+        offsets = points[i] - points[j]
+        phi, gamma, beta = kernel.radial_terms(offsets, rho[j])
+        u[:, lo:hi], terms[:, lo:hi] = offsets.T, (phi, gamma, beta)
+        # per pair, the row sums of |block|, one block row at a time
+        grad = gamma[:, None] * offsets
+        entries = np.empty((hi - lo, 4))
+        entries[:, 0], entries[:, 1:] = phi, grad
+        sums = np.empty((hi - lo, 4))
+        sums[:, 0] = np.abs(entries).sum(axis=1)
+        for a in range(3):
+            entries[:, 0] = grad[:, a]
+            np.multiply(offsets[:, a, None], offsets, out=entries[:, 1:])
+            entries[:, 1:] *= beta[:, None]
+            entries[:, 1 + a] += gamma
+            sums[:, 1 + a] = np.abs(entries).sum(axis=1)
+        # a self pair has u = 0 and phi = 1, so its block plus eta I is D exactly
+        sums[i == j] = 0.0
+        # every row holds its self pair, so no run is empty
         row_sums[r0:r1] = np.add.reduceat(sums, indptr[r0:r1] - lo, axis=0)
     row_sums = row_sums.ravel()
-    delta_a_inf = float(row_sums.max())
-    contraction = float((row_sums / d_diag).max())
 
-    mat = sp.bsr_matrix((blocks, j_idx, indptr), shape=(4 * n, 4 * n))
     y = np.zeros(4 * n)
     y.reshape(-1, 4)[:, 1:] = normals
-    return ExactSystem(
-        n=n, matrix=mat, y=y, eta=eta, rho=rho, delta_a_inf=delta_a_inf, contraction=contraction, d_diag=d_diag
+    return SupportOperator(
+        n=n,
+        y=y,
+        eta=eta,
+        rho=rho,
+        d_diag=d_diag,
+        indptr=indptr,
+        cols=cols,
+        u=u,
+        terms=terms,
+        delta_a_inf=float(row_sums.max()),
+        contraction=float((row_sums / d_diag).max()),
     )
 
 
-def _factor(sys: ExactSystem):
+def _factor(matrix):
     """Sparse LU of A + eta I without the self blocks' stored zeros."""
-    csc = sys.matrix.tocsc()
+    csc = matrix.tocsc()
     csc.eliminate_zeros()
     return spla.splu(csc)
 
 
-def condition_estimate(sys: ExactSystem, lu=None):
+def condition_estimate(op: SupportOperator, lu=None):
     """1-norm condition estimate of A + eta I via its sparse LU factors."""
-    lu = _factor(sys) if lu is None else lu
+    matrix = op.matrix()
+    lu = _factor(matrix) if lu is None else lu
     inv_op = spla.LinearOperator(
-        sys.matrix.shape,
+        matrix.shape,
         matvec=lu.solve,
         rmatvec=lambda v: lu.solve(v, trans="T"),
     )
-    return float(spla.onenormest(sys.matrix) * spla.onenormest(inv_op))
+    return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
 
 
 _STOP_ULPS = 4.0  # Neumann stop: error estimate within this many ulps of ||lambda||inf
@@ -145,18 +218,18 @@ def _neumann_ceiling(q):
     return int(np.ceil(np.log(eps * (1.0 - q)) / np.log(max(q, eps)))) + 3
 
 
-def _neumann(sys: ExactSystem):
+def _neumann(op: SupportOperator):
     """lambda_{k+1} = lambda_k + D^-1 (y - (A + eta I) lambda_k) from lambda_0 = D^-1 y.
 
     Stops on the a-posteriori estimate ||lambda - lambda_k|| <= q/(1-q)
     ||lambda_k - lambda_{k-1}||, or at ``_neumann_ceiling(q)`` steps.
     Returns (lambda, steps, ||lambda_1 - lambda_0||inf).
     """
-    q = sys.contraction
+    q = op.contraction
     eps = np.finfo(np.float64).eps
-    lam = sys.y / sys.d_diag
+    lam = op.y / op.d_diag
     for k in range(1, _neumann_ceiling(q) + 1):
-        step = (sys.y - sys.matrix @ lam) / sys.d_diag
+        step = (op.y - op.apply(lam)) / op.d_diag
         lam = lam + step
         size = float(np.max(np.abs(step)))
         if k == 1:
@@ -166,40 +239,44 @@ def _neumann(sys: ExactSystem):
     return lam, k, first_step
 
 
-def solve(sys: ExactSystem, cond_limit=None) -> ExactSolveResult:
+def solve(op: SupportOperator, cond_limit=None, cap=DEFAULT_POINT_CAP) -> ExactSolveResult:
     """Solve (A + eta I) lambda = y: Neumann series when q < 1, sparse LU otherwise.
 
-    Both paths must pass the residual gate; ``cond_limit`` bounds the 1-norm
-    condition estimate, which factors the matrix on the Neumann path.
+    The LU path takes at most ``cap`` points and raises SolverCapError above
+    it, before any matrix is built.  Both paths must pass the residual gate;
+    ``cond_limit`` bounds the 1-norm condition estimate, which factors the
+    matrix on the Neumann path.
     """
     lu = None
-    q = sys.contraction
+    q = op.contraction
     if q < 1.0:
-        lam, iterations, first_step = _neumann(sys)
+        lam, iterations, first_step = _neumann(op)
         method, bound = "neumann", first_step / (1.0 - q)
     else:
+        if op.n > cap:
+            raise SolverCapError(f"q = {q:.3g} >= 1 needs the LU path, which is desk-scale only (n={op.n} > cap={cap})")
         try:
-            lu = _factor(sys)
-            lam = lu.solve(sys.y)
+            lu = _factor(op.matrix())
+            lam = lu.solve(op.y)
         except RuntimeError as exc:  # singular factorization
             raise IllConditionedError(f"factorization failed: {exc}", np.inf) from exc
         method, iterations, bound = "lu", 0, np.inf
-    residual = float(np.max(np.abs(sys.matrix @ lam - sys.y)))
-    scale = 1.0 + float(np.max(np.abs(sys.y)))
+    residual = float(np.max(np.abs(op.apply(lam) - op.y)))
+    scale = 1.0 + float(np.max(np.abs(op.y)))
     if not np.all(np.isfinite(lam)) or residual > _RESIDUAL_TOL * scale:
         raise IllConditionedError(
             f"residual {residual:.3e} exceeds tolerance; eta likely too small",
-            condition_estimate(sys, lu),
+            condition_estimate(op, lu),
         )
     if cond_limit is not None:
-        cond = condition_estimate(sys, lu)
+        cond = condition_estimate(op, lu)
         if cond > cond_limit:
             raise IllConditionedError(f"condition estimate {cond:.3e} over limit", cond)
     return ExactSolveResult(
         lam=lam,
         residual_inf=residual,
-        delta_a_inf=sys.delta_a_inf,
-        d_inv_inf=sys.d_inv_inf,
+        delta_a_inf=op.delta_a_inf,
+        d_inv_inf=op.d_inv_inf,
         bound_a_posteriori=bound,
         method=method,
         iterations=iterations,

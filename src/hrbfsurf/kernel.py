@@ -47,33 +47,38 @@ def value(offsets, rho):
     return np.minimum(one_m**4 * (4.0 * t + 1.0), 1.0)
 
 
-def gradient(offsets, rho):
-    """Gradient of phi w.r.t. the query point; (k, 3) -> (k, 3)."""
+def radial_terms(offsets, rho):
+    """(phi, gamma, beta) at x - center offsets u; (k, 3) -> three (k,).
+
+    The gradient is gamma u and the Hessian gamma I + beta u u^T, so these
+    three numbers per offset give phi and both derivatives.  rho scalar or (k,).
+    """
     offsets = np.asarray(offsets, dtype=np.float64)
     r = np.linalg.norm(offsets, axis=-1)
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
     t = r / rho
-    inside = t < 1.0
-    one_m = np.where(inside, 1.0 - t, 0.0)
-    coef = -D2_PEAK / np.square(rho) * one_m**3
-    return coef[..., None] * offsets
+    one_m = np.where(t < 1.0, 1.0 - t, 0.0)
+    phi = np.minimum(one_m**4 * (4.0 * t + 1.0), 1.0)
+    gamma = -D2_PEAK / np.square(rho) * one_m**3
+    beta = 3.0 * D2_PEAK / rho**3 * one_m**2 / np.where(r > 0.0, r, 1.0)
+    return phi, gamma, beta
+
+
+def gradient(offsets, rho):
+    """Gradient of phi w.r.t. the query point; (k, 3) -> (k, 3)."""
+    _, gamma, _ = radial_terms(offsets, rho)
+    return gamma[..., None] * np.asarray(offsets, dtype=np.float64)
 
 
 def hessian(offsets, rho):
     """Hessian of phi w.r.t. the query point; (k, 3) -> (k, 3, 3)."""
     offsets = np.asarray(offsets, dtype=np.float64)
-    r = np.linalg.norm(offsets, axis=-1)
-    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
-    t = r / rho
-    inside = t < 1.0
-    one_m = np.where(inside, 1.0 - t, 0.0)
-    diag_term = -D2_PEAK / np.square(rho) * one_m**3
-    r_safe = np.where(r > 0.0, r, 1.0)
-    outer_coef = 3.0 * D2_PEAK / rho**3 * one_m**2 / r_safe
+    _, gamma, beta = radial_terms(offsets, rho)
     # built in place, so that the result is the only (k, 3, 3) array
     h = offsets[..., :, None] * offsets[..., None, :]
-    h *= outer_coef[..., None, None]
+    h *= beta[..., None, None]
     for a in range(3):
-        h[..., a, a] += diag_term
+        h[..., a, a] += gamma
     return h
 
 

@@ -237,7 +237,7 @@ def _candidate_pairs(bands: RadiusBands, x, slack=0.0):
     return keys // n, keys % n
 
 
-# support pairs per slice of the strict test here and of ``exact.assemble``:
+# support pairs per slice of the strict test here and of ``exact.SupportOperator``:
 # their per-pair temporaries then stay small whatever the pair count.  On
 # verify3k's 168,806 pairs the process peak (VmHWM) read 101.9 MB at 2**14,
 # 108.8 MB at 2**15 and 115.6 MB at 2**16, against 132.0 MB unsliced

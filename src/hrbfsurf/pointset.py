@@ -192,9 +192,9 @@ _PLY_TYPES = dict(zip(  # PLY scalar types, by either name, as numpy codes
 
 
 def _parse_ply_header(fh, names_first):
-    """(format, {element: count}, [(name, type)] of the vertex properties) of
-    a PLY file open in binary mode; the vertex property names must begin with
-    ``names_first``."""
+    """(format, {element: count}, [(name, type)] of the vertex properties,
+    the line number of the first record) of a PLY file open in binary mode;
+    the vertex property names must begin with ``names_first``."""
     magic = fh.readline().strip()
     if magic != b"ply":
         raise PointFileError("not a PLY file", line=1)
@@ -227,20 +227,15 @@ def _parse_ply_header(fh, names_first):
     names = tuple(name for name, _ in props)
     if names[: len(names_first)] != names_first:
         raise PointFileError(f"expected vertex properties {names_first}, got {names}")
-    return fmt, counts, props
+    return fmt, counts, props, lineno + 1
 
 
 def _load_ply(path):
     with open(path, "rb") as fh:
-        fmt, counts, props = _parse_ply_header(fh, _PLY_PROPS)
+        fmt, counts, props, first = _parse_ply_header(fh, _PLY_PROPS)
         count = counts["vertex"]
         if fmt == "ascii":
-            rows = []
-            for i in range(count):
-                parts = fh.readline().split()
-                if len(parts) < 6:
-                    raise PointFileError("truncated vertex record")
-                rows.append([float(v) for v in parts[:6]])
+            rows = [_floats(fh.readline().decode("ascii", "replace").split(), first + i, 6) for i in range(count)]
             data = np.array(rows, dtype=np.float64).reshape(-1, 6)
         elif fmt == "binary_little_endian":
             # one little-endian record per vertex; x..nz must be float or double
@@ -322,13 +317,13 @@ def save_mesh(mesh: QuadMesh, path, fmt=None):
         raise PointFileError(f"unknown mesh format {fmt!r}")
 
 
-def _floats(tokens, lineno):
-    """The first three of ``tokens`` as floats; too few, or one that is not
-    a number, raises PointFileError naming ``lineno``."""
-    if len(tokens) < 3:
-        raise PointFileError(f"expected 3 coordinates, got {len(tokens)}", line=lineno)
+def _floats(tokens, lineno, count=3):
+    """The first ``count`` of ``tokens`` as floats; too few, or one that is
+    not a number, raises PointFileError naming ``lineno``."""
+    if len(tokens) < count:
+        raise PointFileError(f"expected {count} coordinates, got {len(tokens)}", line=lineno)
     try:
-        return [float(t) for t in tokens[:3]]
+        return [float(t) for t in tokens[:count]]
     except ValueError as exc:
         raise PointFileError(str(exc), line=lineno) from exc
 
@@ -356,12 +351,9 @@ def _face_array(faces, n_vertices, base):
 
 def _load_mesh_ply(fh) -> QuadMesh:
     """An ascii PLY mesh from ``fh``, open in binary mode at its start."""
-    fmt, counts, _ = _parse_ply_header(fh, _PLY_PROPS[:3])
+    fmt, counts, _, first = _parse_ply_header(fh, _PLY_PROPS[:3])
     if fmt != "ascii":
         raise PointFileError(f"unsupported PLY mesh format {fmt!r}: meshes are read from ascii PLY")
-    n_header = fh.tell()
-    fh.seek(0)
-    first = fh.read(n_header).count(b"\n") + 1  # the line number of the first record
     lines = fh.read().decode("ascii", "replace").splitlines()
     n_verts, n_faces = counts["vertex"], counts.get("face", 0)
     if len(lines) < n_verts + n_faces:

@@ -13,9 +13,10 @@ independently of its vertex order.  ``voxel_coords`` and
 ``kernel_evaluate`` evaluates one kernel at one point,
 ``radius_query`` lists the indexed points strictly inside one ball, and
 ``octree_leaves`` subdivides a point set recursively into octree leaves.
-``assemble_whole`` assembles the exact system with every per-pair array
-spanning all support pairs at once, and ``eval_exact`` evaluates the exact
-interpolant at query points.
+``assemble_whole`` assembles the exact system as stored blocks with every
+per-pair array spanning all support pairs at once, and ``eval_exact``
+evaluates the exact interpolant at query points.  ``surface_error`` measures
+how far a field's zero set lies from the true surface, at fresh points of it.
 """
 
 import hashlib
@@ -34,7 +35,6 @@ from hrbfsurf.dualcontour import (
     _UV,
     VoxelGrid,
 )
-from hrbfsurf.exact import ExactSystem
 from hrbfsurf.model import LatticeTable, RadiusBands, _candidate_pairs, _runs, _segment_sums, _support_pairs
 from hrbfsurf.octree import MAX_DEPTH, PointOctree
 from hrbfsurf.pointset import QuadMesh
@@ -325,9 +325,20 @@ def canonical_mesh_digest(mesh: QuadMesh) -> str:
     return h.hexdigest()
 
 
-def assemble_whole(ps, rho, eta) -> ExactSystem:
-    """``exact.assemble`` in one pass: the strict support test, the blocks and
-    the row sums of |block - D| each take every support pair at once."""
+@dataclass
+class AssembledSystem:
+    matrix: sp.bsr_matrix  # A + eta I, 4n x 4n in 4x4 blocks, columns ascending per block row
+    y: np.ndarray  # rhs, blocks (0, n_i)
+    d_diag: np.ndarray  # diagonal of D
+    delta_a_inf: float  # ||A + eta I - D||inf
+    contraction: float  # q = ||D^-1 dA||inf
+
+
+def assemble_whole(ps, rho, eta) -> AssembledSystem:
+    """The exact system as stored 4x4 blocks, in one pass: the strict support
+    test, the blocks from ``kernel.value``/``gradient``/``hessian`` and the row
+    sums of |block - D| each take every support pair at once.  The reference
+    for ``exact.SupportOperator``."""
     points = np.asarray(ps.points, dtype=np.float64)
     normals = np.asarray(ps.normals, dtype=np.float64)
     n = len(points)
@@ -353,15 +364,12 @@ def assemble_whole(ps, rho, eta) -> ExactSystem:
     mat = sp.bsr_matrix((blocks, j_idx, indptr), shape=(4 * n, 4 * n))
     y = np.zeros(4 * n)
     y.reshape(-1, 4)[:, 1:] = normals
-    return ExactSystem(
-        n=n,
+    return AssembledSystem(
         matrix=mat,
         y=y,
-        eta=eta,
-        rho=rho,
+        d_diag=d_diag,
         delta_a_inf=float(row_sums.max()),
         contraction=float((row_sums / d_diag).max()),
-        d_diag=d_diag,
     )
 
 
@@ -390,3 +398,34 @@ def eval_exact(ps, rho, lam, x, want_gradient=False):
     if want_gradient:
         return sums[0], sums[1:].T.copy()
     return sums[0]
+
+
+@dataclass
+class SurfaceError:
+    mean: float  # mean distance to the true surface, over the points kept
+    p90: float  # its 90th percentile
+    lost: int  # points that left every support, left out of mean and p90
+
+
+def surface_error(field, points, distance, steps=8) -> SurfaceError:
+    """Distance from ``field``'s zero set to the true surface.
+
+    ``points`` are fresh points of the true surface, in the field's frame.
+    Each is moved ``steps`` Newton steps x <- x - f(x) grad f / |grad f|^2
+    along the gradient of ``field`` (an ``ImplicitField``, or anything with
+    its ``evaluate``), and ``distance`` gives each projected point's distance
+    to the true surface, in whatever units the caller wants.  A point where
+    the field is undefined, before, during or after the steps, has left
+    every support: it is counted in ``lost``.  A zero gradient leaves a
+    point where it is.
+    """
+    x = np.array(points, dtype=np.float64).reshape(-1, 3)
+    kept = np.arange(len(x))
+    for _ in range(steps):
+        vals, grads, defined = field.evaluate(x[kept], want_gradient=True)
+        kept, vals, grads = kept[defined], vals[defined], grads[defined]
+        gg = np.einsum("ij,ij->i", grads, grads)
+        x[kept] -= np.divide(vals, gg, out=np.zeros_like(vals), where=gg > 0)[:, None] * grads
+    kept = kept[field.evaluate(x[kept])[2]]
+    d = distance(x[kept])
+    return SurfaceError(mean=float(d.mean()), p90=float(np.percentile(d, 90)), lost=len(x) - len(kept))

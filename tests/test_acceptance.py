@@ -127,7 +127,7 @@ def test_criterion_3_isolated_center_exactness():
     assert dists.min() > rho.max(), "setup failure: supports are not isolated"
     eta = 0.7
     model = model_from_arrays(pts, normals, rho, eta)
-    res = exact.solve(exact.assemble(ps, rho, eta))
+    res = exact.solve(exact.build_operator(ps, rho, eta))
     assert np.max(np.abs(quasi_lambda(model) - res.lam)) <= 1e-12
 
 
@@ -243,10 +243,10 @@ def test_criterion_7_regularization_necessity():
     assert tp.m >= 10, "setup failure: supports do not overlap heavily"
 
     limit = 1e6
-    bare = exact.assemble(norm_ps, tp.rho, 0.0)
+    bare = exact.build_operator(norm_ps, tp.rho, 0.0)
     with pytest.raises(exact.IllConditionedError):
         exact.solve(bare, cond_limit=limit)
-    tuned = exact.assemble(norm_ps, tp.rho, tp.eta)
+    tuned = exact.build_operator(norm_ps, tp.rho, tp.eta)
     res = exact.solve(tuned, cond_limit=limit)
     assert np.all(np.isfinite(res.lam))
 

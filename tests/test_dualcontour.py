@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrbfsurf import dualcontour, exact
+from hrbfsurf import dualcontour
 from hrbfsurf.dualcontour import (
     _CORNER_OFFSETS,
     _EDGES,
@@ -38,6 +38,7 @@ from oracles import (
     grow_active_voxels,
     place_vertex,
     search_active_voxels,
+    surface_error,
     voxel_coords,
     voxel_corner_values,
 )
@@ -58,6 +59,28 @@ class SphereField:
         vals = r - self.radius
         grads = x / np.maximum(r, 1e-300)[:, None] if want_gradient else None
         return vals, grads, np.ones(len(x), dtype=bool)
+
+
+def test_surface_error_of_a_sphere_field():
+    # the zero set of the signed distance to a sphere of radius 1 + delta lies
+    # delta from the unit sphere; a field defined only where z > 0 loses the
+    # points below
+    delta = 0.03
+    pts = sphere_points(500, seed=5).points
+    off_unit = lambda x: np.abs(np.linalg.norm(x, axis=1) - 1.0)
+    err = surface_error(SphereField(1.0 + delta), pts, off_unit)
+    assert err.lost == 0
+    assert err.mean == pytest.approx(delta, rel=1e-12) and err.p90 == pytest.approx(delta, rel=1e-12)
+
+    class UpperSphereField(SphereField):
+        def evaluate(self, x, want_gradient=False):
+            vals, grads, _ = super().evaluate(x, want_gradient)
+            defined = np.asarray(x).reshape(-1, 3)[:, 2] > 0.0
+            return np.where(defined, vals, np.nan), grads, defined
+
+    upper = surface_error(UpperSphereField(1.0 + delta), pts, off_unit)
+    assert upper.lost == np.count_nonzero(pts[:, 2] <= 0.0) > 0
+    assert upper.mean == pytest.approx(delta, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -510,29 +533,6 @@ def test_extraction_memory_grows_with_surface(monkeypatch):
     # measured 157 B and 38 B; the bounds leave under 20% above them
     assert (peak1 - peak0) / (n1 - n0) <= 188
     assert (growth1 - growth0) / (e1 - e0) <= 42
-
-
-def test_exact_assembly_memory_grows_with_pairs():
-    # traced peak bytes of exact.assemble at two sizes: what doubling the
-    # points adds to the peak, per added support pair, is the assembly's cost
-    # per pair.  The matrix it returns holds 132 B per pair (a 4x4 block and an
-    # int32 column index)
-    runs = []
-    for n in (1500, 3000):
-        ps, tp, _ = tuned_model(sphere_points(n, seed=1))
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            system = exact.assemble(ps, tp.rho, tp.eta)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        runs.append((len(system.matrix.indices), peak))
-        del system
-    (p0, peak0), (p1, peak1) = runs
-    assert p1 > 1.5 * p0
-    # measured 145 B, and 305 B with every per-pair array spanning all pairs
-    assert (peak1 - peak0) / (p1 - p0) <= 170
 
 
 def test_wide_kernel_memory_bounded_by_listing_pieces(monkeypatch):

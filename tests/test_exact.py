@@ -1,4 +1,6 @@
-"""Exact solver assembly and solution against dense and analytic oracles."""
+"""Exact solver operator and solution against dense and analytic oracles."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hrbfsurf.exact import (
     IllConditionedError,
     SolverCapError,
     _neumann_ceiling,
-    assemble,
+    build_operator,
     condition_estimate,
     solve,
 )
@@ -31,13 +33,13 @@ def _random_ps(n, seed, spread=1.0):
 def test_single_point_block():
     ps = HermitePointSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
     rho, eta = 1.5, 0.25
-    sys = assemble(ps, rho, eta)
-    dense = sys.matrix.toarray()
+    op = build_operator(ps, rho, eta)
+    dense = op.matrix().toarray()
     # the self block is diag(1, 20/rho^2, ...) plus eta on the diagonal
     expect = np.diag([1.0, 20.0 / rho**2, 20.0 / rho**2, 20.0 / rho**2]) + eta * np.eye(4)
     np.testing.assert_allclose(dense, expect, atol=1e-14)
-    assert sys.delta_a_inf == 0.0
-    res = solve(sys)
+    assert op.delta_a_inf == 0.0
+    res = solve(op)
     np.testing.assert_allclose(res.lam[1:], ps.normals[0] / (20.0 / rho**2 + eta))
 
 
@@ -68,7 +70,7 @@ def test_assembly_matches_dense_oracle():
     ps = _random_ps(25, 0, spread=0.8)
     rho = np.random.default_rng(9).uniform(0.6, 1.1, 25)  # per-center radii
     eta = 0.1
-    sys = assemble(ps, rho, eta)
+    op = build_operator(ps, rho, eta)
     pts = ps.points
     dense = eta * np.eye(100)
     for i in range(25):
@@ -82,14 +84,16 @@ def test_assembly_matches_dense_oracle():
             blk[1:, 0] = kernel.gradient(d[None], rho[j])[0]
             blk[1:, 1:] = -kernel.hessian(d[None], rho[j])[0]
             dense[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] += blk
-    np.testing.assert_allclose(sys.matrix.toarray(), dense, atol=1e-13)
+    np.testing.assert_allclose(op.matrix().toarray(), dense, atol=1e-13)
+    lam = np.random.default_rng(10).normal(size=100)
+    np.testing.assert_allclose(op.apply(lam), dense @ lam, rtol=0.0, atol=1e-12 * np.max(np.abs(dense @ lam)))
     # row sums of |dA| and of |D^-1 dA| against the same dense assembly
     d_diag = np.repeat(20.0 / rho**2, 4) + eta
     d_diag[0::4] = 1.0 + eta
     row_sums = np.abs(dense - np.diag(d_diag)).sum(1)
-    assert sys.delta_a_inf == pytest.approx(row_sums.max(), rel=1e-12, abs=0.0)
-    assert sys.contraction == pytest.approx((row_sums / d_diag).max(), rel=1e-12, abs=0.0)
-    assert sys.contraction <= sys.d_inv_inf * sys.delta_a_inf * (1 + 1e-12)
+    assert op.delta_a_inf == pytest.approx(row_sums.max(), rel=1e-12, abs=0.0)
+    assert op.contraction == pytest.approx((row_sums / d_diag).max(), rel=1e-12, abs=0.0)
+    assert op.contraction <= op.d_inv_inf * op.delta_a_inf * (1 + 1e-12)
 
 
 def test_isolated_centers_match_quasi_solution():
@@ -99,8 +103,7 @@ def test_isolated_centers_match_quasi_solution():
     nrm = random_unit_vectors(6, rng)
     ps = HermitePointSet(pts, nrm)
     eta = 0.5
-    sys = assemble(ps, 1.0, eta)
-    res = solve(sys)
+    res = solve(build_operator(ps, 1.0, eta))
     model = model_from_arrays(pts, nrm, 1.0, eta)
     assert np.max(np.abs(res.lam - quasi_lambda(model))) < 1e-12
     assert res.delta_a_inf == 0.0
@@ -109,9 +112,9 @@ def test_isolated_centers_match_quasi_solution():
 def test_interpolation_constraints_without_regularization():
     # with eta = 0 the solution interpolates: f(p_i) = 0, grad f(p_i) = n_i
     ps = _random_ps(40, 2, spread=0.6)
-    sys = assemble(ps, 1.1, 0.0)
-    res = solve(sys)
-    assert sys.contraction >= 1.0 and res.method == "lu"
+    op = build_operator(ps, 1.1, 0.0)
+    res = solve(op)
+    assert op.contraction >= 1.0 and res.method == "lu"
     vals, grads = eval_exact(ps, 1.1, res.lam, ps.points, want_gradient=True)
     assert np.max(np.abs(vals)) < 1e-8
     assert np.max(np.abs(grads - ps.normals)) < 1e-8
@@ -119,31 +122,37 @@ def test_interpolation_constraints_without_regularization():
 
 def test_d_inv_inf_formula():
     ps = _random_ps(10, 3)
-    sys = assemble(ps, 1.0, 2.0)
+    op = build_operator(ps, 1.0, 2.0)
     # for rho < sqrt(20) the value-block diagonal dominates
-    assert sys.d_inv_inf == pytest.approx(1.0 / 3.0)
-    sys_wide = assemble(ps, 4.9, 2.0)  # past the rho^2 = 20 crossover
-    assert sys_wide.d_inv_inf == pytest.approx(4.9**2 / (20.0 + 2.0 * 4.9**2))
+    assert op.d_inv_inf == pytest.approx(1.0 / 3.0)
+    op_wide = build_operator(ps, 4.9, 2.0)  # past the rho^2 = 20 crossover
+    assert op_wide.d_inv_inf == pytest.approx(4.9**2 / (20.0 + 2.0 * 4.9**2))
 
 
 def test_solver_cap():
+    # the cap holds on the LU path (q >= 1) only; the Neumann path takes any n
     ps = _random_ps(30, 4)
-    with pytest.raises(SolverCapError):
-        assemble(ps, 1.0, 0.1, cap=20)
+    lu = build_operator(ps, 1.0, 0.0)
+    assert lu.contraction >= 1.0
+    with pytest.raises(SolverCapError, match="cap=20"):
+        solve(lu, cap=20)
+    neumann = build_operator(ps, 1.0, 50.0)
+    assert neumann.contraction < 1.0
+    assert solve(neumann, cap=20).method == "neumann"
 
 
 def test_condition_estimate_reasonable():
     ps = _random_ps(15, 5)
-    well = assemble(ps, 0.8, 5.0)
+    well = build_operator(ps, 0.8, 5.0)
     cond = condition_estimate(well)
     assert 1.0 <= cond < 1e4
 
 
 def test_cond_limit_triggers():
     ps = _random_ps(15, 6)
-    sys = assemble(ps, 0.8, 5.0)
+    op = build_operator(ps, 0.8, 5.0)
     with pytest.raises(IllConditionedError):
-        solve(sys, cond_limit=1.0)
+        solve(op, cond_limit=1.0)
 
 
 def test_eval_exact_matches_dense_oracle():
@@ -179,8 +188,7 @@ def test_eval_exact_matches_dense_oracle():
 
 def test_eval_exact_gradient_matches_fd():
     ps = _random_ps(20, 7, spread=0.5)
-    sys = assemble(ps, 1.0, 0.3)
-    res = solve(sys)
+    res = solve(build_operator(ps, 1.0, 0.3))
     rng = np.random.default_rng(8)
     x = rng.uniform(-0.5, 0.5, (20, 3))
     vals, grads = eval_exact(ps, 1.0, res.lam, x, want_gradient=True)
@@ -194,76 +202,117 @@ def test_eval_exact_gradient_matches_fd():
 
 def test_tuned_eta_keeps_exact_near_quasi(sphere_ps):
     norm_ps, tp, model = tuned_model(sphere_ps)
-    sys = assemble(norm_ps, tp.rho, tp.eta)
-    res = solve(sys)
+    res = solve(build_operator(norm_ps, tp.rho, tp.eta))
     err = np.max(np.abs(res.lam - quasi_lambda(model)))
     assert res.d_inv_inf * res.delta_a_inf < 1.0
     assert err <= 1e-4
 
 
-def _tuned_system(shape, s):
+
+
+def _tuned_input(shape, s):
     ps = sphere_points(500, seed=3) if shape == "sphere" else torus_points(500, seed=4)
     norm_ps, tp, _ = tuned_model(ps, s=s)
-    return assemble(norm_ps, tp.rho, tp.eta)
+    return norm_ps, tp.rho, tp.eta
+
+
+def _lu_oracle(ps, rho, eta):
+    ref = assemble_whole(ps, rho, eta)
+    return spla.splu(ref.matrix.tocsc()).solve(ref.y)
 
 
 @pytest.mark.parametrize("shape", ["sphere", "torus"])
 @pytest.mark.parametrize("s", [1.0, 2.0, 3.5])
 def test_neumann_matches_lu_oracle(shape, s):
-    sys = _tuned_system(shape, s)
-    res = solve(sys)
+    args = _tuned_input(shape, s)
+    op = build_operator(*args)
+    res = solve(op)
     assert res.method == "neumann"
-    q = sys.contraction
+    q = op.contraction
     assert q <= res.d_inv_inf * res.delta_a_inf * (1 + 1e-12)
     assert 0 < res.iterations < _neumann_ceiling(q)
-    oracle = spla.splu(sys.matrix.tocsc()).solve(sys.y)
+    oracle = _lu_oracle(*args)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(res.lam - oracle)) <= 1e-12 * scale
     assert res.residual_inf <= 1e-13
     # the first Neumann step bounds the distance from the quasi-solution D^-1 y
-    quasi_err = np.max(np.abs(sys.y / sys.d_diag - oracle))
+    quasi_err = np.max(np.abs(op.y / op.d_diag - oracle))
     assert quasi_err <= res.bound_a_posteriori
 
 
 @pytest.mark.parametrize("case", ["sphere", "torus", "bands"])
-def test_sliced_assembly_matches_whole(case, monkeypatch):
-    # a budget of 64 pairs cuts the system into many slices of whole rows,
-    # and a row longer than the budget becomes a slice of its own
-    budget = 64
-    monkeypatch.setattr("hrbfsurf.exact._PAIR_SLICE", budget)
-    monkeypatch.setattr("hrbfsurf.model._PAIR_SLICE", budget)
-    if case == "bands":
+@pytest.mark.parametrize("budget", [64, None])
+def test_operator_matches_whole_assembly(case, budget, monkeypatch):
+    # a budget of 64 pairs cuts the pairs into many slices of whole rows, and
+    # a row longer than the budget becomes a slice of its own; None keeps
+    # the default slices
+    if budget is not None:
+        monkeypatch.setattr("hrbfsurf.exact._PAIR_SLICE", budget)
+        monkeypatch.setattr("hrbfsurf.model._PAIR_SLICE", budget)
+    if case == "bands":  # per-center radii over three factor-2 bands
         ps = _random_ps(200, 14, spread=0.8)
         rho = np.random.default_rng(15).uniform(0.15, 0.9, 200)
-        assert len(RadiusBands(ps.points, rho).groups) > 2
+        assert len(RadiusBands(ps.points, rho).groups) == 3
         eta = 0.0
-    else:
-        ps = sphere_points(500, seed=3) if case == "sphere" else torus_points(500, seed=4)
+    else:  # verify3k's input, and the torus at s = 2
+        ps = sphere_points(3000, seed=1) if case == "sphere" else torus_points(2000, seed=3)
         ps, tp, _ = tuned_model(ps, s=1.0 if case == "sphere" else 2.0)
         rho, eta = tp.rho, tp.eta
-    sys, ref = assemble(ps, rho, eta), assemble_whole(ps, rho, eta)
-    for name in ("data", "indices", "indptr"):
-        got, want = getattr(sys.matrix, name), getattr(ref.matrix, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert sys.y.tobytes() == ref.y.tobytes() and sys.d_diag.tobytes() == ref.d_diag.tobytes()
-    assert sys.delta_a_inf == ref.delta_a_inf and sys.contraction == ref.contraction
-    cuts = _cuts(sys.matrix.indptr, budget)
-    assert len(cuts) > 10
-    if case == "torus":  # s = 2 gives rows longer than the budget
-        lone = cuts[:-1][np.diff(cuts) == 1]
-        assert np.any(np.diff(sys.matrix.indptr)[lone] > budget)
+    op, ref = build_operator(ps, rho, eta), assemble_whole(ps, rho, eta)
+    assert op.y.tobytes() == ref.y.tobytes() and op.d_diag.tobytes() == ref.d_diag.tobytes()
+    assert op.delta_a_inf == pytest.approx(ref.delta_a_inf, rel=1e-12, abs=0.0)
+    assert op.contraction == pytest.approx(ref.contraction, rel=1e-12, abs=0.0)
+    lam = np.random.default_rng(16).normal(size=4 * len(ps))
+    want = ref.matrix @ lam
+    assert np.max(np.abs(op.apply(lam) - want)) <= 1e-12 * np.max(np.abs(want))
+    # the matrix built on demand has the oracle's blocks, in the oracle's order
+    mat = op.matrix()
+    np.testing.assert_array_equal(mat.indptr, ref.matrix.indptr)
+    np.testing.assert_array_equal(mat.indices, ref.matrix.indices)
+    np.testing.assert_allclose(mat.data, ref.matrix.data, rtol=0.0, atol=1e-12 * np.max(np.abs(ref.matrix.data)))
+    if budget is not None:
+        cuts = _cuts(op.indptr, budget)
+        assert len(cuts) > 10
+        if case == "torus":  # s = 2 gives rows longer than the budget
+            lone = cuts[:-1][np.diff(cuts) == 1]
+            assert np.any(np.diff(op.indptr)[lone] > budget)
     if case == "bands":
-        res, want = solve(sys), solve(ref)
-        assert res.method == want.method == "lu"
-        assert res.lam.tobytes() == want.lam.tobytes()
+        res = solve(op)
+        assert res.method == "lu"
+        want = _lu_oracle(ps, rho, eta)
+        assert np.max(np.abs(res.lam - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_neumann_ceiling_alone_reaches_rounding_level(monkeypatch):
     # with the a-posteriori stop disabled the iteration runs to the ceiling,
     # which must already leave the iterate at rounding level
-    sys = _tuned_system("sphere", 2.0)
+    args = _tuned_input("sphere", 2.0)
+    op = build_operator(*args)
     monkeypatch.setattr(exact, "_STOP_ULPS", -1.0)
-    res = solve(sys)
-    assert res.iterations == _neumann_ceiling(sys.contraction)
-    oracle = spla.splu(sys.matrix.tocsc()).solve(sys.y)
+    res = solve(op)
+    assert res.iterations == _neumann_ceiling(op.contraction)
+    oracle = _lu_oracle(*args)
     assert np.max(np.abs(res.lam - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_support_operator_memory_grows_with_pairs():
+    # traced peak bytes of build_operator at two sizes: what doubling the
+    # points adds to the peak, per added support pair, is the build's cost per
+    # pair.  The operator holds 56 B per pair (a column index, u and phi,
+    # gamma, beta); a stored 4x4 block and its index took 132 B
+    runs = []
+    for n in (1500, 3000):
+        ps, tp, _ = tuned_model(sphere_points(n, seed=1))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            op = build_operator(ps, tp.rho, tp.eta)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        runs.append((len(op.cols), peak))
+        del op
+    (p0, peak0), (p1, peak1) = runs
+    assert p1 > 1.5 * p0
+    # measured 57 B
+    assert (peak1 - peak0) / (p1 - p0) <= 100

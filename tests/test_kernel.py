@@ -59,6 +59,17 @@ def test_hessian_matches_finite_differences(rho):
         assert np.max(err / scale) < 1e-5
 
 
+def test_radial_terms_give_value_and_center_limits():
+    rng = np.random.default_rng(10)
+    offs = np.vstack([np.zeros((1, 3)), _sample_offsets(1.3, 200, rng), [[2.0, 0.0, 0.0]]])
+    phi, gamma, beta = kernel.radial_terms(offs, 1.3)
+    np.testing.assert_array_equal(phi, kernel.value(offs, 1.3))
+    # at r = 0: phi = 1 and the Hessian is -20/rho^2 I, whatever finite beta
+    # multiplies u u^T = 0; outside the support all three vanish
+    assert (phi[0], gamma[0]) == (1.0, -20.0 / 1.3**2) and np.isfinite(beta[0])
+    assert phi[-1] == gamma[-1] == beta[-1] == 0.0
+
+
 def test_hessian_center_limit():
     h = kernel.hessian(np.zeros((1, 3)), 2.0)[0]
     assert np.allclose(np.diag(h), -20.0 / 4.0)

@@ -145,8 +145,21 @@ def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps):
     assert len(lines) == 2
     assert lines[0].startswith("n,eta,a_bar,bound,measured_inf_error")
     assert "contraction_exact,q," in lines[0]
-    with pytest.raises(StageError):
-        run_verify_bound(ReconConfig(input_path=str(src), exact_cap=10))
+    # the cap holds on the LU path only: a tuned run (q < 1) takes the Neumann
+    # path at any n, and eta_override=1e-6 forces q >= 1
+    _, row = run_verify_bound(ReconConfig(input_path=str(src), exact_cap=10))
+    assert row["method"] == "neumann"
+    with pytest.raises(StageError, match=r"\[verify-bound\].*cap=10"):
+        run_verify_bound(ReconConfig(input_path=str(src), exact_cap=10, eta_override=1e-6))
+
+
+def test_verify_bound_above_the_lu_cap():
+    # 6000 points is above the LU path's cap; the tuned q < 1 takes the Neumann path
+    report, row = verify_bound_on_points(sphere_points(6000, seed=1), ReconConfig())
+    assert row["n"] == 6000 > ReconConfig().exact_cap
+    assert row["method"] == "neumann" and row["q"] < 1.0
+    assert report.applicable and report.holds
+    assert report.measured_inf_error <= report.bound_a_posteriori
 
 
 def test_noise_bench_schedule_and_rows(sphere_ps):

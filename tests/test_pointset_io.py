@@ -138,6 +138,26 @@ def test_ply_truncated_binary(tmp_path, small_ps):
         load_points(path)
 
 
+@pytest.mark.parametrize(
+    "k, record, match",
+    [(1, "abc 0 0 0 0 1", "abc"), (2, "0 0 0 0 1", "expected 6 coordinates, got 5"),
+     (3, None, "expected 6 coordinates, got 0")],
+    ids=["not-a-number", "short-record", "fewer-records-than-declared"],
+)
+def test_ply_ascii_bad_records_name_their_line(tmp_path, small_ps, k, record, match):
+    # record k (from 0) is replaced, or the file ends before it; the 10-line
+    # header puts record k on line 11 + k
+    path = tmp_path / "p.ply"
+    save_points(HermitePointSet(small_ps.points[:4], small_ps.normals[:4]), path, fmt="ply-ascii")
+    lines = path.read_text().splitlines()
+    assert lines[9] == "end_header"
+    lines = lines[: 10 + k] if record is None else lines[: 10 + k] + [record] + lines[11 + k :]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PointFileError, match=match) as info:
+        load_points(path)
+    assert info.value.line == 11 + k
+
+
 def _write_binary_ply(path, props, points, normals, elements_after=""):
     """A little-endian binary point file whose vertex record holds ``props``,
     (PLY type, name, numpy code) in order; unnamed columns are zero."""
