@@ -2,10 +2,11 @@
 
 The library builds a signed implicit function from point positions and unit
 normals as a weighted sum of compactly supported Wendland kernels, without
-solving a global linear system.  An exact solver, matrix-free when the
-damping makes it a contraction, is included as an oracle for verifying the
-quasi-solution's error bound, and a dual-contouring variant extracts the
-zero isosurface over the supported region only.
+solving a global linear system.  A matrix-free exact solver, the Neumann
+series that converges when the damping makes the system a contraction, is
+included as an oracle for verifying the quasi-solution's error bound, and a
+dual-contouring variant extracts the zero isosurface over the supported
+region only.
 """
 
 from .pointset import (

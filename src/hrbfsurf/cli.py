@@ -6,7 +6,6 @@ import argparse
 import sys
 from dataclasses import fields
 
-from . import exact
 from .covers import CoverParams, select_centers
 from .octree import build_octree
 from .pipeline import (
@@ -60,8 +59,6 @@ def build_parser():
     p = sub.add_parser("verify-bound", help="exact-solver check of the quasi-solution bound")
     p.add_argument("input")
     p.add_argument("--csv", default=None)
-    p.add_argument("--exact-cap", type=int, default=exact.DEFAULT_POINT_CAP,
-                   help="most points the LU path (q >= 1) takes; the Neumann path takes any n")
     _add_fit(p)
     _add_tuning(p)
 

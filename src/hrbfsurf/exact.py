@@ -13,12 +13,11 @@ and its index; the block is [[phi, -gamma u^T], [gamma u, -(gamma I + beta u u^T
 ||dA||inf and q = ||D^-1 dA||inf are row sums of |entries|, and ``apply`` gives
 (A + eta I) lambda; both take the pairs one row-aligned slice at a time.
 
-When q < 1, which the tuned eta guarantees, the system is solved by the
-Neumann series that starts at the quasi-solution (Jacobi iteration, Saad,
-Iterative Methods for Sparse Linear Systems, ch. 4) through ``apply``; it
-converges for any such q, at any n.  Otherwise (eta = 0, small eta overrides)
-the block matrix is built on demand and factored by sparse LU, which fill-in
-keeps to desk scale.
+``solve`` runs the Neumann series that starts at the quasi-solution (Jacobi
+iteration, Saad, Iterative Methods for Sparse Linear Systems, ch. 4) through
+``apply``; it converges for any q < 1, which the tuned eta guarantees, at any
+n.  When q >= 1 (eta = 0, small eta overrides) the series diverges and
+``solve`` refuses the system: its a-posteriori bound exists only for q < 1.
 """
 
 from __future__ import annotations
@@ -26,24 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import kernel
 from .model import _PAIR_SLICE, RadiusBands, _cuts, _support_pairs
 
-DEFAULT_POINT_CAP = 5000  # points the LU path takes
 _RESIDUAL_TOL = 1e-9  # residual gate of ``solve``, relative to 1 + ||y||inf
 
 
-class SolverCapError(ValueError):
-    """The LU path is desk-scale only."""
-
-
 class IllConditionedError(RuntimeError):
-    def __init__(self, message, condition_estimate):
+    def __init__(self, message, residual):
         super().__init__(message)
-        self.condition_estimate = condition_estimate
+        self.residual = residual
 
 
 def _row_slices(indptr):
@@ -103,20 +95,6 @@ class SupportOperator:
             out[:, r0:r1] += np.add.reduceat(rows[:, :k], self.indptr[r0:r1] - lo, axis=1)
         return out.T.ravel()
 
-    def matrix(self):
-        """A + eta I as a BSR matrix of 4x4 blocks, one per support pair."""
-        phi, gamma, beta = self.terms
-        u = self.u.T
-        blocks = np.empty((len(self.cols), 4, 4))
-        blocks[:, 0, 0] = phi
-        blocks[:, 1:, 0] = gamma[:, None] * u
-        blocks[:, 0, 1:] = -blocks[:, 1:, 0]
-        np.multiply(u[:, :, None] * u[:, None, :], -beta[:, None, None], out=blocks[:, 1:, 1:])
-        blocks[:, (1, 2, 3), (1, 2, 3)] -= gamma[:, None]
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        blocks[rows == self.cols] += self.eta * np.eye(4)
-        return sp.bsr_matrix((blocks, self.cols, self.indptr), shape=(4 * self.n, 4 * self.n))
-
 
 @dataclass
 class ExactSolveResult:
@@ -125,10 +103,9 @@ class ExactSolveResult:
     delta_a_inf: float
     d_inv_inf: float
     # ||lambda_1 - lambda_0||inf / (1 - q) >= ||lambda_0 - lambda||inf for the
-    # quasi-solution lambda_0 = D^-1 y; inf when q >= 1
+    # quasi-solution lambda_0 = D^-1 y
     bound_a_posteriori: float
-    method: str  # "neumann" or "lu"
-    iterations: int  # Neumann steps taken; 0 for LU
+    iterations: int  # Neumann steps taken
 
 
 def build_operator(ps, rho, eta) -> SupportOperator:
@@ -189,25 +166,6 @@ def build_operator(ps, rho, eta) -> SupportOperator:
     )
 
 
-def _factor(matrix):
-    """Sparse LU of A + eta I without the self blocks' stored zeros."""
-    csc = matrix.tocsc()
-    csc.eliminate_zeros()
-    return spla.splu(csc)
-
-
-def condition_estimate(op: SupportOperator, lu=None):
-    """1-norm condition estimate of A + eta I via its sparse LU factors."""
-    matrix = op.matrix()
-    lu = _factor(matrix) if lu is None else lu
-    inv_op = spla.LinearOperator(
-        matrix.shape,
-        matvec=lu.solve,
-        rmatvec=lambda v: lu.solve(v, trans="T"),
-    )
-    return float(spla.onenormest(matrix) * spla.onenormest(inv_op))
-
-
 _STOP_ULPS = 4.0  # Neumann stop: error estimate within this many ulps of ||lambda||inf
 
 
@@ -239,45 +197,25 @@ def _neumann(op: SupportOperator):
     return lam, k, first_step
 
 
-def solve(op: SupportOperator, cond_limit=None, cap=DEFAULT_POINT_CAP) -> ExactSolveResult:
-    """Solve (A + eta I) lambda = y: Neumann series when q < 1, sparse LU otherwise.
+def solve(op: SupportOperator) -> ExactSolveResult:
+    """Solve (A + eta I) lambda = y by the Neumann series; q >= 1 raises ValueError.
 
-    The LU path takes at most ``cap`` points and raises SolverCapError above
-    it, before any matrix is built.  Both paths must pass the residual gate;
-    ``cond_limit`` bounds the 1-norm condition estimate, which factors the
-    matrix on the Neumann path.
+    The solution must pass the residual gate, or IllConditionedError carries
+    the residual.
     """
-    lu = None
     q = op.contraction
-    if q < 1.0:
-        lam, iterations, first_step = _neumann(op)
-        method, bound = "neumann", first_step / (1.0 - q)
-    else:
-        if op.n > cap:
-            raise SolverCapError(f"q = {q:.3g} >= 1 needs the LU path, which is desk-scale only (n={op.n} > cap={cap})")
-        try:
-            lu = _factor(op.matrix())
-            lam = lu.solve(op.y)
-        except RuntimeError as exc:  # singular factorization
-            raise IllConditionedError(f"factorization failed: {exc}", np.inf) from exc
-        method, iterations, bound = "lu", 0, np.inf
+    if q >= 1.0:
+        raise ValueError(f"q = {q:.3g} >= 1: the Neumann series diverges, so there is no exact solve to check")
+    lam, iterations, first_step = _neumann(op)
     residual = float(np.max(np.abs(op.apply(lam) - op.y)))
     scale = 1.0 + float(np.max(np.abs(op.y)))
     if not np.all(np.isfinite(lam)) or residual > _RESIDUAL_TOL * scale:
-        raise IllConditionedError(
-            f"residual {residual:.3e} exceeds tolerance; eta likely too small",
-            condition_estimate(op, lu),
-        )
-    if cond_limit is not None:
-        cond = condition_estimate(op, lu)
-        if cond > cond_limit:
-            raise IllConditionedError(f"condition estimate {cond:.3e} over limit", cond)
+        raise IllConditionedError(f"residual {residual:.3e} exceeds tolerance", residual)
     return ExactSolveResult(
         lam=lam,
         residual_inf=residual,
         delta_a_inf=op.delta_a_inf,
         d_inv_inf=op.d_inv_inf,
-        bound_a_posteriori=bound,
-        method=method,
+        bound_a_posteriori=first_step / (1.0 - q),
         iterations=iterations,
     )

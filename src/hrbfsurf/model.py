@@ -116,7 +116,7 @@ class BoundReport:
     measured_inf_error: float
     applicable: bool
     holds: bool
-    bound_a_posteriori: float  # from the exact solve's first Neumann step; inf when q >= 1
+    bound_a_posteriori: float  # from the exact solve's first Neumann step; inf without one (q >= 1)
 
 
 def tune_parameters(
@@ -886,18 +886,23 @@ def quasi_lambda(model: HrbfModel):
     return lam.ravel()
 
 
-def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result) -> BoundReport:
+def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result=None) -> BoundReport:
     """Check the constant error bound of the quasi-solution against an exact solve.
 
     ``applicable``/``holds`` refer to the a-priori bound; the a-posteriori
-    bound of ``exact_result`` is carried alongside.
+    bound of ``exact_result`` is carried alongside.  Without an exact solve
+    (q >= 1) nothing is measured and the bound is not applicable.
     """
     a_bar = tp.a_bar
     eta = tp.eta
     contraction = a_bar / (1.0 + eta)
-    applicable = contraction < 1.0
+    applicable = contraction < 1.0 and exact_result is not None
     bound = a_bar * tp.rho_max**2 / ((1.0 + eta - a_bar) * (kernel.D2_PEAK + eta * tp.rho_max**2)) if applicable else np.inf
-    measured = float(np.max(np.abs(quasi_lambda(model) - exact_result.lam)))
+    if exact_result is None:
+        measured, bound_a_posteriori = np.nan, np.inf
+    else:
+        measured = float(np.max(np.abs(quasi_lambda(model) - exact_result.lam)))
+        bound_a_posteriori = float(exact_result.bound_a_posteriori)
     return BoundReport(
         a_bar=a_bar,
         contraction=contraction,
@@ -905,5 +910,5 @@ def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result) -> Boun
         measured_inf_error=measured,
         applicable=applicable,
         holds=bool(applicable and measured <= bound),
-        bound_a_posteriori=float(exact_result.bound_a_posteriori),
+        bound_a_posteriori=bound_a_posteriori,
     )

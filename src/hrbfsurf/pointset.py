@@ -175,10 +175,7 @@ def _load_xyz(path):
             parts = line.split()
             if len(parts) != 6:
                 raise PointFileError(f"expected 6 fields, got {len(parts)}", line=lineno)
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise PointFileError(str(exc), line=lineno) from exc
+            rows.append(_floats(parts, lineno, 6))
     if not rows:
         raise PointFileError("empty point set")
     data = np.array(rows, dtype=np.float64)

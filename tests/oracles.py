@@ -14,9 +14,11 @@ independently of its vertex order.  ``voxel_coords`` and
 ``radius_query`` lists the indexed points strictly inside one ball, and
 ``octree_leaves`` subdivides a point set recursively into octree leaves.
 ``assemble_whole`` assembles the exact system as stored blocks with every
-per-pair array spanning all support pairs at once, and ``eval_exact``
-evaluates the exact interpolant at query points.  ``surface_error`` measures
-how far a field's zero set lies from the true surface, at fresh points of it.
+per-pair array spanning all support pairs at once; ``lu_solve`` solves it by
+sparse LU whatever q is, and ``condition_estimate`` gives its 1-norm
+condition number from the same factors.  ``eval_exact`` evaluates the exact
+interpolant at query points.  ``surface_error`` measures how far a field's
+zero set lies from the true surface, at fresh points of it.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hrbfsurf import kernel
 from hrbfsurf.dualcontour import (
@@ -371,6 +374,25 @@ def assemble_whole(ps, rho, eta) -> AssembledSystem:
         delta_a_inf=float(row_sums.max()),
         contraction=float((row_sums / d_diag).max()),
     )
+
+
+def _factor(system: AssembledSystem):
+    """Sparse LU of A + eta I without the self blocks' stored zeros."""
+    csc = system.matrix.tocsc()
+    csc.eliminate_zeros()
+    return spla.splu(csc)
+
+
+def lu_solve(system: AssembledSystem):
+    """lambda with (A + eta I) lambda = y, by sparse LU; any q."""
+    return _factor(system).solve(system.y)
+
+
+def condition_estimate(system: AssembledSystem):
+    """1-norm condition estimate of A + eta I via its sparse LU factors."""
+    lu = _factor(system)
+    inv = spla.LinearOperator(system.matrix.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"))
+    return float(spla.onenormest(system.matrix) * spla.onenormest(inv))
 
 
 def eval_exact(ps, rho, lam, x, want_gradient=False):

@@ -1,27 +1,20 @@
 """Exact solver operator and solution against dense and analytic oracles."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from hrbfsurf import exact, kernel
-from hrbfsurf.exact import (
-    IllConditionedError,
-    SolverCapError,
-    _neumann_ceiling,
-    build_operator,
-    condition_estimate,
-    solve,
-)
+from hrbfsurf.exact import IllConditionedError, _neumann_ceiling, build_operator, solve
 from hrbfsurf.model import RadiusBands, _cuts, _support_pairs, model_from_arrays, quasi_lambda
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import HermitePointSet
 from hrbfsurf.sampling import sphere_points, torus_points
 
 from conftest import random_unit_vectors, tuned_model
-from oracles import assemble_whole, eval_exact, radius_query
+from oracles import assemble_whole, condition_estimate, eval_exact, lu_solve, radius_query
 
 
 def _random_ps(n, seed, spread=1.0):
@@ -30,11 +23,16 @@ def _random_ps(n, seed, spread=1.0):
     return HermitePointSet(pts, random_unit_vectors(n, rng))
 
 
+def _dense(op):
+    """A + eta I column by column, as ``apply`` gives it."""
+    return np.column_stack([op.apply(e) for e in np.eye(4 * op.n)])
+
+
 def test_single_point_block():
     ps = HermitePointSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
     rho, eta = 1.5, 0.25
     op = build_operator(ps, rho, eta)
-    dense = op.matrix().toarray()
+    dense = _dense(op)
     # the self block is diag(1, 20/rho^2, ...) plus eta on the diagonal
     expect = np.diag([1.0, 20.0 / rho**2, 20.0 / rho**2, 20.0 / rho**2]) + eta * np.eye(4)
     np.testing.assert_allclose(dense, expect, atol=1e-14)
@@ -84,7 +82,7 @@ def test_assembly_matches_dense_oracle():
             blk[1:, 0] = kernel.gradient(d[None], rho[j])[0]
             blk[1:, 1:] = -kernel.hessian(d[None], rho[j])[0]
             dense[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] += blk
-    np.testing.assert_allclose(op.matrix().toarray(), dense, atol=1e-13)
+    np.testing.assert_allclose(_dense(op), dense, atol=1e-13)
     lam = np.random.default_rng(10).normal(size=100)
     np.testing.assert_allclose(op.apply(lam), dense @ lam, rtol=0.0, atol=1e-12 * np.max(np.abs(dense @ lam)))
     # row sums of |dA| and of |D^-1 dA| against the same dense assembly
@@ -112,10 +110,9 @@ def test_isolated_centers_match_quasi_solution():
 def test_interpolation_constraints_without_regularization():
     # with eta = 0 the solution interpolates: f(p_i) = 0, grad f(p_i) = n_i
     ps = _random_ps(40, 2, spread=0.6)
-    op = build_operator(ps, 1.1, 0.0)
-    res = solve(op)
-    assert op.contraction >= 1.0 and res.method == "lu"
-    vals, grads = eval_exact(ps, 1.1, res.lam, ps.points, want_gradient=True)
+    system = assemble_whole(ps, 1.1, 0.0)
+    assert system.contraction >= 1.0  # beyond the Neumann series; LU solves it
+    vals, grads = eval_exact(ps, 1.1, lu_solve(system), ps.points, want_gradient=True)
     assert np.max(np.abs(vals)) < 1e-8
     assert np.max(np.abs(grads - ps.normals)) < 1e-8
 
@@ -130,29 +127,38 @@ def test_d_inv_inf_formula():
 
 
 def test_solver_cap():
-    # the cap holds on the LU path (q >= 1) only; the Neumann path takes any n
+    # no point cap: solve refuses q >= 1, naming q, at any n (two coincident
+    # centers at eta = 0 already give q >= 1), and takes any n at q < 1
     ps = _random_ps(30, 4)
-    lu = build_operator(ps, 1.0, 0.0)
-    assert lu.contraction >= 1.0
-    with pytest.raises(SolverCapError, match="cap=20"):
-        solve(lu, cap=20)
+    twin = HermitePointSet(np.zeros((2, 3)), ps.normals[:2])
+    for bare in (build_operator(twin, 1.0, 0.0), build_operator(ps, 1.0, 0.0)):
+        assert bare.contraction >= 1.0
+        with pytest.raises(ValueError, match=re.escape(f"q = {bare.contraction:.3g} >= 1")):
+            solve(bare)
     neumann = build_operator(ps, 1.0, 50.0)
     assert neumann.contraction < 1.0
-    assert solve(neumann, cap=20).method == "neumann"
+    assert solve(neumann).iterations > 0
+
+
+def test_residual_gate_factors_nothing(monkeypatch):
+    # a failed residual gate reports the residual alone and factors nothing
+    def no_lu(*args, **kwargs):
+        raise AssertionError("the residual gate factored the system")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_lu)
+    monkeypatch.setattr(exact, "_RESIDUAL_TOL", -1.0)
+    op = build_operator(_random_ps(30, 4), 1.0, 50.0)
+    assert op.contraction < 1.0
+    with pytest.raises(IllConditionedError, match="residual") as info:
+        solve(op)
+    assert info.value.residual >= 0.0
+    assert "eta" not in str(info.value)
 
 
 def test_condition_estimate_reasonable():
     ps = _random_ps(15, 5)
-    well = build_operator(ps, 0.8, 5.0)
-    cond = condition_estimate(well)
+    cond = condition_estimate(assemble_whole(ps, 0.8, 5.0))
     assert 1.0 <= cond < 1e4
-
-
-def test_cond_limit_triggers():
-    ps = _random_ps(15, 6)
-    op = build_operator(ps, 0.8, 5.0)
-    with pytest.raises(IllConditionedError):
-        solve(op, cond_limit=1.0)
 
 
 def test_eval_exact_matches_dense_oracle():
@@ -188,15 +194,15 @@ def test_eval_exact_matches_dense_oracle():
 
 def test_eval_exact_gradient_matches_fd():
     ps = _random_ps(20, 7, spread=0.5)
-    res = solve(build_operator(ps, 1.0, 0.3))
+    lam = lu_solve(assemble_whole(ps, 1.0, 0.3))  # q = 28.7: LU, not the Neumann series
     rng = np.random.default_rng(8)
     x = rng.uniform(-0.5, 0.5, (20, 3))
-    vals, grads = eval_exact(ps, 1.0, res.lam, x, want_gradient=True)
+    vals, grads = eval_exact(ps, 1.0, lam, x, want_gradient=True)
     h = 1e-6
     for a in range(3):
         e = np.zeros(3)
         e[a] = h
-        fd = (eval_exact(ps, 1.0, res.lam, x + e) - eval_exact(ps, 1.0, res.lam, x - e)) / (2 * h)
+        fd = (eval_exact(ps, 1.0, lam, x + e) - eval_exact(ps, 1.0, lam, x - e)) / (2 * h)
         assert np.max(np.abs(fd - grads[:, a])) < 1e-5
 
 
@@ -217,8 +223,7 @@ def _tuned_input(shape, s):
 
 
 def _lu_oracle(ps, rho, eta):
-    ref = assemble_whole(ps, rho, eta)
-    return spla.splu(ref.matrix.tocsc()).solve(ref.y)
+    return lu_solve(assemble_whole(ps, rho, eta))
 
 
 @pytest.mark.parametrize("shape", ["sphere", "torus"])
@@ -227,7 +232,6 @@ def test_neumann_matches_lu_oracle(shape, s):
     args = _tuned_input(shape, s)
     op = build_operator(*args)
     res = solve(op)
-    assert res.method == "neumann"
     q = op.contraction
     assert q <= res.d_inv_inf * res.delta_a_inf * (1 + 1e-12)
     assert 0 < res.iterations < _neumann_ceiling(q)
@@ -265,22 +269,19 @@ def test_operator_matches_whole_assembly(case, budget, monkeypatch):
     lam = np.random.default_rng(16).normal(size=4 * len(ps))
     want = ref.matrix @ lam
     assert np.max(np.abs(op.apply(lam) - want)) <= 1e-12 * np.max(np.abs(want))
-    # the matrix built on demand has the oracle's blocks, in the oracle's order
-    mat = op.matrix()
-    np.testing.assert_array_equal(mat.indptr, ref.matrix.indptr)
-    np.testing.assert_array_equal(mat.indices, ref.matrix.indices)
-    np.testing.assert_allclose(mat.data, ref.matrix.data, rtol=0.0, atol=1e-12 * np.max(np.abs(ref.matrix.data)))
+    # the operator holds the oracle's support pairs, in the oracle's order
+    np.testing.assert_array_equal(op.indptr, ref.matrix.indptr)
+    np.testing.assert_array_equal(op.cols, ref.matrix.indices)
     if budget is not None:
         cuts = _cuts(op.indptr, budget)
         assert len(cuts) > 10
         if case == "torus":  # s = 2 gives rows longer than the budget
             lone = cuts[:-1][np.diff(cuts) == 1]
             assert np.any(np.diff(op.indptr)[lone] > budget)
-    if case == "bands":
-        res = solve(op)
-        assert res.method == "lu"
-        want = _lu_oracle(ps, rho, eta)
-        assert np.max(np.abs(res.lam - want)) <= 1e-9 * np.max(np.abs(want))
+    if case == "bands":  # eta = 0: q >= 1, which solve refuses
+        assert op.contraction >= 1.0
+        with pytest.raises(ValueError, match="q = "):
+            solve(op)
 
 
 def test_neumann_ceiling_alone_reaches_rounding_level(monkeypatch):

@@ -135,7 +135,7 @@ def test_verify_bound_flags_inapplicable(sphere_ps):
     assert np.isinf(report.bound_value)
 
 
-def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps):
+def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps, capsys):
     src = tmp_path / "in.xyz"
     save_points(sphere_ps, src)
     csv_path = tmp_path / "bound.csv"
@@ -145,18 +145,24 @@ def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps):
     assert len(lines) == 2
     assert lines[0].startswith("n,eta,a_bar,bound,measured_inf_error")
     assert "contraction_exact,q," in lines[0]
-    # the cap holds on the LU path only: a tuned run (q < 1) takes the Neumann
-    # path at any n, and eta_override=1e-6 forces q >= 1
-    _, row = run_verify_bound(ReconConfig(input_path=str(src), exact_cap=10))
     assert row["method"] == "neumann"
-    with pytest.raises(StageError, match=r"\[verify-bound\].*cap=10"):
-        run_verify_bound(ReconConfig(input_path=str(src), exact_cap=10, eta_override=1e-6))
+    # eta_override=1e-6 gives q >= 1: no exact solve, a row with the
+    # operator's norms and a bound that is not applicable, and exit 0
+    report, row = run_verify_bound(ReconConfig(input_path=str(src), eta_override=1e-6))
+    assert row["q"] >= 1.0 and row["contraction_exact"] >= row["q"]
+    assert row["method"] == "none" and row["iterations"] == 0
+    assert np.isnan(row["measured_inf_error"]) and np.isinf(row["bound_a_posteriori"])
+    assert row["applicable"] is False and row["holds"] is False and not report.applicable
+    assert row["delta_a_inf"] > 0.0 and row["d_inv_inf"] > 0.0
+    assert cli_main(["verify-bound", str(src), "--eta-override", "1e-6"]) == 0
+    out = capsys.readouterr().out
+    assert "applicable=False" in out and "method=none" in out
 
 
 def test_verify_bound_above_the_lu_cap():
-    # 6000 points is above the LU path's cap; the tuned q < 1 takes the Neumann path
+    # the tuned q < 1 takes the Neumann path, which has no point cap
     report, row = verify_bound_on_points(sphere_points(6000, seed=1), ReconConfig())
-    assert row["n"] == 6000 > ReconConfig().exact_cap
+    assert row["n"] == 6000
     assert row["method"] == "neumann" and row["q"] < 1.0
     assert report.applicable and report.holds
     assert report.measured_inf_error <= report.bound_a_posteriori
@@ -260,7 +266,8 @@ def test_cli_noise_bench_short_reference_mesh_fails_load(tmp_path, capsys):
     "command, option",
     [("verify-bound", ["-w", "0.5"]), ("verify-bound", ["--voxel-width", "0.5"]),
      ("verify-bound", ["--min-fragment-faces", "5"]), ("verify-bound", ["--seed", "7"]),
-     ("noise-bench", ["--noisy-mode"]), ("noise-bench", ["--eta-override", "500"])],
+     ("noise-bench", ["--noisy-mode"]), ("noise-bench", ["--eta-override", "500"]),
+     ("verify-bound", ["--exact-cap", "10"])],
 )
 def test_cli_rejects_options_its_driver_does_not_read(tmp_path, capsys, command, option):
     positional = [str(tmp_path / "in.xyz")] + ([str(tmp_path / "ref.obj")] if command == "noise-bench" else [])
