@@ -40,6 +40,6 @@ from .metrics import (
     estimate_normals_pca,
     surface_distance,
 )
-from .pipeline import ReconConfig, run_reconstruct, run_verify_bound, run_noise_bench
+from .pipeline import ReconConfig, reconstruct_points, verify_bound_on_points, run_noise_bench
 
 __version__ = "0.1.0"

@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .covers import CoverParams, select_centers
 from .octree import build_octree
 from .pipeline import (
-    NOISE_S_SCHEDULE,
     ReconConfig,
     StageError,
     _timed,
+    reconstruct_points,
     run_noise_bench,
-    run_reconstruct,
-    run_verify_bound,
+    verify_bound_on_points,
 )
-from .pointset import load_mesh, load_points, normalize_to_unit_box
+from .pointset import load_mesh, load_points, normalize_to_unit_box, save_mesh
 
 
 def _add_fit(p):
@@ -82,42 +85,54 @@ def build_parser():
     return parser
 
 
-def _cfg_from(args, **extra):
-    """A ReconConfig from the parsed options that name its fields, and ``extra``."""
+def _cfg_from(args):
+    """A ReconConfig from the parsed options that name its fields."""
     names = {f.name for f in fields(ReconConfig)}
-    return ReconConfig(**{k: v for k, v in vars(args).items() if k in names}, **extra)
+    return ReconConfig(**{k: v for k, v in vars(args).items() if k in names})
+
+
+def write_diagnostics(diag, path):
+    """Write ``diag`` as one JSON object; numpy scalars become plain numbers."""
+    with open(path, "w") as fh:
+        json.dump(diag, fh, indent=1, default=lambda v: v.item())
+
+
+def _write_csv(path, rows):
+    """``rows``, dicts with the same keys, as CSV under a header of those keys."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        ps = _timed({}, "load", load_points, args.input)
         if args.command == "reconstruct":
-            cfg = _cfg_from(
-                args,
-                input_path=args.input,
-                output_path=args.output,
-                diagnostics_path=args.diagnostics,
-            )
-            _, diag = run_reconstruct(cfg)
+            mesh, diag = reconstruct_points(ps, _cfg_from(args))
+            save_mesh(mesh, args.output)
+            diag["output"] = str(args.output)
+            if args.diagnostics:
+                write_diagnostics(diag, args.diagnostics)
             for k, v in diag.items():
                 print(f"{k}={v}")
         elif args.command == "verify-bound":
-            cfg = _cfg_from(args, input_path=args.input, output_path=args.csv)
-            report, row = run_verify_bound(cfg)
+            report, row = verify_bound_on_points(ps, _cfg_from(args))
+            if args.csv:
+                _write_csv(args.csv, [row])
             for k, v in row.items():
                 print(f"{k}={v}")
             if report.applicable and not report.holds:
                 return 1
         elif args.command == "noise-bench":
-            ps = _timed({}, "load", load_points, args.input)
             ref = _timed({}, "load", load_mesh, args.reference_mesh)
-            cfg = _cfg_from(args)
-            rows = run_noise_bench(ps, ref, args.levels, cfg,
-                                   n_samples=args.samples, csv_path=args.csv)
+            rows = run_noise_bench(ps, ref, args.levels, _cfg_from(args), n_samples=args.samples)
+            if args.csv:
+                _write_csv(args.csv, rows)
             for row in rows:
                 print(",".join(f"{k}={v}" for k, v in row.items()))
         elif args.command == "select-centers":
-            ps = _timed({}, "load", load_points, args.input)
             norm_ps, _ = _timed({}, "normalize", normalize_to_unit_box, ps)
             idx = build_octree(norm_ps)
             cover = select_centers(
@@ -125,7 +140,8 @@ def main(argv=None):
                 CoverParams(g_min=args.g_min, q_err=args.q_err, varpi=args.candidates),
                 seed=args.seed,
             )
-            cover.to_csv(args.csv)
+            np.savetxt(args.csv, np.column_stack([cover.centers, cover.radii]),
+                       delimiter=",", header="cx,cy,cz,r", comments="")
             print(f"n_input={len(ps)}")
             print(f"n_centers={cover.n_centers}")
     except StageError as exc:

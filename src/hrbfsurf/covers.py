@@ -46,12 +46,6 @@ class SphericalCover:
     def n_centers(self):
         return len(self.centers)
 
-    def to_csv(self, path):
-        """Debug dump of (cx, cy, cz, r) rows for cover visualization."""
-        rows = np.column_stack([self.centers, self.radii])
-        header = "cx,cy,cz,r"
-        np.savetxt(path, rows, delimiter=",", header=header, comments="")
-
 
 def density_weights(ps, idx: PointOctree, k=DELTA_NEIGHBORS):
     """Mean squared distance from each point to its k nearest neighbors."""

@@ -185,18 +185,10 @@ def points_to_mesh_distance(samples, mesh: QuadMesh, chunk=20000):
     return out
 
 
-def surface_distance(source, target_mesh: QuadMesh, n_samples=100_000, seed=0):
-    """Max and mean distance from area-weighted source samples to the target.
-
-    ``source`` is a mesh (sampled uniformly by area) or an (n, 3) point array
-    (used as-is).  Returns (max, avg, count).
-    """
-    if isinstance(source, QuadMesh):
-        samples = sample_mesh_surface(source, n_samples, seed)
-    else:
-        samples = np.asarray(source, dtype=np.float64).reshape(-1, 3)
-        if len(samples) == 0:
-            raise ValueError("empty source")
+def surface_distance(source: QuadMesh, target_mesh: QuadMesh, n_samples=100_000, seed=0):
+    """Max and mean distance to the target from samples spread uniformly by
+    area over the source mesh.  Returns (max, avg, count)."""
+    samples = sample_mesh_surface(source, n_samples, seed)
     d = points_to_mesh_distance(samples, target_mesh)
     return float(d.max()), float(d.mean()), len(samples)
 

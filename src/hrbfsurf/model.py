@@ -879,15 +879,17 @@ class ImplicitField:
         return self.evaluate(x, want_gradient=False)[0]
 
 
-def quasi_lambda(model: HrbfModel):
-    """The quasi-solution as a flat 4n vector of (a_j, b_j) blocks, a_j = 0."""
-    lam = np.zeros((model.n_centers, 4))
-    lam[:, 1:] = model.b_coeffs
+def quasi_lambda(b):
+    """The quasi-solution with vector coefficients ``b`` (n, 3) as a flat 4n
+    vector of (a_j, b_j) blocks, a_j = 0."""
+    lam = np.zeros((len(b), 4))
+    lam[:, 1:] = b
     return lam.ravel()
 
 
-def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result=None) -> BoundReport:
-    """Check the constant error bound of the quasi-solution against an exact solve.
+def verify_error_bound(tp: TuningParams, b, exact_result=None) -> BoundReport:
+    """Check the constant error bound of the quasi-solution, whose vector
+    coefficients are ``b``, against an exact solve.
 
     ``applicable``/``holds`` refer to the a-priori bound; the a-posteriori
     bound of ``exact_result`` is carried alongside.  Without an exact solve
@@ -901,7 +903,7 @@ def verify_error_bound(model: HrbfModel, tp: TuningParams, exact_result=None) ->
     if exact_result is None:
         measured, bound_a_posteriori = np.nan, np.inf
     else:
-        measured = float(np.max(np.abs(quasi_lambda(model) - exact_result.lam)))
+        measured = float(np.max(np.abs(quasi_lambda(b) - exact_result.lam)))
         bound_a_posteriori = float(exact_result.bound_a_posteriori)
     return BoundReport(
         a_bar=a_bar,

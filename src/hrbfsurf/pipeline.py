@@ -1,9 +1,9 @@
-"""End-to-end drivers: reconstruct, error-bound verification, noise benchmark."""
+"""End-to-end drivers on in-memory points: reconstruct, error-bound verification,
+noise benchmark.  They open no file: ``cli`` picks every file.
+"""
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, replace
 
@@ -13,9 +13,9 @@ from . import exact
 from .covers import CoverParams, select_centers, selected_pointset
 from .dualcontour import boundary_edge_count, extract_surface, remove_small_fragments
 from .metrics import NoiseSpec, estimate_normals_pca, inject_noise, two_sided_distance
-from .model import RHO_HARD_CAP, build_model, tune_parameters, verify_error_bound
+from .model import RHO_HARD_CAP, build_model, quasi_coefficients, tune_parameters, verify_error_bound
 from .octree import build_octree
-from .pointset import HermitePointSet, QuadMesh, load_points, normalize_to_unit_box, save_mesh
+from .pointset import HermitePointSet, QuadMesh, normalize_to_unit_box
 
 
 class StageError(RuntimeError):
@@ -27,9 +27,6 @@ class StageError(RuntimeError):
 
 @dataclass
 class ReconConfig:
-    input_path: str | None = None
-    output_path: str | None = None
-    diagnostics_path: str | None = None
     s: float = 1.0
     voxel_width: float = 0.01
     center_select: bool = False
@@ -58,9 +55,9 @@ def _timed(diag, stage, fn, *args, **kwargs):
 
 def _fit(ps: HermitePointSet, cfg: ReconConfig, diag):
     """The fitting every driver shares: normalize, octree (and center
-    selection), tune and coefficients, each timed into ``diag``, which also
-    gains the tuning figures and a ``warnings`` list.  Returns (the
-    normalized points fitted, their transform, the tuning, the model)."""
+    selection) and tune, each timed into ``diag``, which also gains the
+    tuning figures and a ``warnings`` list.  Returns (the normalized points
+    fitted, their transform, the tuning)."""
     warnings = diag["warnings"] = []
     norm_ps, tfm = _timed(diag, "normalize", normalize_to_unit_box, ps)
 
@@ -87,8 +84,7 @@ def _fit(ps: HermitePointSet, cfg: ReconConfig, diag):
         )
     if cfg.eta_override is not None:
         warnings.append(f"eta_override = {cfg.eta_override:g} is set: the error bound need not apply")
-    model = _timed(diag, "coefficients", build_model, working, tp)
-    return working, tfm, tp, model
+    return working, tfm, tp
 
 
 def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
@@ -98,10 +94,16 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     diagnostics' ``warnings`` list names every result that came from a
     path which would otherwise pass silently: support radii clamped at
     ``RHO_HARD_CAP``, an ``eta_override`` (the error bound then need not
-    apply) and an empty mesh.
+    apply), input points the loader dropped for a zero-length normal and an
+    empty mesh.
     """
     diag = {"n_input_points": len(ps), "s": cfg.s, "voxel_width": cfg.voxel_width}
-    _, tfm, _, model = _fit(ps, cfg, diag)
+    working, tfm, tp = _fit(ps, cfg, diag)
+    model = _timed(diag, "coefficients", build_model, working, tp)
+    if ps.dropped:
+        diag["warnings"].append(
+            f"{ps.dropped} of {len(ps) + ps.dropped} input points dropped at load: zero-length normal"
+        )
     mesh = _timed(
         diag, "extract", extract_surface, model,
         model.centers, model.normals, cfg.voxel_width,
@@ -120,34 +122,17 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     return mesh, diag
 
 
-def write_diagnostics(diag, path):
-    """Write ``diag`` as one JSON object; numpy scalars become plain numbers."""
-    with open(path, "w") as fh:
-        json.dump(diag, fh, indent=1, default=lambda v: v.item())
-
-
-def run_reconstruct(cfg: ReconConfig):
-    """File-based reconstruction: load, reconstruct, save mesh + diagnostics."""
-    ps = _timed({}, "load", load_points, cfg.input_path)
-    mesh, diag = reconstruct_points(ps, cfg)
-    if cfg.output_path:
-        save_mesh(mesh, cfg.output_path)
-        diag["output"] = str(cfg.output_path)
-    if cfg.diagnostics_path:
-        write_diagnostics(diag, cfg.diagnostics_path)
-    return mesh, diag
-
-
 def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
     """Tune, build the quasi-solution, exact-solve, and report the error bound.
 
     When q >= 1 there is no exact solve: the row reports the operator's
     norms, method "none", and a bound that is not applicable.
     """
-    norm_ps, _, tp, model = _fit(ps, cfg, {})
-    op = exact.build_operator(norm_ps, tp.rho, tp.eta)
-    res = exact.solve(op) if op.contraction < 1.0 else None
-    report = verify_error_bound(model, tp, res)
+    diag = {}
+    norm_ps, _, tp = _fit(ps, cfg, diag)
+    op = _timed(diag, "exact_operator", exact.build_operator, norm_ps, tp.rho, tp.eta)
+    res = _timed(diag, "exact_solve", exact.solve, op) if op.contraction < 1.0 else None
+    report = verify_error_bound(tp, quasi_coefficients(norm_ps.normals, tp.rho, tp.eta), res)
     row = {
         "n": len(norm_ps),
         "eta": tp.eta,
@@ -168,17 +153,6 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
     return report, row
 
 
-def run_verify_bound(cfg: ReconConfig):
-    ps = _timed({}, "load", load_points, cfg.input_path)
-    report, row = verify_bound_on_points(ps, cfg)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row))
-            writer.writeheader()
-            writer.writerow(row)
-    return report, row
-
-
 NOISE_S_SCHEDULE = {10.0: 1.9, 30.0: 2.7, 60.0: 3.5}
 
 
@@ -188,7 +162,6 @@ def run_noise_bench(
     delta_levels,
     cfg: ReconConfig,
     n_samples=20000,
-    csv_path=None,
 ):
     """Reconstruct at several noise levels and report two-sided distances.
 
@@ -222,9 +195,4 @@ def run_noise_bench(
                 "n_faces": diag["n_faces"],
             }
         )
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
     return rows

@@ -7,8 +7,7 @@ double, beside any other scalar vertex properties.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -155,14 +154,13 @@ def _detect_format(path):
     raise PointFileError(f"cannot infer format from {Path(path).name}")
 
 
-def load_points(path, fmt=None) -> HermitePointSet:
-    """Read an oriented point cloud (x y z nx ny nz per point)."""
-    fmt = fmt or _detect_format(path)
-    if fmt == "xyz-ascii":
+def load_points(path) -> HermitePointSet:
+    """Read an oriented point cloud (x y z nx ny nz per point) from an
+    ``.xyz`` or ``.ply`` file; points with a zero-length normal are dropped
+    and counted in ``dropped``."""
+    if _detect_format(path) == "xyz-ascii":
         return _load_xyz(path)
-    if fmt in ("ply-ascii", "ply-binary-LE"):
-        return _load_ply(path)
-    raise PointFileError(f"unknown point format {fmt!r}")
+    return _load_ply(path)
 
 
 def _load_xyz(path):
@@ -255,15 +253,9 @@ def _load_ply(path):
 def save_points(ps: HermitePointSet, path, fmt=None):
     fmt = fmt or _detect_format(path)
     data = np.concatenate([ps.points, ps.normals], axis=1)
-    if fmt == "xyz-ascii":
-        with open(path, "w") as fh:
-            for row in data:
-                fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
-    elif fmt == "ply-ascii":
-        with open(path, "w") as fh:
-            _write_ply_header(fh, len(ps), "ascii")
-            for row in data:
-                fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+    if fmt in ("xyz-ascii", "ply-ascii"):
+        header = _ply_header_text(len(ps), "ascii").rstrip("\n") if fmt == "ply-ascii" else ""
+        np.savetxt(path, data, fmt="%.9g", header=header, comments="")
     elif fmt == "ply-binary-LE":
         with open(path, "wb") as fh:
             hdr = _ply_header_text(len(ps), "binary_little_endian")
@@ -280,16 +272,11 @@ def _ply_header_text(count, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _write_ply_header(fh, count, fmt):
-    fh.write(_ply_header_text(count, fmt))
-
-
-def save_mesh(mesh: QuadMesh, path, fmt=None):
-    """Write a mesh as OBJ (quads kept) or ascii PLY (quads fan-split)."""
-    if fmt is None:
-        fmt = "obj" if Path(path).suffix.lower() == ".obj" else "ply-ascii"
+def save_mesh(mesh: QuadMesh, path):
+    """Write a mesh as OBJ (quads kept) to an ``.obj`` path, else as ascii
+    PLY (quads fan-split)."""
     mesh.validate()
-    if fmt == "obj":
+    if Path(path).suffix.lower() == ".obj":
         with open(path, "w") as fh:
             for v in mesh.vertices:
                 fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
@@ -298,7 +285,7 @@ def save_mesh(mesh: QuadMesh, path, fmt=None):
                     fh.write(f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}\n")
             for f in mesh.faces:
                 fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
-    elif fmt == "ply-ascii":
+    else:
         tri = mesh.triangulated()
         with open(path, "w") as fh:
             fh.write("ply\nformat ascii 1.0\n")
@@ -310,8 +297,6 @@ def save_mesh(mesh: QuadMesh, path, fmt=None):
                 fh.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
             for f in tri.faces:
                 fh.write("3 " + " ".join(str(i) for i in f) + "\n")
-    else:
-        raise PointFileError(f"unknown mesh format {fmt!r}")
 
 
 def _floats(tokens, lineno, count=3):

@@ -129,7 +129,7 @@ def test_criterion_3_isolated_center_exactness():
     eta = 0.7
     model = model_from_arrays(pts, normals, rho, eta)
     res = exact.solve(exact.build_operator(ps, rho, eta))
-    assert np.max(np.abs(quasi_lambda(model) - res.lam)) <= 1e-12
+    assert np.max(np.abs(quasi_lambda(model.b_coeffs) - res.lam)) <= 1e-12
 
 
 def test_criterion_4_unit_sphere_reconstruction():

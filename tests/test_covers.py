@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hrbfsurf import kernel
+from hrbfsurf.cli import main as cli_main
 from hrbfsurf.covers import (
     CoverParams,
     EmptySphereError,
@@ -17,7 +18,7 @@ from hrbfsurf.covers import (
 )
 from hrbfsurf.model import RadiusBands
 from hrbfsurf.octree import build_octree
-from hrbfsurf.pointset import normalize_to_unit_box
+from hrbfsurf.pointset import load_points, normalize_to_unit_box, save_points
 from hrbfsurf.sampling import sphere_points, two_density_sphere
 
 
@@ -139,9 +140,14 @@ def test_selected_pointset_roundtrip(setup):
 
 
 def test_cover_csv_dump(tmp_path, setup):
-    _, _, cover = setup
+    # the cover of the points as the file holds them, at 9 significant digits
+    src = tmp_path / "in.xyz"
+    save_points(setup[0], src)
+    ps, _ = normalize_to_unit_box(load_points(src))
+    cover = select_centers(ps, build_octree(ps), CoverParams(), seed=0)
     path = tmp_path / "cover.csv"
-    cover.to_csv(path)
+    assert cli_main(["select-centers", str(src), "--csv", str(path)]) == 0
+    assert path.read_text().startswith("cx,cy,cz,r\n")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (cover.n_centers, 4)
     np.testing.assert_allclose(data[:, 3], cover.radii, rtol=1e-6)

@@ -103,7 +103,7 @@ def test_isolated_centers_match_quasi_solution():
     eta = 0.5
     res = solve(build_operator(ps, 1.0, eta))
     model = model_from_arrays(pts, nrm, 1.0, eta)
-    assert np.max(np.abs(res.lam - quasi_lambda(model))) < 1e-12
+    assert np.max(np.abs(res.lam - quasi_lambda(model.b_coeffs))) < 1e-12
     assert res.delta_a_inf == 0.0
 
 
@@ -209,7 +209,7 @@ def test_eval_exact_gradient_matches_fd():
 def test_tuned_eta_keeps_exact_near_quasi(sphere_ps):
     norm_ps, tp, model = tuned_model(sphere_ps)
     res = solve(build_operator(norm_ps, tp.rho, tp.eta))
-    err = np.max(np.abs(res.lam - quasi_lambda(model)))
+    err = np.max(np.abs(res.lam - quasi_lambda(model.b_coeffs)))
     assert res.d_inv_inf * res.delta_a_inf < 1.0
     assert err <= 1e-4
 

@@ -116,7 +116,7 @@ class TestCoefficients:
 
     def test_quasi_lambda_layout(self):
         model = model_from_arrays(np.zeros((2, 3)) + np.arange(2)[:, None], np.eye(3)[:2], 1.0, 0.0)
-        lam = quasi_lambda(model)
+        lam = quasi_lambda(model.b_coeffs)
         assert lam.shape == (8,)
         assert np.all(lam[[0, 4]] == 0.0)
         np.testing.assert_allclose(lam[1:4], model.b_coeffs[0])

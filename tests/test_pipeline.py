@@ -1,25 +1,23 @@
 """Pipeline drivers and CLI: reconstruction, bound verification, benchmarks."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hrbfsurf import kernel
-from hrbfsurf.cli import main as cli_main
+import hrbfsurf
+from hrbfsurf import exact, kernel
+from hrbfsurf.cli import main as cli_main, write_diagnostics
 from hrbfsurf.pipeline import (
     NOISE_S_SCHEDULE,
     ReconConfig,
-    StageError,
     reconstruct_points,
     run_noise_bench,
-    run_reconstruct,
-    run_verify_bound,
     verify_bound_on_points,
-    write_diagnostics,
 )
 from hrbfsurf.model import RHO_HARD_CAP
-from hrbfsurf.pointset import HermitePointSet, load_mesh, save_mesh, save_points
+from hrbfsurf.pointset import HermitePointSet, load_mesh, load_points, save_mesh, save_points
 from hrbfsurf.sampling import icosphere, sphere_points
 
 
@@ -91,30 +89,46 @@ def test_thread_count_does_not_change_mesh(sphere_ps):
     assert m1.vertex_normals.tobytes() == m2.vertex_normals.tobytes()
 
 
-def test_run_reconstruct_files(tmp_path, sphere_ps):
+def _printed(out):
+    """The ``key=value`` lines of a CLI run as a dict of strings."""
+    return dict(line.split("=", 1) for line in out.splitlines())
+
+
+def test_run_reconstruct_files(tmp_path, sphere_ps, capsys):
     src = tmp_path / "in.xyz"
     save_points(sphere_ps, src)
     out = tmp_path / "out.obj"
     diag_path = tmp_path / "diag.json"
-    cfg = ReconConfig(
-        input_path=str(src), output_path=str(out),
-        diagnostics_path=str(diag_path), voxel_width=0.03,
-    )
-    _, diag = run_reconstruct(cfg)
+    assert cli_main(["reconstruct", str(src), str(out), "--diagnostics", str(diag_path), "-w", "0.03"]) == 0
+    diag = _printed(capsys.readouterr().out)
     mesh = load_mesh(str(out))
-    assert mesh.n_faces == diag["n_faces"]
+    assert mesh.n_faces == int(diag["n_faces"])
     with open(diag_path) as fh:
         written = json.load(fh)
-    assert written["n_faces"] == diag["n_faces"]
-    assert written["eta"] == diag["eta"]
+    assert written["n_faces"] == int(diag["n_faces"])
+    assert written["eta"] == float(diag["eta"])
     assert written["warnings"] == []
+    assert written["output"] == diag["output"] == str(out)
 
 
-def test_run_reconstruct_missing_input(tmp_path):
-    cfg = ReconConfig(input_path=str(tmp_path / "absent.xyz"))
-    with pytest.raises(StageError) as exc:
-        run_reconstruct(cfg)
-    assert exc.value.stage == "load"
+def test_run_reconstruct_missing_input(tmp_path, capsys):
+    # a failed load writes neither the mesh nor the diagnostics
+    out, diag_path = tmp_path / "o.obj", tmp_path / "d.json"
+    assert cli_main(["reconstruct", str(tmp_path / "absent.xyz"), str(out), "--diagnostics", str(diag_path)]) == 2
+    assert capsys.readouterr().err.startswith("[load]")
+    assert not out.exists() and not diag_path.exists()
+
+
+def test_reconstruct_warns_on_points_dropped_at_load(tmp_path):
+    # the loader drops a point whose normal has zero length; the run names it
+    src = tmp_path / "in.xyz"
+    save_points(sphere_points(400, seed=3), src)
+    with open(src, "a") as fh:
+        fh.write("0.5 0.5 0.5 0 0 0\n")
+    ps = load_points(src)
+    assert ps.dropped == 1 and len(ps) == 400
+    _, diag = reconstruct_points(ps, ReconConfig(voxel_width=0.05))
+    assert diag["warnings"] == ["1 of 401 input points dropped at load: zero-length normal"]
 
 
 def test_verify_bound_holds(sphere_ps):
@@ -139,24 +153,38 @@ def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps, capsys):
     src = tmp_path / "in.xyz"
     save_points(sphere_ps, src)
     csv_path = tmp_path / "bound.csv"
-    cfg = ReconConfig(input_path=str(src), output_path=str(csv_path))
-    _, row = run_verify_bound(cfg)
+    assert cli_main(["verify-bound", str(src), "--csv", str(csv_path)]) == 0
+    row = _printed(capsys.readouterr().out)
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("n,eta,a_bar,bound,measured_inf_error")
     assert "contraction_exact,q," in lines[0]
+    assert lines[0].split(",") == list(row)
     assert row["method"] == "neumann"
     # eta_override=1e-6 gives q >= 1: no exact solve, a row with the
     # operator's norms and a bound that is not applicable, and exit 0
-    report, row = run_verify_bound(ReconConfig(input_path=str(src), eta_override=1e-6))
-    assert row["q"] >= 1.0 and row["contraction_exact"] >= row["q"]
-    assert row["method"] == "none" and row["iterations"] == 0
-    assert np.isnan(row["measured_inf_error"]) and np.isinf(row["bound_a_posteriori"])
-    assert row["applicable"] is False and row["holds"] is False and not report.applicable
-    assert row["delta_a_inf"] > 0.0 and row["d_inv_inf"] > 0.0
     assert cli_main(["verify-bound", str(src), "--eta-override", "1e-6"]) == 0
     out = capsys.readouterr().out
     assert "applicable=False" in out and "method=none" in out
+    row = _printed(out)
+    num = {k: float(row[k]) for k in ("q", "contraction_exact", "measured_inf_error",
+                                      "bound_a_posteriori", "delta_a_inf", "d_inv_inf")}
+    assert num["q"] >= 1.0 and num["contraction_exact"] >= num["q"]
+    assert row["method"] == "none" and row["iterations"] == "0"
+    assert np.isnan(num["measured_inf_error"]) and np.isinf(num["bound_a_posteriori"])
+    assert row["applicable"] == "False" and row["holds"] == "False"
+    assert num["delta_a_inf"] > 0.0 and num["d_inv_inf"] > 0.0
+
+
+def test_cli_verify_bound_failed_residual_gate_exit_code(tmp_path, capsys, monkeypatch):
+    # a failed residual gate is a stage failure (2) named by its stage, not a traceback
+    src = tmp_path / "in.xyz"
+    save_points(sphere_points(400, seed=3), src)
+    monkeypatch.setattr(exact, "_RESIDUAL_TOL", -1.0)
+    assert cli_main(["verify-bound", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("[exact_solve] residual")
+    assert "applicable=" not in captured.out
 
 
 def test_verify_bound_above_the_lu_cap():
@@ -195,6 +223,35 @@ def test_write_diagnostics_format(tmp_path):
     write_diagnostics(diag, path)
     with open(path) as fh:
         assert json.load(fh) == {"a": 1, "b": 2.5, "m": 71, "uniform": True, "warnings": ["w1", "w2"]}
+
+
+def test_cli_noise_bench_csv(tmp_path, capsys):
+    src = tmp_path / "in.xyz"
+    save_points(sphere_points(400, seed=3), src)
+    ref = tmp_path / "ref.obj"
+    save_mesh(icosphere(subdivisions=2), ref)
+    csv_path = tmp_path / "bench.csv"
+    argv = ["noise-bench", str(src), str(ref), "--levels", "0", "30", "--samples", "500",
+            "-w", "0.06", "--csv", str(csv_path)]
+    assert cli_main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ("delta_percent,s,forward_max,forward_avg,backward_max,backward_avg,"
+                        "n_boundary_edges,n_faces")
+    assert len(lines) == 3 and len(printed) == 2
+    # each printed row holds the values of its CSV row, in the header's order
+    for line, row in zip(printed, lines[1:]):
+        assert [kv.split("=", 1)[1] for kv in line.split(",")] == row.split(",")
+    assert [float(row.split(",")[1]) for row in lines[1:]] == [1.0, NOISE_S_SCHEDULE[30.0]]
+
+
+def test_only_the_cli_and_pointset_touch_files():
+    # the drivers take and return data; the CLI picks every file, and
+    # pointset reads and writes the point and mesh formats
+    src = Path(hrbfsurf.__file__).parent
+    touching = {p.name for p in src.glob("*.py")
+                if any(word in p.read_text() for word in ("open(", "np.savetxt", "csv.", "json."))}
+    assert touching == {"cli.py", "pointset.py"}
 
 
 def test_cli_reconstruct_roundtrip(tmp_path, sphere_ps, capsys):
@@ -310,3 +367,4 @@ def test_cli_select_centers(tmp_path, sphere_ps, capsys):
     assert "n_centers=" in out
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     assert data.ndim == 2 and data.shape[1] == 4
+    assert data.shape[0] == int(_printed(out)["n_centers"])

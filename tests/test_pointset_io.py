@@ -67,7 +67,7 @@ def test_normalize_degenerate():
 def test_point_roundtrip(tmp_path, small_ps, fmt, suffix):
     path = tmp_path / f"cloud{suffix}"
     save_points(small_ps, path, fmt=fmt)
-    back = load_points(path, fmt=fmt)
+    back = load_points(path)
     # float32 in the binary format, 9 significant digits in ascii
     tol = 1e-5 if fmt == "ply-binary-LE" else 1e-7
     np.testing.assert_allclose(back.points, small_ps.points, atol=tol)
@@ -256,7 +256,7 @@ def test_mesh_ply_triangulates(tmp_path):
     verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
     mesh = QuadMesh(verts, np.array([[0, 1, 2, 3]]))
     path = tmp_path / "m.ply"
-    save_mesh(mesh, path, fmt="ply-ascii")
+    save_mesh(mesh, path)
     text = path.read_text()
     assert "element face 2" in text
     assert text.count("\n3 ") + text.startswith("3 ") == 2
