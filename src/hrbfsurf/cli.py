@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -105,22 +106,32 @@ def _write_csv(path, rows):
         writer.writerows(rows)
 
 
+def _check_output_dirs(paths):
+    """Fail before any work when an output path's directory does not exist."""
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"no directory {folder!r} for {path!r}")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        outputs = [getattr(args, k, None) for k in ("output", "diagnostics", "csv")]
+        _timed({}, "write", _check_output_dirs, [p for p in outputs if p])
         ps = _timed({}, "load", load_points, args.input)
         if args.command == "reconstruct":
             mesh, diag = reconstruct_points(ps, _cfg_from(args))
-            save_mesh(mesh, args.output)
+            _timed({}, "write", save_mesh, mesh, args.output)
             diag["output"] = str(args.output)
             if args.diagnostics:
-                write_diagnostics(diag, args.diagnostics)
+                _timed({}, "write", write_diagnostics, diag, args.diagnostics)
             for k, v in diag.items():
                 print(f"{k}={v}")
         elif args.command == "verify-bound":
             report, row = verify_bound_on_points(ps, _cfg_from(args))
             if args.csv:
-                _write_csv(args.csv, [row])
+                _timed({}, "write", _write_csv, args.csv, [row])
             for k, v in row.items():
                 print(f"{k}={v}")
             if report.applicable and not report.holds:
@@ -129,7 +140,7 @@ def main(argv=None):
             ref = _timed({}, "load", load_mesh, args.reference_mesh)
             rows = run_noise_bench(ps, ref, args.levels, _cfg_from(args), n_samples=args.samples)
             if args.csv:
-                _write_csv(args.csv, rows)
+                _timed({}, "write", _write_csv, args.csv, rows)
             for row in rows:
                 print(",".join(f"{k}={v}" for k, v in row.items()))
         elif args.command == "select-centers":
@@ -140,8 +151,8 @@ def main(argv=None):
                 CoverParams(g_min=args.g_min, q_err=args.q_err, varpi=args.candidates),
                 seed=args.seed,
             )
-            np.savetxt(args.csv, np.column_stack([cover.centers, cover.radii]),
-                       delimiter=",", header="cx,cy,cz,r", comments="")
+            _timed({}, "write", np.savetxt, args.csv, np.column_stack([cover.centers, cover.radii]),
+                   delimiter=",", header="cx,cy,cz,r", comments="")
             print(f"n_input={len(ps)}")
             print(f"n_centers={cover.n_centers}")
     except StageError as exc:

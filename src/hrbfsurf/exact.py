@@ -123,31 +123,54 @@ def build_operator(ps, rho, eta) -> SupportOperator:
     del i_idx
     d_diag = np.repeat(kernel.D2_PEAK / rho**2 + eta, 4)
     d_diag[0::4] = 1.0 + eta
+    points_t = np.ascontiguousarray(points.T)  # rows x, y, z
     u, terms = np.empty((3, len(cols))), np.empty((3, len(cols)))
-    row_sums = np.empty((n, 4))
-    for r0, r1 in _row_slices(indptr):
+    row_sums = np.empty((4, n))
+    slices = _row_slices(indptr)
+    size = max(int(indptr[r1] - indptr[r0]) for r0, r1 in slices)
+    # one set of scratch arrays, reused by every slice
+    sums, abs_u, gamma_u = np.empty((4, size)), np.empty((3, size)), np.empty((3, size))
+    dist, abs_beta, tmp = np.empty(size), np.empty(size), np.empty(size)
+    for r0, r1 in slices:
         lo, hi = indptr[r0], indptr[r1]
+        k = hi - lo
         i, j = np.repeat(np.arange(r0, r1), np.diff(indptr[r0 : r1 + 1])), cols[lo:hi]
-        offsets = points[i] - points[j]
-        phi, gamma, beta = kernel.radial_terms(offsets, rho[j])
-        u[:, lo:hi], terms[:, lo:hi] = offsets.T, (phi, gamma, beta)
-        # per pair, the row sums of |block|, one block row at a time
-        grad = gamma[:, None] * offsets
-        entries = np.empty((hi - lo, 4))
-        entries[:, 0], entries[:, 1:] = phi, grad
-        sums = np.empty((hi - lo, 4))
-        sums[:, 0] = np.abs(entries).sum(axis=1)
+        pair_u = u[:, lo:hi]
         for a in range(3):
-            entries[:, 0] = grad[:, a]
-            np.multiply(offsets[:, a, None], offsets, out=entries[:, 1:])
-            entries[:, 1:] *= beta[:, None]
-            entries[:, 1 + a] += gamma
-            sums[:, 1 + a] = np.abs(entries).sum(axis=1)
+            np.subtract(points_t[a][i], points_t[a][j], out=pair_u[a])
+        s, au, gu, r, ab, t = sums[:, :k], abs_u[:, :k], gamma_u[:, :k], dist[:k], abs_beta[:k], tmp[:k]
+        # r = sqrt((u_0^2 + u_1^2) + u_2^2): np.linalg.norm's sum, in its order
+        np.square(pair_u[0], out=r)
+        for a in (1, 2):
+            r += np.square(pair_u[a], out=t)
+        terms[:, lo:hi] = kernel.radial_terms(np.sqrt(r, out=r), rho[j])
+        phi, gamma, beta = terms[:, lo:hi]
+        # per pair, the row sums of |entries| of the value row [phi, gamma u^T]
+        # and of gradient row a [gamma u_a, beta u_a u^T + gamma e_a^T], each
+        # adding its terms from left to right, as a sum along the row does
+        np.abs(pair_u, out=au)
+        np.multiply(np.abs(gamma, out=t), au, out=gu)  # |gamma u_a| = |gamma| |u_a|
+        np.abs(beta, out=ab)
+        np.copyto(s[0], phi)  # phi >= 0
+        for a in range(3):
+            s[0] += gu[a]
+        for a in range(3):
+            np.copyto(s[1 + a], gu[a])
+            for b in range(3):
+                if b == a:  # |u_a u_a beta + gamma|
+                    np.multiply(pair_u[a], pair_u[a], out=t)
+                    t *= beta
+                    t += gamma
+                    np.abs(t, out=t)
+                else:  # (|u_a| |u_b|) |beta|
+                    np.multiply(au[a], au[b], out=t)
+                    t *= ab
+                s[1 + a] += t
         # a self pair has u = 0 and phi = 1, so its block plus eta I is D exactly
-        sums[i == j] = 0.0
+        s[:, i == j] = 0.0
         # every row holds its self pair, so no run is empty
-        row_sums[r0:r1] = np.add.reduceat(sums, indptr[r0:r1] - lo, axis=0)
-    row_sums = row_sums.ravel()
+        row_sums[:, r0:r1] = np.add.reduceat(s, indptr[r0:r1] - lo, axis=1)
+    row_sums = row_sums.T.ravel()
 
     y = np.zeros(4 * n)
     y.reshape(-1, 4)[:, 1:] = normals

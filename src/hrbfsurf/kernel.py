@@ -36,29 +36,29 @@ class DerivativeBounds:
     second_mixed: float
 
 
-def value(offsets, rho):
-    """phi at x - center offsets; (k, 3) -> (k,).  rho scalar or (k,)."""
-    offsets = np.asarray(offsets, dtype=np.float64)
-    r = np.linalg.norm(offsets, axis=-1)
-    t = r / rho
-    inside = t < 1.0
-    one_m = np.where(inside, 1.0 - t, 0.0)
-    # phi(0) = 1 is the maximum; rounding near r = 0 can exceed it by an ulp
-    return np.minimum(one_m**4 * (4.0 * t + 1.0), 1.0)
-
-
-def radial_terms(offsets, rho):
-    """(phi, gamma, beta) at x - center offsets u; (k, 3) -> three (k,).
-
-    The gradient is gamma u and the Hessian gamma I + beta u u^T, so these
-    three numbers per offset give phi and both derivatives.  rho scalar or (k,).
-    """
-    offsets = np.asarray(offsets, dtype=np.float64)
-    r = np.linalg.norm(offsets, axis=-1)
-    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
+def _phi(r, rho):
+    """max(1 - t, 0) and phi at distance r, t = r / rho."""
     t = r / rho
     one_m = np.where(t < 1.0, 1.0 - t, 0.0)
-    phi = np.minimum(one_m**4 * (4.0 * t + 1.0), 1.0)
+    # phi(0) = 1 is the maximum; rounding near r = 0 can exceed it by an ulp
+    return one_m, np.minimum(one_m**4 * (4.0 * t + 1.0), 1.0)
+
+
+def value(offsets, rho):
+    """phi at x - center offsets; (k, 3) -> (k,).  rho scalar or (k,)."""
+    return _phi(np.linalg.norm(np.asarray(offsets, dtype=np.float64), axis=-1), rho)[1]
+
+
+def radial_terms(r, rho):
+    """(phi, gamma, beta) at distance r = ||u|| from the center; (k,) -> three (k,).
+
+    At the offset u = x - center the gradient is gamma u and the Hessian
+    gamma I + beta u u^T, so these three numbers per offset give phi and both
+    derivatives.  rho scalar or (k,).
+    """
+    r = np.asarray(r, dtype=np.float64)
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), r.shape)
+    one_m, phi = _phi(r, rho)
     gamma = -D2_PEAK / np.square(rho) * one_m**3
     beta = 3.0 * D2_PEAK / rho**3 * one_m**2 / np.where(r > 0.0, r, 1.0)
     return phi, gamma, beta
@@ -66,14 +66,15 @@ def radial_terms(offsets, rho):
 
 def gradient(offsets, rho):
     """Gradient of phi w.r.t. the query point; (k, 3) -> (k, 3)."""
-    _, gamma, _ = radial_terms(offsets, rho)
-    return gamma[..., None] * np.asarray(offsets, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64)
+    _, gamma, _ = radial_terms(np.linalg.norm(offsets, axis=-1), rho)
+    return gamma[..., None] * offsets
 
 
 def hessian(offsets, rho):
     """Hessian of phi w.r.t. the query point; (k, 3) -> (k, 3, 3)."""
     offsets = np.asarray(offsets, dtype=np.float64)
-    _, gamma, beta = radial_terms(offsets, rho)
+    _, gamma, beta = radial_terms(np.linalg.norm(offsets, axis=-1), rho)
     # built in place, so that the result is the only (k, 3, 3) array
     h = offsets[..., :, None] * offsets[..., None, :]
     h *= beta[..., None, None]

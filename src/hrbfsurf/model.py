@@ -247,10 +247,15 @@ _PAIR_SLICE = 1 << 14
 def _support_pairs(bands: RadiusBands, x):
     """(query, center) pairs with ||x[query] - c_j|| < rho_j, sorted by query, then center."""
     i, j = _candidate_pairs(bands, x)
+    x_t, c_t = np.ascontiguousarray(x.T), np.ascontiguousarray(bands.centers.T)
     inside = np.empty(len(i), dtype=bool)
     for lo in range(0, len(i), _PAIR_SLICE):
-        s = slice(lo, lo + _PAIR_SLICE)
-        inside[s] = np.linalg.norm(x[i[s]] - bands.centers[j[s]], axis=1) < bands.rho[j[s]]
+        qi, cj = i[lo : lo + _PAIR_SLICE], j[lo : lo + _PAIR_SLICE]
+        # sqrt((d_0^2 + d_1^2) + d_2^2) on columns: np.linalg.norm's sum, in its order
+        r = np.square(x_t[0][qi] - c_t[0][cj])
+        for a in (1, 2):
+            r += np.square(x_t[a][qi] - c_t[a][cj])
+        inside[lo : lo + len(qi)] = np.sqrt(r, out=r) < bands.rho[cj]
     return i[inside], j[inside]
 
 

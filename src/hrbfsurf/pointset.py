@@ -272,19 +272,26 @@ def _ply_header_text(count, fmt):
     return "\n".join(lines) + "\n"
 
 
+_WRITE_ROWS = 1 << 16  # rows formatted by one ``%``: about 2 MB of text
+
+
+def _write_rows(fh, fmt, block):
+    """The rows of the array ``block``, each through the %-format ``fmt``."""
+    for lo in range(0, len(block), _WRITE_ROWS):
+        rows = block[lo : lo + _WRITE_ROWS]
+        fh.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
+
+
 def save_mesh(mesh: QuadMesh, path):
     """Write a mesh as OBJ (quads kept) to an ``.obj`` path, else as ascii
     PLY (quads fan-split)."""
     mesh.validate()
     if Path(path).suffix.lower() == ".obj":
         with open(path, "w") as fh:
-            for v in mesh.vertices:
-                fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+            _write_rows(fh, "v %.9g %.9g %.9g\n", mesh.vertices)
             if mesh.vertex_normals is not None:
-                for n in mesh.vertex_normals:
-                    fh.write(f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}\n")
-            for f in mesh.faces:
-                fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
+                _write_rows(fh, "vn %.9g %.9g %.9g\n", mesh.vertex_normals)
+            _write_rows(fh, "f" + " %d" * mesh.faces.shape[1] + "\n", mesh.faces + 1)
     else:
         tri = mesh.triangulated()
         with open(path, "w") as fh:
@@ -293,10 +300,8 @@ def save_mesh(mesh: QuadMesh, path):
             fh.write("property float x\nproperty float y\nproperty float z\n")
             fh.write(f"element face {tri.n_faces}\n")
             fh.write("property list uchar int vertex_indices\nend_header\n")
-            for v in tri.vertices:
-                fh.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-            for f in tri.faces:
-                fh.write("3 " + " ".join(str(i) for i in f) + "\n")
+            _write_rows(fh, "%.9g %.9g %.9g\n", tri.vertices)
+            _write_rows(fh, "3 %d %d %d\n", tri.faces)
 
 
 def _floats(tokens, lineno, count=3):

@@ -8,7 +8,7 @@ import pytest
 
 from hrbfsurf import exact, kernel
 from hrbfsurf.exact import IllConditionedError, _neumann_ceiling, build_operator, solve
-from hrbfsurf.model import RadiusBands, _cuts, _support_pairs, model_from_arrays, quasi_lambda
+from hrbfsurf.model import RadiusBands, _candidate_pairs, _cuts, _support_pairs, model_from_arrays, quasi_lambda
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import HermitePointSet
 from hrbfsurf.sampling import sphere_points, torus_points
@@ -60,6 +60,9 @@ def test_support_pairs_match_radius_oracle():
     for j in range(len(pts)):
         np.testing.assert_array_equal(np.sort(i_idx[j_idx == j]), radius_query(idx, pts[j], rho[j]))
     pairs = set(zip(i_idx.tolist(), j_idx.tolist()))
+    # the widened candidate search keeps (0, 1); the strict test drops it
+    cand_i, cand_j = _candidate_pairs(bands, pts)
+    assert np.any((cand_i == 0) & (cand_j == 1))
     assert (0, 1) not in pairs and (1, 0) in pairs
     assert {(0, 2), (2, 0), (3, 4), (4, 3), (5, 0)} <= pairs
 
@@ -264,14 +267,21 @@ def test_operator_matches_whole_assembly(case, budget, monkeypatch):
         rho, eta = tp.rho, tp.eta
     op, ref = build_operator(ps, rho, eta), assemble_whole(ps, rho, eta)
     assert op.y.tobytes() == ref.y.tobytes() and op.d_diag.tobytes() == ref.d_diag.tobytes()
-    assert op.delta_a_inf == pytest.approx(ref.delta_a_inf, rel=1e-12, abs=0.0)
-    assert op.contraction == pytest.approx(ref.contraction, rel=1e-12, abs=0.0)
+    # ||dA||inf and q to the bit: the row sums add each block row's |entries|
+    # in the order the oracle's sums over stored blocks do
+    assert op.delta_a_inf == ref.delta_a_inf and op.contraction == ref.contraction
     lam = np.random.default_rng(16).normal(size=4 * len(ps))
     want = ref.matrix @ lam
     assert np.max(np.abs(op.apply(lam) - want)) <= 1e-12 * np.max(np.abs(want))
     # the operator holds the oracle's support pairs, in the oracle's order
     np.testing.assert_array_equal(op.indptr, ref.matrix.indptr)
     np.testing.assert_array_equal(op.cols, ref.matrix.indices)
+    # u and (phi, gamma, beta) to the bit, against (pairs, 3) offsets and their norms
+    rows = np.repeat(np.arange(len(ps)), np.diff(op.indptr))
+    offsets = ps.points[rows] - ps.points[op.cols]
+    assert op.u.tobytes() == np.ascontiguousarray(offsets.T).tobytes()
+    terms = kernel.radial_terms(np.linalg.norm(offsets, axis=1), np.broadcast_to(rho, len(ps))[op.cols])
+    assert op.terms.tobytes() == np.stack(terms).tobytes()
     if budget is not None:
         cuts = _cuts(op.indptr, budget)
         assert len(cuts) > 10

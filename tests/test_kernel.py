@@ -62,7 +62,7 @@ def test_hessian_matches_finite_differences(rho):
 def test_radial_terms_give_value_and_center_limits():
     rng = np.random.default_rng(10)
     offs = np.vstack([np.zeros((1, 3)), _sample_offsets(1.3, 200, rng), [[2.0, 0.0, 0.0]]])
-    phi, gamma, beta = kernel.radial_terms(offs, 1.3)
+    phi, gamma, beta = kernel.radial_terms(np.linalg.norm(offs, axis=1), 1.3)
     np.testing.assert_array_equal(phi, kernel.value(offs, 1.3))
     # at r = 0: phi = 1 and the Hessian is -20/rho^2 I, whatever finite beta
     # multiplies u u^T = 0; outside the support all three vanish

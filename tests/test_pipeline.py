@@ -264,6 +264,37 @@ def test_cli_reconstruct_roundtrip(tmp_path, sphere_ps, capsys):
     assert load_mesh(str(out)).n_faces > 0
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("reconstruct", ["nodir/x.obj"]),
+    ("reconstruct", ["x.obj", "--diagnostics", "nodir/d.json"]),
+    ("verify-bound", ["--csv", "nodir/v.csv"]),
+    ("select-centers", ["--csv", "nodir/c.csv"]),
+])
+def test_cli_missing_output_directory_fails_before_work(tmp_path, capsys, monkeypatch, command, outputs):
+    # an output path without its directory is a [write] error before the
+    # input is even loaded, not a traceback after the full run
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("load_points", "reconstruct_points", "verify_bound_on_points", "select_centers"):
+        monkeypatch.setattr(f"hrbfsurf.cli.{name}", never)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([command, "in.xyz", *outputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[write]") and "nodir" in err
+    assert not (tmp_path / "x.obj").exists()
+
+
+def test_cli_failed_write_is_a_stage_error(tmp_path, sphere_ps, capsys):
+    # a write that fails after the run (here: the mesh path is a directory)
+    # is named by its stage too
+    src = tmp_path / "in.xyz"
+    save_points(sphere_ps, src)
+    (tmp_path / "out.obj").mkdir()
+    assert cli_main(["reconstruct", str(src), str(tmp_path / "out.obj"), "-w", "0.05"]) == 2
+    assert capsys.readouterr().err.startswith("[write]")
+
+
 def test_cli_reconstruct_missing_input_exit_code(tmp_path, capsys):
     code = cli_main(["reconstruct", str(tmp_path / "no.xyz"), str(tmp_path / "o.obj")])
     assert code == 2

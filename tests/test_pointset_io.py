@@ -240,6 +240,39 @@ def test_mesh_obj_roundtrip(tmp_path):
     np.testing.assert_allclose(back.vertex_normals, vn)
 
 
+def _rows_one_by_one(mesh, suffix):
+    """The mesh text as per-element f-strings write it, the reference for
+    ``save_mesh``'s block formatting."""
+    def xyz(v):
+        return f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n"
+
+    if suffix == ".obj":
+        text = "".join("v " + xyz(v) for v in mesh.vertices)
+        if mesh.vertex_normals is not None:
+            text += "".join("vn " + xyz(n) for n in mesh.vertex_normals)
+        return text + "".join("f " + " ".join(str(i + 1) for i in f) + "\n" for f in mesh.faces)
+    tri = mesh.triangulated()
+    text = (f"ply\nformat ascii 1.0\nelement vertex {tri.n_vertices}\nproperty float x\nproperty float y\n"
+            f"property float z\nelement face {tri.n_faces}\nproperty list uchar int vertex_indices\nend_header\n")
+    text += "".join(xyz(v) for v in tri.vertices)
+    return text + "".join("3 " + " ".join(str(i) for i in f) + "\n" for f in tri.faces)
+
+
+@pytest.mark.parametrize("suffix, normals, width", [(".obj", True, 4), (".obj", False, 3), (".ply", False, 4)])
+def test_mesh_text_equals_per_element_rows(tmp_path, monkeypatch, suffix, normals, width):
+    # signed zero, a subnormal neighbour, the extremes of %.9g's exponent
+    # form and a row count past one formatting block
+    monkeypatch.setattr("hrbfsurf.pointset._WRITE_ROWS", 16)
+    rng = np.random.default_rng(3)
+    verts = rng.normal(size=(40, 3))
+    verts[:3] = [[-0.0, 1e-300, 1e17], [0.0, -1e-300, -1e17], [5e-324, 123456789.25, 1.0]]
+    faces = np.arange(37)[:, None] + np.arange(width)
+    mesh = QuadMesh(verts, faces, -verts if normals else None)
+    path = tmp_path / f"m{suffix}"
+    save_mesh(mesh, path)
+    assert path.read_bytes() == _rows_one_by_one(mesh, suffix).encode()
+
+
 def test_mesh_binary_ply_rejected_by_format(tmp_path):
     # meshes are read from ascii PLY; a binary one used to fail to decode
     path = tmp_path / "m.ply"
