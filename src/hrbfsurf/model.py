@@ -19,6 +19,7 @@ from .octree import PointOctree, strict_counts
 
 RHO_HARD_CAP = 4.0  # < sqrt(20); reachable only on pathologically sparse input
 GROWTH_FACTOR = 1.05
+_MAX_RUNG = 420  # 1.05^420 rho0 overflows any sane cap; the ladder ends on the cap first
 ETA_MARGIN = 1e-5
 _EVAL_CHUNK = 16384  # fixed so chunking (hence output) is worker-count independent
 ROOT_TOL = 1e-4  # edge-root stop, as a fraction of the edge length
@@ -36,6 +37,7 @@ class TuningParams:
     rho_max: float
     eta: float
     uniform_support: bool
+    ball_counts: int  # points queried by the tuning's strict counts, m's pass included
 
     @property
     def a_bar(self):
@@ -119,6 +121,41 @@ class BoundReport:
     bound_a_posteriori: float  # from the exact solve's first Neumann step; inf without one (q >= 1)
 
 
+def _ladder_search(idx, points, rho0, counts0, m, workers):
+    """Per center, the largest radius on the ladder from ``rho0`` whose
+    strict count is <= m, and the number of points queried.  ``counts0``
+    are the counts at ``rho0``, all <= m, so rung 0 always fits.
+
+    R[k + 1] = min(R[k] GROWTH_FACTOR, RHO_HARD_CAP): the radii a growing
+    support passes through.  The ladder ends at the first rung equal to the
+    cap or at R[_MAX_RUNG], and always has rung 1, so a rho0 above the cap
+    steps down to it.  Counts grow with the radius, so a center starts at
+    the rung its rung-0 count predicts (counts grow as r^2 on a surface),
+    moves up one rung while its rung fits and down one while it does not,
+    and is done when a fitting rung sits just below a failing one (above
+    the top counts as failing).  Each round is one ``strict_counts`` call
+    over the centers not done.
+    """
+    ladder = [rho0, min(rho0 * GROWTH_FACTOR, RHO_HARD_CAP)]
+    while ladder[-1] < RHO_HARD_CAP and len(ladder) <= _MAX_RUNG:
+        ladder.append(min(ladder[-1] * GROWTH_FACTOR, RHO_HARD_CAP))
+    ladder, top = np.array(ladder), len(ladder) - 1
+    guess = np.floor(np.log(m / counts0) / (2.0 * math.log(GROWTH_FACTOR)))
+    rung = np.clip(guess, 1, top).astype(np.int64)
+    lo = np.zeros(len(points), dtype=np.int64)  # highest rung known to fit
+    hi = np.full(len(points), top + 1)  # lowest rung known to fail
+    todo = np.arange(len(points))
+    queried = 0
+    while len(todo):
+        k = rung[todo]
+        fits = strict_counts(idx, points[todo], ladder[k], workers=workers) <= m
+        queried += len(todo)
+        lo[todo[fits]], hi[todo[~fits]] = k[fits], k[~fits]
+        rung[todo] = np.where(fits, k + 1, k - 1)
+        todo = todo[hi[todo] > lo[todo] + 1]
+    return ladder[lo], queried
+
+
 def tune_parameters(
     ps,
     idx: PointOctree,
@@ -132,7 +169,9 @@ def tune_parameters(
     Base length d_bar is 3/4 of the mean octree leaf diagonal; temporary
     radii s * d_bar define m as the maximal number of points strictly inside
     any support.  Each radius then grows by 5% increments while its support
-    holds <= m points; the step that would exceed m is rolled back.
+    holds <= m points; the step that would exceed m is rolled back.  The
+    increments form one ladder of radii shared by every center, and each
+    center's radius is found by a search on it.
     """
     points = np.asarray(getattr(ps, "points", ps), dtype=np.float64)
     n = len(points)
@@ -148,16 +187,7 @@ def tune_parameters(
     rho0 = s * d_bar
     counts = strict_counts(idx, points, np.full(n, rho0), workers=workers)
     m = int(counts.max())
-
-    rho = np.full(n, rho0)
-    grow = np.arange(n)  # the centers still growing; one drops out over m or at the cap
-    # 1.05^420 * rho0 overflows any sane cap; the loop exits on the cap first.
-    for _ in range(420):
-        trial = np.minimum(rho[grow] * GROWTH_FACTOR, RHO_HARD_CAP)
-        fits = strict_counts(idx, points[grow], trial, workers=workers) <= m
-        rho[grow[fits]] = trial[fits]
-        if not len(grow := grow[fits & (trial < RHO_HARD_CAP)]):
-            break
+    rho, queried = _ladder_search(idx, points, rho0, counts, m, workers)
 
     if noisy_mode:
         rho = np.full(n, rho.min())
@@ -176,6 +206,7 @@ def tune_parameters(
         rho_max=rho_max,
         eta=eta,
         uniform_support=noisy_mode,
+        ball_counts=n + queried,
     )
     if eta_override is None:
         tp.check()

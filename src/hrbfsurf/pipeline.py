@@ -76,6 +76,7 @@ def _fit(ps: HermitePointSet, cfg: ReconConfig, diag):
     diag.update(
         d_bar=tp.d_bar, m=tp.m, rho_min=tp.rho_min, rho_max=tp.rho_max,
         eta=tp.eta, n_centers=len(working), uniform_support=tp.uniform_support,
+        tune_ball_counts=tp.ball_counts,
     )
     n_capped = int(np.count_nonzero(tp.rho >= RHO_HARD_CAP))
     if n_capped:

@@ -19,6 +19,8 @@ sparse LU whatever q is, and ``condition_estimate`` gives its 1-norm
 condition number from the same factors.  ``eval_exact`` evaluates the exact
 interpolant at query points.  ``surface_error`` measures how far a field's
 zero set lies from the true surface, at fresh points of it.
+``tune_radii_loop`` tunes the support radii by the paper's growth loop, one
+5% step of every still-growing radius per ball count.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hrbfsurf import kernel
+from hrbfsurf import kernel, model
 from hrbfsurf.dualcontour import (
     QEF_REG,
     SEED_STEPS,
@@ -38,7 +40,18 @@ from hrbfsurf.dualcontour import (
     _UV,
     VoxelGrid,
 )
-from hrbfsurf.model import LatticeTable, RadiusBands, _candidate_pairs, _runs, _segment_sums, _support_pairs
+from hrbfsurf.model import (
+    ETA_MARGIN,
+    GROWTH_FACTOR,
+    RHO_HARD_CAP,
+    LatticeTable,
+    RadiusBands,
+    _a_bar,
+    _candidate_pairs,
+    _runs,
+    _segment_sums,
+    _support_pairs,
+)
 from hrbfsurf.octree import MAX_DEPTH, PointOctree
 from hrbfsurf.pointset import QuadMesh
 
@@ -335,6 +348,7 @@ class AssembledSystem:
     d_diag: np.ndarray  # diagonal of D
     delta_a_inf: float  # ||A + eta I - D||inf
     contraction: float  # q = ||D^-1 dA||inf
+    row_sums: np.ndarray  # per row of A + eta I - D, the sum of |entries|; rows 4i are value rows
 
 
 def assemble_whole(ps, rho, eta) -> AssembledSystem:
@@ -373,6 +387,7 @@ def assemble_whole(ps, rho, eta) -> AssembledSystem:
         d_diag=d_diag,
         delta_a_inf=float(row_sums.max()),
         contraction=float((row_sums / d_diag).max()),
+        row_sums=row_sums,
     )
 
 
@@ -451,3 +466,29 @@ def surface_error(field, points, distance, steps=8) -> SurfaceError:
     kept = kept[field.evaluate(x[kept])[2]]
     d = distance(x[kept])
     return SurfaceError(mean=float(d.mean()), p90=float(np.percentile(d, 90)), lost=len(x) - len(kept))
+
+
+def tune_radii_loop(ps, idx: PointOctree, s=1.0, noisy_mode=False, eta_override=None):
+    """(rho, m, eta) of ``tune_parameters``, with the radii grown in a loop.
+
+    Every radius starts at s d_bar and steps up by GROWTH_FACTOR, clamped at
+    RHO_HARD_CAP, while its support holds <= m points; a center stops at its
+    first step over m, at the cap, or after 420 steps.  Each step is one
+    ``model.strict_counts`` call over the centers still growing.
+    """
+    points = np.asarray(getattr(ps, "points", ps), dtype=np.float64)
+    n = len(points)
+    rho0 = s * (0.75 * idx.mean_leaf_diagonal)
+    m = int(model.strict_counts(idx, points, np.full(n, rho0)).max())
+    rho = np.full(n, rho0)
+    grow = np.arange(n)
+    for _ in range(420):
+        trial = np.minimum(rho[grow] * GROWTH_FACTOR, RHO_HARD_CAP)
+        fits = model.strict_counts(idx, points[grow], trial) <= m
+        rho[grow[fits]] = trial[fits]
+        if not len(grow := grow[fits & (trial < RHO_HARD_CAP)]):
+            break
+    if noisy_mode:
+        rho = np.full(n, rho.min())
+    eta = float(eta_override) if eta_override is not None else _a_bar(m, float(rho.min())) - 1.0 + ETA_MARGIN
+    return rho, m, eta

@@ -247,7 +247,7 @@ def test_neumann_matches_lu_oracle(shape, s):
     assert quasi_err <= res.bound_a_posteriori
 
 
-@pytest.mark.parametrize("case", ["sphere", "torus", "bands"])
+@pytest.mark.parametrize("case", ["sphere", "torus", "bands", "wide"])
 @pytest.mark.parametrize("budget", [64, None])
 def test_operator_matches_whole_assembly(case, budget, monkeypatch):
     # a budget of 64 pairs cuts the pairs into many slices of whole rows, and
@@ -261,6 +261,9 @@ def test_operator_matches_whole_assembly(case, budget, monkeypatch):
         rho = np.random.default_rng(15).uniform(0.15, 0.9, 200)
         assert len(RadiusBands(ps.points, rho).groups) == 3
         eta = 0.0
+    elif case == "wide":  # the 600-point sphere's tuned radii times 10
+        ps, tp, _ = tuned_model(sphere_points(600, seed=1))
+        rho, eta = 10.0 * tp.rho, tp.eta
     else:  # verify3k's input, and the torus at s = 2
         ps = sphere_points(3000, seed=1) if case == "sphere" else torus_points(2000, seed=3)
         ps, tp, _ = tuned_model(ps, s=1.0 if case == "sphere" else 2.0)
@@ -270,6 +273,9 @@ def test_operator_matches_whole_assembly(case, budget, monkeypatch):
     # ||dA||inf and q to the bit: the row sums add each block row's |entries|
     # in the order the oracle's sums over stored blocks do
     assert op.delta_a_inf == ref.delta_a_inf and op.contraction == ref.contraction
+    # gradient rows hold ||dA||inf on tuned radii; on wide supports (phi near
+    # 1 and H = O(1 / rho^2)) a value row does, and pins that row's sum
+    assert (np.argmax(ref.row_sums) % 4 == 0) == (case == "wide")
     lam = np.random.default_rng(16).normal(size=4 * len(ps))
     want = ref.matrix @ lam
     assert np.max(np.abs(op.apply(lam) - want)) <= 1e-12 * np.max(np.abs(want))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrbfsurf import kernel
+from hrbfsurf import kernel, model
+from hrbfsurf.metrics import NoiseSpec, estimate_normals_pca, inject_noise
 from hrbfsurf.model import (
     ETA_MARGIN,
     GROWTH_FACTOR,
@@ -28,11 +29,11 @@ from hrbfsurf.model import (
     tune_parameters,
 )
 from hrbfsurf.octree import build_octree, strict_counts
-from hrbfsurf.pointset import normalize_to_unit_box
-from hrbfsurf.sampling import sphere_points, two_density_sphere
+from hrbfsurf.pointset import HermitePointSet, normalize_to_unit_box
+from hrbfsurf.sampling import sphere_points, torus_points, two_density_sphere
 
 from conftest import cells_near, random_unit_vectors, sign_change_edges, tuned_model
-from oracles import kernel_evaluate
+from oracles import kernel_evaluate, tune_radii_loop
 
 
 class TestTuning:
@@ -103,6 +104,51 @@ class TestTuning:
             tune_parameters(norm_ps, idx, s=0.5)
         with pytest.raises(ValueError):
             tune_parameters(norm_ps.points[:1], idx)
+
+
+def _noisy600():
+    ps = sphere_points(600, seed=6)
+    noisy = inject_noise(ps, NoiseSpec(60.0, seed=60))
+    return estimate_normals_pca(noisy.points, ps.normals, p_neighbors=6)
+
+
+_TWO_POINTS = HermitePointSet(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]] * 2))
+_LADDER_CASES = {
+    "verify3k": (lambda: sphere_points(3000, seed=1), {}),
+    "sphere10k": (lambda: sphere_points(10_000, seed=4), {}),
+    "sphere10k-s3.5": (lambda: sphere_points(10_000, seed=4), {"s": 3.5}),
+    "noisy600": (_noisy600, {"s": 3.5, "noisy_mode": True}),
+    "torus-s2": (lambda: torus_points(2000, seed=3), {"s": 2.0}),
+    "two-density": (lambda: two_density_sphere(6000, 60, seed=0), {}),
+    # rho0 = 2.6 grows to the cap; rho0 = 10.4 steps down to it
+    "two-points": (lambda: _TWO_POINTS, {}),
+    "two-points-s4": (lambda: _TWO_POINTS, {"s": 4.0}),
+    "eta-override": (lambda: sphere_points(600, seed=1), {"eta_override": 0.5}),
+}
+
+
+@pytest.mark.parametrize("case", list(_LADDER_CASES))
+def test_ladder_search_matches_growth_loop(case, monkeypatch):
+    # the search on the radius ladder gives the loop's rho, m and eta to the
+    # bit, and makes no more ball counts than the loop
+    make, kw = _LADDER_CASES[case]
+    norm_ps, _ = normalize_to_unit_box(make())
+    idx = build_octree(norm_ps)
+    queried = []
+
+    def counting(idx, centers, radii, workers=1):
+        queried.append(len(centers))
+        return strict_counts(idx, centers, radii, workers)
+
+    monkeypatch.setattr(model, "strict_counts", counting)
+    tp = tune_parameters(norm_ps, idx, **kw)
+    searched, queried[:] = sum(queried), []
+    rho, m, eta = tune_radii_loop(norm_ps, idx, **kw)
+    assert tp.rho.tobytes() == rho.tobytes() and tp.m == m and tp.eta == eta
+    assert tp.ball_counts == searched <= sum(queried)
+    if case.startswith("two-points"):
+        assert np.all(tp.rho == RHO_HARD_CAP)
+        assert (tp.s * tp.d_bar > RHO_HARD_CAP) == (case == "two-points-s4")
 
 
 class TestCoefficients:

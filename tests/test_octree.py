@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hrbfsurf.octree import build_octree, strict_counts
+from hrbfsurf.octree import TREE_LEAF_SIZE, build_octree, strict_counts
 
 from oracles import octree_leaves, radius_query
 
@@ -104,6 +104,22 @@ def test_strict_counts_matches_brute_force(cloud, index):
     d = np.linalg.norm(cloud[None, :, :] - centers[:, None, :], axis=2)
     expect = (d < radii[:, None]).sum(axis=1)
     assert np.array_equal(got, expect)
+
+
+def test_strict_counts_on_lattice_spheres():
+    # integer lattice points at radii equal to lattice distances: the points
+    # exactly on each sphere stay outside, through the 64-point kd-tree leaves
+    g = np.arange(12.0)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    idx = build_octree(pts)
+    assert len(pts) > 16 * TREE_LEAF_SIZE
+    centers = pts[np.random.default_rng(8).choice(len(pts), 40, replace=False)]
+    d2 = np.square(pts[None] - centers[:, None]).sum(axis=2)  # integers, exact
+    for k in (1, 2, 3, 4, 5, 6, 8, 9, 12, 17, 27):
+        r = np.sqrt(float(k))
+        got = strict_counts(idx, centers, np.full(len(centers), r))
+        assert np.array_equal(got, [len(radius_query(idx, c, r)) for c in centers])
+        assert np.array_equal(got, (d2 < k).sum(axis=1)) and np.any(d2 == k)
 
 
 def test_strict_counts_boundary_exclusion():

@@ -49,9 +49,11 @@ def test_diagnostics_keys_and_eta_inequality(small_run):
     for key in (
         "n_input_points", "s", "voxel_width", "d_bar", "m", "rho_min",
         "rho_max", "eta", "n_centers", "n_vertices", "n_faces",
-        "n_boundary_edges", "time_tune_s", "time_extract_s",
+        "n_boundary_edges", "time_tune_s", "time_extract_s", "tune_ball_counts",
     ):
         assert key in diag
+    # m's pass counts every center, and the search at least once more
+    assert diag["tune_ball_counts"] >= 2 * diag["n_centers"]
     # every default-tuned run keeps the damped perturbation a contraction
     db = kernel.derivative_bounds(diag["rho_min"])
     a_bar = diag["m"] * (db.first + db.second_diag + 2.0 * db.second_mixed)
