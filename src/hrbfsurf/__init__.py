@@ -27,11 +27,10 @@ from .model import (
     BoundReport,
     tune_parameters,
     build_model,
-    ImplicitField,
     verify_error_bound,
 )
 from .exact import SupportOperator, ExactSolveResult, build_operator, solve
-from .covers import SphericalCover, CoverParams, quadric_error, select_centers, doc_at
+from .covers import SphericalCover, CoverParams, quadric_error, select_centers
 from .dualcontour import extract_surface, remove_small_fragments, boundary_edge_count
 from .metrics import (
     NoiseSpec,

@@ -144,15 +144,16 @@ def main(argv=None):
             for row in rows:
                 print(",".join(f"{k}={v}" for k, v in row.items()))
         elif args.command == "select-centers":
-            norm_ps, _ = _timed({}, "normalize", normalize_to_unit_box, ps)
+            norm_ps, tfm = _timed({}, "normalize", normalize_to_unit_box, ps)
             idx = build_octree(norm_ps)
             cover = select_centers(
                 norm_ps, idx,
                 CoverParams(g_min=args.g_min, q_err=args.q_err, varpi=args.candidates),
                 seed=args.seed,
             )
-            _timed({}, "write", np.savetxt, args.csv, np.column_stack([cover.centers, cover.radii]),
-                   delimiter=",", header="cx,cy,cz,r", comments="")
+            # the cover of the unit box, mapped back to the input's units
+            rows = np.column_stack([tfm.inverse().apply(cover.centers), cover.radii / tfm.scale])
+            _timed({}, "write", np.savetxt, args.csv, rows, delimiter=",", header="cx,cy,cz,r", comments="")
             print(f"n_input={len(ps)}")
             print(f"n_centers={cover.n_centers}")
     except StageError as exc:

@@ -8,12 +8,11 @@ chosen center's coverage at the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .model import RadiusBands, _runs, _segment_sums, _support_pairs
 from .octree import PointOctree
 
 DELTA_NEIGHBORS = 15
@@ -40,18 +39,17 @@ class SphericalCover:
     doc: np.ndarray  # (n,) tracked degree of coverage per input point
     params: CoverParams
     l_bar: float  # bbox diagonal of the input points
-    bands: RadiusBands = field(repr=False, default=None)  # the spheres, for ``doc_at``
 
     @property
     def n_centers(self):
         return len(self.centers)
 
 
-def density_weights(ps, idx: PointOctree, k=DELTA_NEIGHBORS):
-    """Mean squared distance from each point to its k nearest neighbors."""
+def density_weights(ps, idx: PointOctree):
+    """Mean squared distance from each point to its DELTA_NEIGHBORS nearest neighbors."""
     points = np.asarray(ps.points, dtype=np.float64)
     n = len(points)
-    kk = min(k, n - 1)
+    kk = min(DELTA_NEIGHBORS, n - 1)
     if kk < 1:
         return np.ones(n)
     d, _ = idx.tree.query(points, k=kk + 1)
@@ -157,20 +155,7 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
         doc=doc,
         params=params,
         l_bar=l_bar,
-        bands=RadiusBands(centers, radii),
     )
-
-
-def doc_at(cover: SphericalCover, x):
-    """True degree of coverage g(x) = sum_k phi_{r_k}(||x - c_k||)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x = x.reshape(-1, 3)
-    qi, k = _support_pairs(cover.bands, x)
-    phi = kernel.value(x[qi] - cover.centers[k], cover.radii[k])
-    out = _segment_sums(_runs(qi, len(x)), phi, np.ones(len(qi), dtype=bool), len(x))
-    out = np.where(np.isnan(out), 0.0, out)  # nan: outside every sphere
-    return float(out[0]) if single else out
 
 
 def selected_pointset(cover: SphericalCover):

@@ -21,7 +21,7 @@ from .model import EDGE_RECORD, ROOT_TOL, HrbfModel, LatticeTable, _unique, axis
 from .pointset import QuadMesh
 
 QEF_REG = 1e-3
-DEFAULT_MAX_ACTIVE = 5_000_000
+MAX_ACTIVE = 5_000_000  # active voxels before the search raises ActiveSetOverflow
 SEED_STEPS = 3  # normal probes per side when seeding the active-voxel search
 _FETCH_VOXELS = 1 << 14  # voxels per corner fetch in the search; bounds its scratch arrays
 _QEF_VOXELS = 1 << 14  # voxel rows per QEF chunk; bounds the per-incidence arrays
@@ -89,14 +89,7 @@ class IncidenceOverflow(MemoryError):
         )
 
 
-def collect_active_voxels(
-    model: HrbfModel,
-    centers,
-    normals,
-    width,
-    max_active=DEFAULT_MAX_ACTIVE,
-    workers=1,
-) -> VoxelGrid:
+def collect_active_voxels(model: HrbfModel, centers, normals, width, workers=1) -> VoxelGrid:
     """Find sign-change voxels with fully defined corners near the centers.
 
     The search starts from the voxel holding each center and grows across
@@ -149,8 +142,8 @@ def collect_active_voxels(
                 neg = vals[ok] < 0
                 rows, edges = np.nonzero(neg[:, _EDGES[:, 0]] != neg[:, _EDGES[:, 1]])
                 grown.append(_unique(table.keys(coords[ok][rows, None, :] + _EDGE_RING[edges])))
-            if (n_active := sum(map(len, active_keys))) > max_active:
-                raise ActiveSetOverflow(width, width * (n_active / max_active) ** 0.5 * 2.0)
+            if (n_active := sum(map(len, active_keys))) > MAX_ACTIVE:
+                raise ActiveSetOverflow(width, width * (n_active / MAX_ACTIVE) ** 0.5 * 2.0)
             frontier = _unique(np.concatenate(grown))
 
     grow(_unique(probes[SEED_STEPS]))
@@ -297,15 +290,8 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     return QuadMesh(verts, faces, vertex_normals=vnorm)
 
 
-def extract_surface(
-    model: HrbfModel,
-    centers,
-    normals,
-    width,
-    max_active=DEFAULT_MAX_ACTIVE,
-    workers=1,
-) -> QuadMesh:
-    grid = collect_active_voxels(model, centers, normals, width, max_active, workers)
+def extract_surface(model: HrbfModel, centers, normals, width, workers=1) -> QuadMesh:
+    grid = collect_active_voxels(model, centers, normals, width, workers)
     return contour(grid, workers=workers)
 
 

@@ -100,8 +100,6 @@ class SupportOperator:
 class ExactSolveResult:
     lam: np.ndarray  # 4n, blocks (a_i, b_i)
     residual_inf: float
-    delta_a_inf: float
-    d_inv_inf: float
     # ||lambda_1 - lambda_0||inf / (1 - q) >= ||lambda_0 - lambda||inf for the
     # quasi-solution lambda_0 = D^-1 y
     bound_a_posteriori: float
@@ -237,8 +235,6 @@ def solve(op: SupportOperator) -> ExactSolveResult:
     return ExactSolveResult(
         lam=lam,
         residual_inf=residual,
-        delta_a_inf=op.delta_a_inf,
-        d_inv_inf=op.d_inv_inf,
         bound_a_posteriori=first_step / (1.0 - q),
         iterations=iterations,
     )

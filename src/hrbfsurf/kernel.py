@@ -1,4 +1,4 @@
-"""Wendland's C2 compactly supported RBF and its exact derivatives.
+"""Wendland's C2 compactly supported RBF and the radial terms of its exact derivatives.
 
 phi(t) = (1 - t)^4 (4t + 1) on t in [0, 1), identically zero outside.
 All derivative formulas are closed-form; the 1/r factors in the second
@@ -62,25 +62,6 @@ def radial_terms(r, rho):
     gamma = -D2_PEAK / np.square(rho) * one_m**3
     beta = 3.0 * D2_PEAK / rho**3 * one_m**2 / np.where(r > 0.0, r, 1.0)
     return phi, gamma, beta
-
-
-def gradient(offsets, rho):
-    """Gradient of phi w.r.t. the query point; (k, 3) -> (k, 3)."""
-    offsets = np.asarray(offsets, dtype=np.float64)
-    _, gamma, _ = radial_terms(np.linalg.norm(offsets, axis=-1), rho)
-    return gamma[..., None] * offsets
-
-
-def hessian(offsets, rho):
-    """Hessian of phi w.r.t. the query point; (k, 3) -> (k, 3, 3)."""
-    offsets = np.asarray(offsets, dtype=np.float64)
-    _, gamma, beta = radial_terms(np.linalg.norm(offsets, axis=-1), rho)
-    # built in place, so that the result is the only (k, 3, 3) array
-    h = offsets[..., :, None] * offsets[..., None, :]
-    h *= beta[..., None, None]
-    for a in range(3):
-        h[..., a, a] += gamma
-    return h
 
 
 def derivative_bounds(rho) -> DerivativeBounds:

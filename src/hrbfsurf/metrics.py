@@ -148,7 +148,10 @@ def _point_triangle_distance(p, a, b, c):
     return np.linalg.norm(p - closest, axis=1)
 
 
-def points_to_mesh_distance(samples, mesh: QuadMesh, chunk=20000):
+_SAMPLE_CHUNK = 20000  # samples per kd-tree query and exact-distance pass
+
+
+def points_to_mesh_distance(samples, mesh: QuadMesh):
     """Min distance from each sample to the mesh surface (exact, accelerated).
 
     A vertex kd-tree gives an upper bound per sample; only triangles whose
@@ -170,8 +173,8 @@ def points_to_mesh_distance(samples, mesh: QuadMesh, chunk=20000):
     vtree = cKDTree(v)
     ctree = cKDTree(centroids)
     out = np.empty(len(samples))
-    for s0 in range(0, len(samples), chunk):
-        blk = samples[s0 : s0 + chunk]
+    for s0 in range(0, len(samples), _SAMPLE_CHUNK):
+        blk = samples[s0 : s0 + _SAMPLE_CHUNK]
         upper, _ = vtree.query(blk)
         lists = ctree.query_ball_point(blk, upper + max_spread + 1e-12)
         lens = np.fromiter((len(l) for l in lists), dtype=np.int64, count=len(lists))
@@ -181,7 +184,7 @@ def points_to_mesh_distance(samples, mesh: QuadMesh, chunk=20000):
         if len(tid):
             d = _point_triangle_distance(blk[sid], a[tid], b[tid], c[tid])
             np.minimum.at(best, sid, d)
-        out[s0 : s0 + chunk] = best
+        out[s0 : s0 + _SAMPLE_CHUNK] = best
     return out
 
 

@@ -21,7 +21,7 @@ RHO_HARD_CAP = 4.0  # < sqrt(20); reachable only on pathologically sparse input
 GROWTH_FACTOR = 1.05
 _MAX_RUNG = 420  # 1.05^420 rho0 overflows any sane cap; the ladder ends on the cap first
 ETA_MARGIN = 1e-5
-_EVAL_CHUNK = 16384  # fixed so chunking (hence output) is worker-count independent
+_EVAL_CHUNK = 16384  # edges per serial slice of the cubic starts in ``axis_edge_roots``
 ROOT_TOL = 1e-4  # edge-root stop, as a fraction of the edge length
 ROOT_STEPS = 32  # cap on field evaluations per edge root
 _START_STEPS = 3  # Newton steps on the cubic that gives an edge's first point
@@ -113,7 +113,6 @@ class HrbfModel:
 @dataclass
 class BoundReport:
     a_bar: float
-    contraction: float  # A_bar / (1 + eta), estimate of ||D^-1||inf ||dA||inf
     bound_value: float
     measured_inf_error: float
     applicable: bool
@@ -868,53 +867,6 @@ class LatticeTable:
         return _segment_sums(_runs(rows, len(first)), _pair_terms(t, gu), inside, len(first)).T
 
 
-def _eval_chunk(model: HrbfModel, x, want_gradient):
-    """Values (nan where undefined), gradients or None, and the defined mask at x (n, 3)."""
-    n = len(x)
-    qidx, cidx = _candidate_pairs(model.bands, x)
-    u = [np.take(x[:, k], qidx) - np.take(model.centers_t[k], cidx) for k in range(3)]
-    g = [np.take(model.g_t[k], cidx) for k in range(3)]
-    gu = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
-    d2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    rho = model.rho[cidx]
-    r = np.sqrt(d2)
-    runs = _runs(qidx, n)
-    grads = _gradient_sums(runs, u, g, gu, r, rho, n) if want_gradient else None
-    values = _segment_sums(runs, _pair_terms(r / rho, gu), d2 < rho**2, n)
-    return values, grads, np.isfinite(values)
-
-
-class ImplicitField:
-    """Batched evaluator for the quasi-interpolant, optionally multi-threaded.
-
-    Queries go to ``_dispatch`` in fixed chunks of ``_EVAL_CHUNK``, and
-    per-query accumulation runs in center index order, so results are
-    bitwise identical for any worker count.
-    """
-
-    def __init__(self, model: HrbfModel, workers=1):
-        self.model = model
-        self.workers = max(1, int(workers))
-
-    def evaluate(self, x, want_gradient=False):
-        """Values (nan where undefined), optional gradients, defined mask."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-        n = len(x)
-        values, defined = np.empty(n), np.empty(n, dtype=bool)
-        grads = np.empty((n, 3)) if want_gradient else None
-
-        def run(sl):
-            values[sl], g, defined[sl] = _eval_chunk(self.model, x[sl], want_gradient)
-            if want_gradient:
-                grads[sl] = g
-
-        _dispatch(run, [slice(i, i + _EVAL_CHUNK) for i in range(0, n, _EVAL_CHUNK)], self.workers)
-        return values, grads, defined
-
-    def values(self, x):
-        return self.evaluate(x, want_gradient=False)[0]
-
-
 def quasi_lambda(b):
     """The quasi-solution with vector coefficients ``b`` (n, 3) as a flat 4n
     vector of (a_j, b_j) blocks, a_j = 0."""
@@ -933,8 +885,7 @@ def verify_error_bound(tp: TuningParams, b, exact_result=None) -> BoundReport:
     """
     a_bar = tp.a_bar
     eta = tp.eta
-    contraction = a_bar / (1.0 + eta)
-    applicable = contraction < 1.0 and exact_result is not None
+    applicable = a_bar / (1.0 + eta) < 1.0 and exact_result is not None
     bound = a_bar * tp.rho_max**2 / ((1.0 + eta - a_bar) * (kernel.D2_PEAK + eta * tp.rho_max**2)) if applicable else np.inf
     if exact_result is None:
         measured, bound_a_posteriori = np.nan, np.inf
@@ -943,7 +894,6 @@ def verify_error_bound(tp: TuningParams, b, exact_result=None) -> BoundReport:
         bound_a_posteriori = float(exact_result.bound_a_posteriori)
     return BoundReport(
         a_bar=a_bar,
-        contraction=contraction,
         bound_value=float(bound),
         measured_inf_error=measured,
         applicable=applicable,

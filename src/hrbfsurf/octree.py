@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-DEFAULT_LEAF_CAPACITY = 16
+LEAF_CAPACITY = 16  # points an octree leaf holds at most, unless it lies at MAX_DEPTH
 MAX_DEPTH = 21
 # points per kd-tree leaf: ball counts at the tuning radii ran 25-31% faster
 # with 64 than with scipy's default of 16, with the same counts
@@ -24,7 +24,6 @@ _OCTANT_BITS = np.array([4, 2, 1])
 @dataclass
 class PointOctree:
     points: np.ndarray  # (n, 3)
-    leaf_capacity: int
     leaf_diagonals: np.ndarray  # (n_leaves,)
     tree: cKDTree = field(repr=False, default=None)
 
@@ -33,16 +32,14 @@ class PointOctree:
         return float(self.leaf_diagonals.mean())
 
 
-def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
-    """Split points into leaves of at most leaf_capacity (depth-capped).
+def build_octree(ps) -> PointOctree:
+    """Split points into leaves of at most LEAF_CAPACITY (depth-capped).
 
     ``ps`` is a HermitePointSet or an (n, 3) array.
     """
     points = np.asarray(getattr(ps, "points", ps), dtype=np.float64)
     if len(points) == 0:
         raise ValueError("empty point set")
-    if leaf_capacity < 1:
-        raise ValueError("leaf_capacity must be >= 1")
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     size = float((hi - lo).max())
@@ -56,7 +53,7 @@ def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
     pts, node = points, np.zeros(len(points), dtype=np.int64)  # points of nodes that split
     node_lo, node_key, node_size = lo[None, :], np.zeros(1, dtype=np.uint64), size
     for depth in range(MAX_DEPTH + 1):
-        leaf = np.bincount(node, minlength=len(node_lo)) <= leaf_capacity
+        leaf = np.bincount(node, minlength=len(node_lo)) <= LEAF_CAPACITY
         if depth == MAX_DEPTH:
             leaf[:] = True
         keys.append(node_key[leaf] << np.uint64(3 * (MAX_DEPTH - depth)))
@@ -76,7 +73,6 @@ def build_octree(ps, leaf_capacity=DEFAULT_LEAF_CAPACITY) -> PointOctree:
 
     return PointOctree(
         points=points,
-        leaf_capacity=leaf_capacity,
         leaf_diagonals=np.concatenate(diagonals)[order],
         tree=cKDTree(points, leafsize=TREE_LEAF_SIZE),
     )

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+_UNIT_TOL = 1e-12  # a normal whose length is off 1 by more is not unit to rounding
+
 
 class PointFileError(ValueError):
     """Malformed point or mesh file (carries a line number when known)."""
@@ -25,7 +27,11 @@ class PointFileError(ValueError):
 
 @dataclass
 class HermitePointSet:
-    """Scattered points with unit normals."""
+    """Scattered points with unit normals.
+
+    Normals of any nonzero length are accepted and scaled to unit length;
+    a zero-length normal raises ValueError (the loaders drop those first).
+    """
 
     points: np.ndarray  # (n, 3) float64
     normals: np.ndarray  # (n, 3) float64, unit length
@@ -41,6 +47,13 @@ class HermitePointSet:
         bad = np.count_nonzero(~(np.isfinite(self.points) & np.isfinite(self.normals)).all(axis=1))
         if bad:
             raise ValueError(f"{bad} of {len(self.points)} rows hold non-finite coordinates")
+        lens = np.linalg.norm(self.normals, axis=1)
+        if zero := np.count_nonzero(lens == 0.0):
+            raise ValueError(f"{zero} of {len(self.points)} normals have zero length")
+        # normals unit to rounding keep their bits; the rest are divided by their length
+        off = np.abs(lens - 1.0) > _UNIT_TOL
+        if off.any():
+            self.normals = np.where(off[:, None], self.normals / lens[:, None], self.normals)
 
     def __len__(self):
         return len(self.points)

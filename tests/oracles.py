@@ -1,5 +1,8 @@
 """Scalar reference implementations that the vectorised code is checked against.
 
+``ImplicitField`` evaluates the quasi-interpolant and its gradient at any
+points, and ``kernel_gradient`` and ``kernel_hessian`` give one kernel's
+derivatives from ``kernel.radial_terms``.
 ``edge_root`` bisects one edge on any object with ``values`` and ``evaluate``
 (an ``ImplicitField`` or an analytic field), ``place_vertex`` solves one
 voxel's quadric, and ``emit_quads`` builds the quads edge by edge from a dict
@@ -44,10 +47,13 @@ from hrbfsurf.model import (
     ETA_MARGIN,
     GROWTH_FACTOR,
     RHO_HARD_CAP,
+    HrbfModel,
     LatticeTable,
     RadiusBands,
     _a_bar,
     _candidate_pairs,
+    _gradient_sums,
+    _pair_terms,
     _runs,
     _segment_sums,
     _support_pairs,
@@ -56,6 +62,68 @@ from hrbfsurf.octree import MAX_DEPTH, PointOctree
 from hrbfsurf.pointset import QuadMesh
 
 BISECTION_STEPS = 32  # the reference bisection's own cap, independent of the library's
+
+
+def kernel_gradient(offsets, rho):
+    """Gradient of phi w.r.t. the query point; (k, 3) -> (k, 3)."""
+    offsets = np.asarray(offsets, dtype=np.float64)
+    _, gamma, _ = kernel.radial_terms(np.linalg.norm(offsets, axis=-1), rho)
+    return gamma[..., None] * offsets
+
+
+def kernel_hessian(offsets, rho):
+    """Hessian of phi w.r.t. the query point; (k, 3) -> (k, 3, 3)."""
+    offsets = np.asarray(offsets, dtype=np.float64)
+    _, gamma, beta = kernel.radial_terms(np.linalg.norm(offsets, axis=-1), rho)
+    h = offsets[..., :, None] * offsets[..., None, :]
+    h *= beta[..., None, None]
+    for a in range(3):
+        h[..., a, a] += gamma
+    return h
+
+
+class ImplicitField:
+    """The quasi-interpolant and its gradient at any points, from the pair
+    search and the segment sums that the lattice and the edge roots use.
+
+    Queries run serially in slices of ``model._EVAL_CHUNK``.  Each query is
+    summed over its own pairs in center index order, so the slicing changes
+    no bit of the result.
+    """
+
+    def __init__(self, model: HrbfModel):
+        self.model = model
+
+    def evaluate(self, x, want_gradient=False):
+        """Values (nan where undefined), optional gradients, defined mask."""
+        x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
+        n = len(x)
+        values, defined = np.empty(n), np.empty(n, dtype=bool)
+        grads = np.empty((n, 3)) if want_gradient else None
+        for i in range(0, n, model._EVAL_CHUNK):
+            sl = slice(i, i + model._EVAL_CHUNK)
+            values[sl], g, defined[sl] = self._chunk(x[sl], want_gradient)
+            if want_gradient:
+                grads[sl] = g
+        return values, grads, defined
+
+    def values(self, x):
+        return self.evaluate(x, want_gradient=False)[0]
+
+    def _chunk(self, x, want_gradient):
+        """Values (nan where undefined), gradients or None, and the defined mask at x (n, 3)."""
+        model, n = self.model, len(x)
+        qidx, cidx = _candidate_pairs(model.bands, x)
+        u = [np.take(x[:, k], qidx) - np.take(model.centers_t[k], cidx) for k in range(3)]
+        g = [np.take(model.g_t[k], cidx) for k in range(3)]
+        gu = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
+        d2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+        rho = model.rho[cidx]
+        r = np.sqrt(d2)
+        runs = _runs(qidx, n)
+        grads = _gradient_sums(runs, u, g, gu, r, rho, n) if want_gradient else None
+        values = _segment_sums(runs, _pair_terms(r / rho, gu), d2 < rho**2, n)
+        return values, grads, np.isfinite(values)
 
 
 @dataclass
@@ -268,8 +336,8 @@ def kernel_evaluate(center, rho, x, want_gradient=True, want_hessian=True) -> Ke
     if r2 >= rho * rho:
         return KernelEval(0.0, np.zeros(3), np.zeros((3, 3)), rho, False)
     val = float(kernel.value(d[None], rho)[0])
-    grad = kernel.gradient(d[None], rho)[0] if want_gradient else np.zeros(3)
-    hess = kernel.hessian(d[None], rho)[0] if want_hessian else np.zeros((3, 3))
+    grad = kernel_gradient(d[None], rho)[0] if want_gradient else np.zeros(3)
+    hess = kernel_hessian(d[None], rho)[0] if want_hessian else np.zeros((3, 3))
     return KernelEval(val, grad, hess, rho, True)
 
 
@@ -353,8 +421,9 @@ class AssembledSystem:
 
 def assemble_whole(ps, rho, eta) -> AssembledSystem:
     """The exact system as stored 4x4 blocks, in one pass: the strict support
-    test, the blocks from ``kernel.value``/``gradient``/``hessian`` and the row
-    sums of |block - D| each take every support pair at once.  The reference
+    test, the blocks from ``kernel.value``, ``kernel_gradient`` and
+    ``kernel_hessian`` and the row sums of |block - D| each take every
+    support pair at once.  The reference
     for ``exact.SupportOperator``."""
     points = np.asarray(ps.points, dtype=np.float64)
     normals = np.asarray(ps.normals, dtype=np.float64)
@@ -368,9 +437,9 @@ def assemble_whole(ps, rho, eta) -> AssembledSystem:
     rj = rho[j_idx]
     blocks = np.empty((len(i_idx), 4, 4))
     blocks[:, 0, 0] = kernel.value(offsets, rj)
-    grad = kernel.gradient(offsets, rj)
+    grad = kernel_gradient(offsets, rj)
     blocks[:, 0, 1:], blocks[:, 1:, 0] = -grad, grad
-    blocks[:, 1:, 1:] = -kernel.hessian(offsets, rj)
+    blocks[:, 1:, 1:] = -kernel_hessian(offsets, rj)
     own = np.flatnonzero(i_idx == j_idx)
     blocks[own] += eta * np.eye(4)
     d_diag = np.repeat(kernel.D2_PEAK / rho**2 + eta, 4)
@@ -424,10 +493,10 @@ def eval_exact(ps, rho, lam, x, want_gradient=False):
     qi, j = _support_pairs(RadiusBands(points, rho), x)
     offs, rj = x[qi] - points[j], rho[j]
     a, b = lam[j, 0], lam[j, 1:]
-    g = kernel.gradient(offs, rj)
+    g = kernel_gradient(offs, rj)
     terms = [a * kernel.value(offs, rj) - np.einsum("ij,ij->i", b, g)]
     if want_gradient:
-        h = kernel.hessian(offs, rj)
+        h = kernel_hessian(offs, rj)
         terms.extend((a[:, None] * g - np.einsum("kij,kj->ki", h, b)).T)
     # every pair lies inside its support; a query outside every support sums to nan, here 0
     sums = _segment_sums(_runs(qi, len(x)), np.stack(terms), np.ones(len(qi), dtype=bool), len(x))

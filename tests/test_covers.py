@@ -1,7 +1,5 @@
 """Spherical-cover center selection: coverage, quadric error, determinism."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,14 +9,12 @@ from hrbfsurf.covers import (
     CoverParams,
     EmptySphereError,
     density_weights,
-    doc_at,
     quadric_error,
     select_centers,
     selected_pointset,
 )
-from hrbfsurf.model import RadiusBands
 from hrbfsurf.octree import build_octree
-from hrbfsurf.pointset import load_points, normalize_to_unit_box, save_points
+from hrbfsurf.pointset import HermitePointSet, load_points, normalize_to_unit_box, save_points
 from hrbfsurf.sampling import sphere_points, two_density_sphere
 
 
@@ -43,8 +39,6 @@ def test_quadric_error_zero_on_plane():
     rng = np.random.default_rng(0)
     pts = np.zeros((200, 3))
     pts[:, :2] = rng.uniform(-1, 1, (200, 2))
-    from hrbfsurf.pointset import HermitePointSet
-
     ps = HermitePointSet(pts, np.tile([0.0, 0.0, 1.0], (200, 1)))
     idx = build_octree(ps)
     delta = density_weights(ps, idx)
@@ -94,26 +88,6 @@ def test_sparse_side_gets_larger_spheres(setup):
     assert np.median(cover.radii[~dense]) > np.median(cover.radii[dense])
 
 
-def test_doc_at_matches_brute_force(setup):
-    ps, _, cover = setup
-    rng = np.random.default_rng(1)
-    # input points, points anywhere near the cloud, and one outside every sphere
-    x = np.vstack([ps.points[rng.integers(0, len(ps), 50)], rng.uniform(-1.2, 1.2, (50, 3)), [[9.0, 9.0, 9.0]]])
-    # the cover's radii lie in one band; shrinking the dense side's spheres spreads them over two
-    for dense_scale, n_bands in ((1.0, 1), (0.4, 2)):
-        radii = np.where(cover.centers[:, 0] >= 0.0, dense_scale, 1.0) * cover.radii
-        scaled = dataclasses.replace(cover, radii=radii, bands=RadiusBands(cover.centers, radii))
-        assert len(scaled.bands.groups) == n_bands
-        got = doc_at(scaled, x)
-        assert got[-1] == 0.0
-        d = np.linalg.norm(x[:, None, :] - cover.centers[None, :, :], axis=2)
-        inside = d < radii[None, :]
-        t = d / radii[None, :]
-        phi = np.where(inside, (1.0 - np.minimum(t, 1.0)) ** 4 * (4.0 * t + 1.0), 0.0)
-        np.testing.assert_allclose(got, phi.sum(axis=1), rtol=0.0, atol=1e-12)
-        assert doc_at(scaled, x[0]) == pytest.approx(got[0])
-
-
 def test_seed_determinism():
     ps, _ = normalize_to_unit_box(sphere_points(800, seed=4))
     idx = build_octree(ps)
@@ -140,14 +114,18 @@ def test_selected_pointset_roundtrip(setup):
 
 
 def test_cover_csv_dump(tmp_path, setup):
-    # the cover of the points as the file holds them, at 9 significant digits
+    # the cover of the points as the file holds them, at 9 significant
+    # digits, in the file's units: the input spans 90-110, not [-1, 1]
     src = tmp_path / "in.xyz"
-    save_points(setup[0], src)
-    ps, _ = normalize_to_unit_box(load_points(src))
+    save_points(HermitePointSet(100.0 + 10.0 * setup[0].points, setup[0].normals), src)
+    raw = load_points(src)
+    ps, tfm = normalize_to_unit_box(raw)
     cover = select_centers(ps, build_octree(ps), CoverParams(), seed=0)
     path = tmp_path / "cover.csv"
     assert cli_main(["select-centers", str(src), "--csv", str(path)]) == 0
     assert path.read_text().startswith("cx,cy,cz,r\n")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (cover.n_centers, 4)
-    np.testing.assert_allclose(data[:, 3], cover.radii, rtol=1e-6)
+    np.testing.assert_allclose(data[:, :3], tfm.inverse().apply(cover.centers), rtol=1e-6)
+    np.testing.assert_allclose(data[:, :3], raw.points[cover.center_indices], rtol=1e-6)
+    np.testing.assert_allclose(data[:, 3], cover.radii / tfm.scale, rtol=1e-6)

@@ -25,13 +25,14 @@ from hrbfsurf.dualcontour import (
     remove_small_fragments,
 )
 from hrbfsurf.metrics import NoiseSpec, estimate_normals_pca, inject_noise
-from hrbfsurf.model import _BRICK, ROOT_TOL, ImplicitField, LatticeTable, edge_records, model_from_arrays
+from hrbfsurf.model import _BRICK, ROOT_TOL, LatticeTable, edge_records, model_from_arrays
 from hrbfsurf.pipeline import ReconConfig, StageError, reconstruct_points
 from hrbfsurf.pointset import HermitePointSet, normalize_to_unit_box
 from hrbfsurf.sampling import sphere_points, two_density_sphere
 
 from conftest import cells_near, sign_change_edges, tuned_model
 from oracles import (
+    ImplicitField,
     canonical_mesh_digest,
     edge_root,
     emit_quads,
@@ -577,10 +578,11 @@ def test_wide_kernel_memory_bounded_by_listing_pieces(monkeypatch):
     assert roots1 <= 1.05 * roots0
 
 
-def test_active_set_overflow(sphere_model):
+def test_active_set_overflow(sphere_model, monkeypatch):
     centers = np.array([[1.0, 0.0, 0.0]])
+    monkeypatch.setattr(dualcontour, "MAX_ACTIVE", 50)
     with pytest.raises(ActiveSetOverflow) as exc:
-        collect_active_voxels(sphere_model, centers, centers, width=0.02, max_active=50)
+        collect_active_voxels(sphere_model, centers, centers, width=0.02)
     assert exc.value.suggested_width > 0.02
 
 

@@ -9,7 +9,6 @@ from hrbfsurf.metrics import NoiseSpec, estimate_normals_pca, inject_noise
 from hrbfsurf.model import (
     ETA_MARGIN,
     GROWTH_FACTOR,
-    ImplicitField,
     LatticeTable,
     RHO_HARD_CAP,
     ROOT_TOL,
@@ -17,7 +16,6 @@ from hrbfsurf.model import (
     _EVAL_CHUNK,
     _candidate_pairs,
     _cubic_start,
-    _eval_chunk,
     _runs,
     _segment_sums,
     _unique,
@@ -33,7 +31,7 @@ from hrbfsurf.pointset import HermitePointSet, normalize_to_unit_box
 from hrbfsurf.sampling import sphere_points, torus_points, two_density_sphere
 
 from conftest import cells_near, random_unit_vectors, sign_change_edges, tuned_model
-from oracles import kernel_evaluate, tune_radii_loop
+from oracles import ImplicitField, kernel_evaluate, tune_radii_loop
 
 
 class TestTuning:
@@ -198,13 +196,13 @@ class TestEvaluation:
         rng = np.random.default_rng(1)
         x = model.centers[rng.integers(0, model.n_centers, 50)]
         x = x + rng.normal(scale=0.01, size=x.shape)
-        vals, grads, defined = _eval_chunk(model, x, True)
+        vals, grads, defined = ImplicitField(model).evaluate(x, want_gradient=True)
         h = 1e-6
         for a in range(3):
             e = np.zeros(3)
             e[a] = h
-            vp = _eval_chunk(model, x + e, False)[0]
-            vm = _eval_chunk(model, x - e, False)[0]
+            vp = ImplicitField(model).values(x + e)
+            vm = ImplicitField(model).values(x - e)
             fd = (vp - vm) / (2 * h)
             ok = defined & np.isfinite(vp) & np.isfinite(vm)
             assert np.max(np.abs(fd[ok] - grads[ok, a])) < 1e-5
@@ -245,30 +243,19 @@ class TestEvaluation:
         )
         rmodel = model_from_arrays(pts @ rot.T, pts @ rot.T, 0.6, 2.0)
         x = random_unit_vectors(60, rng) * rng.uniform(0.9, 1.1, (60, 1))
-        v1 = _eval_chunk(model, x, False)[0]
-        v2 = _eval_chunk(rmodel, x @ rot.T, False)[0]
+        v1 = ImplicitField(model).values(x)
+        v2 = ImplicitField(rmodel).values(x @ rot.T)
         np.testing.assert_allclose(v1, v2, atol=1e-13, equal_nan=True)
 
     def test_undefined_outside_supports(self, sphere_model):
         _, _, model = sphere_model
         far = np.array([[5.0, 5.0, 5.0], [0.0, 0.0, 0.0]])
-        vals, _, defined = _eval_chunk(model, far, False)
+        vals, _, defined = ImplicitField(model).evaluate(far)
         assert not defined[0] and np.isnan(vals[0])
 
-    def test_implicit_field_worker_count_bitwise(self, sphere_model):
+    def test_implicit_field_no_queries(self, sphere_model):
         _, _, model = sphere_model
-        rng = np.random.default_rng(3)
-        x = random_unit_vectors(40000, rng) * rng.uniform(0.85, 1.15, (40000, 1))
-        v1, g1, d1 = ImplicitField(model, workers=1).evaluate(x, want_gradient=True)
-        v2, g2, d2 = ImplicitField(model, workers=2).evaluate(x, want_gradient=True)
-        assert v1.tobytes() == v2.tobytes()
-        assert g1.tobytes() == g2.tobytes()
-        assert np.array_equal(d1, d2)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_implicit_field_no_queries(self, sphere_model, workers):
-        _, _, model = sphere_model
-        field = ImplicitField(model, workers=workers)
+        field = ImplicitField(model)
         v, g, defined = field.evaluate(np.empty((0, 3)), want_gradient=True)
         assert v.shape == (0,) and g.shape == (0, 3)
         assert defined.shape == (0,) and defined.dtype == bool
@@ -309,7 +296,7 @@ def _bisected(model, edges, lo, hi, steps):
     a, b = np.where(up, lo, hi), np.where(up, hi, lo)  # the negative and positive ends
     for _ in range(steps):
         mid = 0.5 * (a + b)
-        v = _eval_chunk(model, mid, False)[0]
+        v = ImplicitField(model).values(mid)
         neg = (np.isfinite(v) & (v < 0))[:, None]
         a = np.where(neg, mid, a)
         b = np.where(neg, b, mid)
@@ -325,14 +312,14 @@ class TestIsosurfaceHelpers:
         edges, lo, hi = sign_change_edges(table, cells_near(model.centers, origin, w, 1))
         assert len(edges) > 100
         roots, grads = axis_edge_roots(table, edges, tol=1e-13)
-        rv = _eval_chunk(model, roots, False)[0]
+        rv = ImplicitField(model).values(roots)
         assert np.nanmax(np.abs(rv)) < 1e-6
         # scalar oracle: plain bisection on the field evaluation
         for i in range(0, len(edges), 25):
             a, b = (lo[i], hi[i]) if edges["f_lo"][i] < 0 else (hi[i], lo[i])
             for _ in range(40):
                 mid = 0.5 * (a + b)
-                v = _eval_chunk(model, mid[None], False)[0][0]
+                v = ImplicitField(model).values(mid[None])[0]
                 if np.isfinite(v) and v < 0:
                     a = mid
                 else:
@@ -367,10 +354,10 @@ class TestIsosurfaceHelpers:
         assert len(edges) == 1
         assert (edges["f_lo"][0] < 0) == (nx < 0)
         np.testing.assert_allclose(-edges["f_lo"] / (edges["f_hi"] - edges["f_lo"]), 0.5)
-        assert np.isnan(_eval_chunk(model, np.zeros((1, 3)), False)[0][0])
+        assert np.isnan(ImplicitField(model).values(np.zeros((1, 3)))[0])
         # the cubic start stays in the gap as well
         start = _cubic_start(table, edges)
-        assert np.isnan(_eval_chunk(model, lo + start[:, None] * (hi - lo), False)[0][0])
+        assert np.isnan(ImplicitField(model).values(lo + start[:, None] * (hi - lo))[0])
         roots, grads = axis_edge_roots(table, edges, ROOT_TOL)
         assert np.all(np.isfinite(roots))
         x = roots[0, 0]
@@ -542,7 +529,7 @@ class TestIsosurfaceHelpers:
         cy = (flat // shape[2]) % shape[1]
         cx = flat // (shape[1] * shape[2])
         pts = origin + (table.gmin + np.stack([cx, cy, cz], axis=1)) * w
-        ref, _, defined = _eval_chunk(model, pts, False)
+        ref, _, defined = ImplicitField(model).evaluate(pts)
         got = table.values_flat[flat]
         assert np.array_equal(defined, np.isfinite(got))
         np.testing.assert_allclose(got[defined], ref[defined], atol=1e-14)
@@ -556,7 +543,7 @@ class TestIsosurfaceHelpers:
         origin = np.full(3, -0.1)
         table = LatticeTable(model, origin, w)
         cells = np.indices(table.shape).reshape(3, -1).T
-        ref, _, defined = _eval_chunk(model, origin + (table.gmin + cells) * w, False)
+        ref, _, defined = ImplicitField(model).evaluate(origin + (table.gmin + cells) * w)
         got = table.values_flat
         assert np.array_equal(defined, np.isfinite(got))
         np.testing.assert_allclose(got[defined], ref[defined], atol=1e-14)
@@ -598,7 +585,7 @@ class TestIsosurfaceHelpers:
         got = table.fetch(c + steps)
         assert np.all(np.isnan(got[:4]))
         assert got[4] == 0.0 and np.isfinite(got[5])
-        ref, _, defined = _eval_chunk(model, (c + steps) * w, False)
+        ref, _, defined = ImplicitField(model).evaluate((c + steps) * w)
         assert np.array_equal(defined, np.isfinite(got))
         np.testing.assert_allclose(got[defined], ref[defined], atol=1e-15)
 
@@ -639,7 +626,7 @@ class TestIsosurfaceHelpers:
         x = x + rng.normal(scale=0.01, size=x.shape)
         cells = np.floor((x - origin) / w).astype(np.int64)
         got = table.fetch(cells)
-        ref, _, defined = _eval_chunk(model, origin + cells * w, False)
+        ref, _, defined = ImplicitField(model).evaluate(origin + cells * w)
         assert defined.sum() > 250
         assert np.array_equal(defined, np.isfinite(got))
         np.testing.assert_allclose(got[defined], ref[defined], atol=1e-14)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hrbfsurf import octree
 from hrbfsurf.octree import TREE_LEAF_SIZE, build_octree, strict_counts
 
 from oracles import octree_leaves, radius_query
@@ -14,9 +15,16 @@ def cloud():
     return rng.uniform(-1.0, 1.0, (500, 3))
 
 
+def _build(points, capacity):
+    """``build_octree`` with ``octree.LEAF_CAPACITY`` set to ``capacity``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(octree, "LEAF_CAPACITY", capacity)
+        return build_octree(points)
+
+
 @pytest.fixture(scope="module")
 def index(cloud):
-    return build_octree(cloud, leaf_capacity=8)
+    return _build(cloud, 8)
 
 
 def _oracle_diagonals(leaves):
@@ -36,7 +44,7 @@ def test_leaf_capacity_respected(cloud, index):
     assert all(1 <= len(idx) <= 8 for idx, _ in leaves)
     assert np.array_equal(index.leaf_diagonals, _oracle_diagonals(leaves))
     # a larger capacity gives fewer, larger leaves
-    coarse = build_octree(cloud, leaf_capacity=64)
+    coarse = _build(cloud, 64)
     assert np.array_equal(coarse.leaf_diagonals, _oracle_diagonals(octree_leaves(cloud, 64)))
     assert len(coarse.leaf_diagonals) < len(index.leaf_diagonals)
 
@@ -49,8 +57,8 @@ def test_mean_leaf_diagonal_positive(cloud, index):
 
 
 def test_build_deterministic(cloud):
-    a = build_octree(cloud, leaf_capacity=8)
-    b = build_octree(cloud, leaf_capacity=8)
+    a = _build(cloud, 8)
+    b = _build(cloud, 8)
     assert a.leaf_diagonals.tobytes() == b.leaf_diagonals.tobytes()
     assert np.array_equal(a.leaf_diagonals, _oracle_diagonals(octree_leaves(cloud, 8)))
 
@@ -58,14 +66,12 @@ def test_build_deterministic(cloud):
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         build_octree(np.empty((0, 3)))
-    with pytest.raises(ValueError):
-        build_octree(np.zeros((4, 3)), leaf_capacity=0)
 
 
 def test_coincident_points_terminate():
     # coincident points never separate: the depth cap ends the subdivision
     pts = np.zeros((40, 3))
-    idx = build_octree(pts, leaf_capacity=4)
+    idx = _build(pts, 4)
     leaves = octree_leaves(pts, 4)
     assert sum(len(i) for i, _ in leaves) == 40
     assert np.array_equal(idx.leaf_diagonals, _oracle_diagonals(leaves))

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hrbfsurf.pipeline import ReconConfig, reconstruct_points
 from hrbfsurf.pointset import (
     HermitePointSet,
     PointFileError,
@@ -13,8 +15,9 @@ from hrbfsurf.pointset import (
     save_mesh,
     save_points,
 )
+from hrbfsurf.sampling import sphere_points
 
-from conftest import random_unit_vectors
+from conftest import random_unit_vectors, tuned_model
 
 
 @pytest.fixture
@@ -98,6 +101,50 @@ def test_zero_normals_dropped(tmp_path):
     ps = load_points(path)
     assert len(ps) == 2
     assert ps.dropped == 1
+
+
+def test_pointset_rejects_zero_normals():
+    # the constructor counts zero-length normals after the shape and
+    # non-finite checks, and leaves the caller's array alone
+    normals = np.tile([0.0, 0.0, 2.0], (5, 1))
+    normals[[1, 3]] = 0.0
+    with pytest.raises(ValueError, match="2 of 5 normals have zero length"):
+        HermitePointSet(np.zeros((5, 3)), normals)
+    bad = np.zeros((5, 3))
+    bad[2, 0] = np.nan
+    with pytest.raises(ValueError, match="1 of 5 rows"):
+        HermitePointSet(bad, normals)
+    assert np.array_equal(normals[0], [0.0, 0.0, 2.0])
+
+
+def test_pointset_rescales_non_unit_normals():
+    # 3x normals and normals of mixed lengths fit the coefficients and the
+    # mesh of unit ones; normals unit to rounding keep their bits
+    ps = sphere_points(600, seed=1)
+    assert HermitePointSet(ps.points, ps.normals).normals.tobytes() == ps.normals.tobytes()
+    mixed = np.random.default_rng(3).uniform(0.2, 5.0, (len(ps), 1))
+    cfg = ReconConfig(voxel_width=0.05)
+    _, _, unit_model = tuned_model(ps)
+    _, unit_diag = reconstruct_points(ps, cfg)
+    for scale in (3.0, mixed):
+        scaled = HermitePointSet(ps.points, scale * ps.normals)
+        _, _, model = tuned_model(scaled)
+        np.testing.assert_allclose(model.b_coeffs, unit_model.b_coeffs, rtol=1e-13, atol=0)
+        _, diag = reconstruct_points(scaled, cfg)
+        assert diag["n_faces"] == unit_diag["n_faces"] > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+def test_pointset_normals_unit_for_any_length(lengths, seed):
+    rng = np.random.default_rng(seed)
+    unit = random_unit_vectors(len(lengths), rng)
+    raw = unit * np.array(lengths)[:, None]
+    before = raw.copy()
+    ps = HermitePointSet(rng.normal(size=raw.shape), raw)
+    np.testing.assert_allclose(np.linalg.norm(ps.normals, axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ps.normals, unit, rtol=0, atol=1e-12)
+    assert raw.tobytes() == before.tobytes()
 
 
 def test_xyz_error_line_number(tmp_path):
