@@ -14,21 +14,22 @@ from hrbfsurf.sampling import torus_points
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="hrbfsurf_demo_"))
-    src = workdir / "torus.xyz"
-    out = workdir / "torus.obj"
-    diag = workdir / "torus_diag.json"
+    with tempfile.TemporaryDirectory(prefix="hrbfsurf_demo_") as tmp:
+        workdir = Path(tmp)
+        src = workdir / "torus.xyz"
+        out = workdir / "torus.obj"
+        diag = workdir / "torus_diag.json"
 
-    save_points(torus_points(4000, seed=2), src)
-    code = cli_main(
-        ["reconstruct", str(src), str(out), "--diagnostics", str(diag), "-w", "0.02"]
-    )
-    print(f"cli exit code: {code}")
+        save_points(torus_points(4000, seed=2), src)
+        code = cli_main(
+            ["reconstruct", str(src), str(out), "--diagnostics", str(diag), "-w", "0.02"]
+        )
+        print(f"cli exit code: {code}")
 
-    mesh = load_mesh(out)
-    print(f"reloaded mesh: {mesh.n_vertices} vertices, {mesh.n_faces} faces")
-    print(f"diagnostics at {diag}:")
-    print(diag.read_text())
+        mesh = load_mesh(out)
+        print(f"reloaded mesh: {mesh.n_vertices} vertices, {mesh.n_faces} faces")
+        print(f"diagnostics at {diag}:")
+        print(diag.read_text())
 
 
 if __name__ == "__main__":

@@ -25,11 +25,13 @@ from .model import (
     TuningParams,
     HrbfModel,
     BoundReport,
+    SupportOperator,
     tune_parameters,
     build_model,
+    build_operator,
     verify_error_bound,
 )
-from .exact import SupportOperator, ExactSolveResult, build_operator, solve
+from .exact import ExactSolveResult, solve
 from .covers import SphericalCover, CoverParams, quadric_error, select_centers
 from .dualcontour import extract_surface, remove_small_fragments, boundary_edge_count
 from .metrics import (

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import EDGE_RECORD, ROOT_TOL, HrbfModel, LatticeTable, _unique, axis_edge_roots, edge_records
+from . import model
+from .model import EDGE_RECORD, HrbfModel, LatticeTable, _unique, axis_edge_roots, edge_records
 from .pointset import QuadMesh
 
 QEF_REG = 1e-3
@@ -282,7 +283,7 @@ def contour(grid: VoxelGrid, workers=1) -> QuadMesh:
     vox_rows, starts, inverse, edges = _unique_edges(grid)
     if len(edges) == 0:
         return QuadMesh(np.empty((0, 3)), np.empty((0, 4), np.int64))
-    roots, normals = _batch_edge_roots(grid.table, edges, ROOT_TOL, workers)  # clears the table
+    roots, normals = _batch_edge_roots(grid.table, edges, model.ROOT_TOL, workers)  # clears the table
     verts, vnorm = _chunked_qef(grid, vox_rows, starts, inverse, roots, normals)
     del roots, normals  # the quads need the room
     faces = _quads(vox_rows, starts, inverse, edges)

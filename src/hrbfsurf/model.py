@@ -3,6 +3,8 @@
 The implicit value at x is f(x) = -sum_j <b_j, grad phi_j(x)> with
 b_j = rho_j^2 n_j / (20 + eta rho_j^2), summed over kernels whose open
 support contains x.  Outside every support the function is undefined.
+``SupportOperator`` holds the exact Hermite system on the same support
+pairs, for the solve in ``exact``.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ def _candidate_pairs(bands: RadiusBands, x, slack=0.0):
     return keys // n, keys % n
 
 
-# support pairs per slice of the strict test here and of ``exact.SupportOperator``:
+# support pairs per slice of the strict test here and of ``SupportOperator``:
 # their per-pair temporaries then stay small whatever the pair count.  On
 # verify3k's 168,806 pairs the process peak (VmHWM) read 101.9 MB at 2**14,
 # 108.8 MB at 2**15 and 115.6 MB at 2**16, against 132.0 MB unsliced
@@ -316,6 +318,172 @@ def _unique(keys):
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
+
+
+def _row_slices(indptr):
+    """(first row, end row) of each slice of whole rows of about ``_PAIR_SLICE`` pairs."""
+    cuts = _cuts(indptr, _PAIR_SLICE)
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
+@dataclass
+class SupportOperator:
+    """The exact Hermite system A on the centers, held as its support pairs.
+
+    A couples point i to every kernel j whose support holds it.  Row-block i
+    stacks the value and gradient constraints at point i; column-block j
+    carries kernel j (support rho_j).  The regularized system A + eta I =
+    D + dA has the diagonal blocks D = diag(1, 20/rho^2, ...) + eta I, the
+    matrix the quasi-solution D^-1 y inverts in closed form.
+
+    Per support pair the operator keeps the column j, the offset u = p_i - p_j
+    and the radial terms (phi, gamma, beta) of ``kernel.radial_terms``, 56
+    bytes against 132 for a stored 4x4 block and its index; the block is
+    [[phi, -gamma u^T], [gamma u, -(gamma I + beta u u^T)]].  Nothing in it
+    depends on eta: ``apply`` gives A lambda, so (A + eta I) lambda is
+    ``apply(lam) + eta * lam``, and the per-row sums of |dA| are the same at
+    every eta, so ||dA||inf and q = ||D^-1 dA||inf at any eta are read from
+    them.  The build and ``apply`` take the pairs one row-aligned slice at a
+    time.
+    """
+
+    n: int
+    y: np.ndarray  # rhs, blocks (0, n_i)
+    rho: np.ndarray
+    indptr: np.ndarray = field(repr=False)  # row i's pairs are indptr[i]:indptr[i + 1]
+    cols: np.ndarray = field(repr=False)  # kernel j of each pair, ascending within a row
+    u: np.ndarray = field(repr=False)  # (3, pairs): p_i - p_j
+    terms: np.ndarray = field(repr=False)  # (3, pairs): phi, gamma, beta
+    row_sums: np.ndarray = field(repr=False)  # (4n,): per row of dA, the sum of |entries|
+
+    @property
+    def delta_a_inf(self):
+        """||A + eta I - D||inf, the same at every eta."""
+        return float(self.row_sums.max())
+
+    def d_diag(self, eta):
+        """The diagonal of D at damping ``eta``."""
+        d_diag = np.repeat(kernel.D2_PEAK / self.rho**2 + eta, 4)
+        d_diag[0::4] = 1.0 + eta
+        return d_diag
+
+    def contraction(self, eta):
+        """q = ||D^-1 dA||inf at damping ``eta``; <= d_inv_inf(eta) * delta_a_inf."""
+        return float((self.row_sums / self.d_diag(eta)).max())
+
+    def d_inv_inf(self, eta):
+        """||D^-1||inf at damping ``eta``."""
+        rho_max = float(self.rho.max())
+        return max(1.0 / (1.0 + eta), rho_max**2 / (kernel.D2_PEAK + eta * rho_max**2))
+
+    def apply(self, lam):
+        """A lam (eta = 0), each row summed over its support pairs."""
+        slices = _row_slices(self.indptr)
+        lam_t = np.ascontiguousarray(lam.reshape(self.n, 4).T)  # rows a, b_x, b_y, b_z
+        out = np.empty((4, self.n))
+        size = max(int(self.indptr[r1] - self.indptr[r0]) for r0, r1 in slices)
+        # one set of scratch arrays, reused by every slice
+        gathered, rows = np.empty((4, size)), np.empty((4, size))
+        ub, w, tmp = np.empty(size), np.empty(size), np.empty(size)
+        for r0, r1 in slices:
+            lo, hi = self.indptr[r0], self.indptr[r1]
+            k = hi - lo
+            u, (phi, gamma, beta) = self.u[:, lo:hi], self.terms[:, lo:hi]
+            lam_j = gathered[:, :k]
+            for c in range(4):  # columns are in range; "clip" skips the buffer "raise" takes
+                np.take(lam_t[c], self.cols[lo:hi], out=lam_j[c], mode="clip")
+            a, b = lam_j[0], lam_j[1:]
+            np.multiply(u[0], b[0], out=ub[:k])
+            for c in (1, 2):
+                ub[:k] += np.multiply(u[c], b[c], out=tmp[:k])
+            # value row: phi a - gamma <u, b>; gradient row c: u_c (gamma a - beta <u, b>) - gamma b_c
+            np.multiply(phi, a, out=rows[0, :k])
+            rows[0, :k] -= np.multiply(gamma, ub[:k], out=tmp[:k])
+            np.multiply(gamma, a, out=w[:k])
+            w[:k] -= np.multiply(beta, ub[:k], out=tmp[:k])
+            for c in range(3):
+                np.multiply(u[c], w[:k], out=rows[1 + c, :k])
+                rows[1 + c, :k] -= np.multiply(gamma, b[c], out=tmp[:k])
+            # every row holds its self pair, so no run is empty
+            out[:, r0:r1] = np.add.reduceat(rows[:, :k], self.indptr[r0:r1] - lo, axis=1)
+        return out.T.ravel()
+
+
+def build_operator(ps, rho) -> SupportOperator:
+    """List the support pairs of points ``ps`` with radii ``rho`` once and keep
+    their terms, the per-row sums of |dA| and y."""
+    points = np.asarray(ps.points, dtype=np.float64)
+    normals = np.asarray(ps.normals, dtype=np.float64)
+    n = len(points)
+    rho = np.broadcast_to(np.asarray(rho, dtype=np.float64), (n,)).copy()
+    if np.any(rho <= 0):
+        raise ValueError("radii must be positive")
+
+    # (i, j) with ||p_i - p_j|| < rho_j, self pairs included, sorted by i, then j
+    i_idx, cols = _support_pairs(RadiusBands(points, rho), points)
+    indptr = np.searchsorted(i_idx, np.arange(n + 1))
+    del i_idx
+    points_t = np.ascontiguousarray(points.T)  # rows x, y, z
+    u, terms = np.empty((3, len(cols))), np.empty((3, len(cols)))
+    row_sums = np.empty((4, n))
+    slices = _row_slices(indptr)
+    size = max(int(indptr[r1] - indptr[r0]) for r0, r1 in slices)
+    # one set of scratch arrays, reused by every slice
+    sums, abs_u, gamma_u = np.empty((4, size)), np.empty((3, size)), np.empty((3, size))
+    dist, abs_beta, tmp = np.empty(size), np.empty(size), np.empty(size)
+    for r0, r1 in slices:
+        lo, hi = indptr[r0], indptr[r1]
+        k = hi - lo
+        i, j = np.repeat(np.arange(r0, r1), np.diff(indptr[r0 : r1 + 1])), cols[lo:hi]
+        pair_u = u[:, lo:hi]
+        for a in range(3):
+            np.subtract(points_t[a][i], points_t[a][j], out=pair_u[a])
+        s, au, gu, r, ab, t = sums[:, :k], abs_u[:, :k], gamma_u[:, :k], dist[:k], abs_beta[:k], tmp[:k]
+        # r = sqrt((u_0^2 + u_1^2) + u_2^2): np.linalg.norm's sum, in its order
+        np.square(pair_u[0], out=r)
+        for a in (1, 2):
+            r += np.square(pair_u[a], out=t)
+        terms[:, lo:hi] = kernel.radial_terms(np.sqrt(r, out=r), rho[j])
+        phi, gamma, beta = terms[:, lo:hi]
+        # per pair, the row sums of |entries| of the value row [phi, gamma u^T]
+        # and of gradient row a [gamma u_a, beta u_a u^T + gamma e_a^T], each
+        # adding its terms from left to right, as a sum along the row does
+        np.abs(pair_u, out=au)
+        np.multiply(np.abs(gamma, out=t), au, out=gu)  # |gamma u_a| = |gamma| |u_a|
+        np.abs(beta, out=ab)
+        np.copyto(s[0], phi)  # phi >= 0
+        for a in range(3):
+            s[0] += gu[a]
+        for a in range(3):
+            np.copyto(s[1 + a], gu[a])
+            for b in range(3):
+                if b == a:  # |u_a u_a beta + gamma|
+                    np.multiply(pair_u[a], pair_u[a], out=t)
+                    t *= beta
+                    t += gamma
+                    np.abs(t, out=t)
+                else:  # (|u_a| |u_b|) |beta|
+                    np.multiply(au[a], au[b], out=t)
+                    t *= ab
+                s[1 + a] += t
+        # a self pair has u = 0 and phi = 1, so its block plus eta I is D
+        # exactly, at every eta
+        s[:, i == j] = 0.0
+        # every row holds its self pair, so no run is empty
+        row_sums[:, r0:r1] = np.add.reduceat(s, indptr[r0:r1] - lo, axis=1)
+
+    y = np.zeros(4 * n)
+    y.reshape(-1, 4)[:, 1:] = normals
+    return SupportOperator(
+        n=n,
+        y=y,
+        rho=rho,
+        indptr=indptr,
+        cols=cols,
+        u=u,
+        terms=terms,
+        row_sums=row_sums.T.ravel(),
+    )
 
 
 # one sign-change lattice edge: the integer lattice coords of its lower corner,

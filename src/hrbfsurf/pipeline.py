@@ -9,11 +9,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import exact
+from . import exact, model
 from .covers import CoverParams, select_centers, selected_pointset
 from .dualcontour import boundary_edge_count, extract_surface, remove_small_fragments
 from .metrics import NoiseSpec, estimate_normals_pca, inject_noise, two_sided_distance
-from .model import RHO_HARD_CAP, build_model, quasi_coefficients, tune_parameters, verify_error_bound
+from .model import build_model, quasi_coefficients, tune_parameters, verify_error_bound
 from .octree import build_octree
 from .pointset import HermitePointSet, QuadMesh, normalize_to_unit_box
 
@@ -78,10 +78,10 @@ def _fit(ps: HermitePointSet, cfg: ReconConfig, diag):
         eta=tp.eta, n_centers=len(working), uniform_support=tp.uniform_support,
         tune_ball_counts=tp.ball_counts,
     )
-    n_capped = int(np.count_nonzero(tp.rho >= RHO_HARD_CAP))
+    n_capped = int(np.count_nonzero(tp.rho >= model.RHO_HARD_CAP))
     if n_capped:
         warnings.append(
-            f"{n_capped} of {len(tp.rho)} support radii clamped at RHO_HARD_CAP = {RHO_HARD_CAP:g}"
+            f"{n_capped} of {len(tp.rho)} support radii clamped at RHO_HARD_CAP = {model.RHO_HARD_CAP:g}"
         )
     if cfg.eta_override is not None:
         warnings.append(f"eta_override = {cfg.eta_override:g} is set: the error bound need not apply")
@@ -131,8 +131,9 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
     """
     diag = {}
     norm_ps, _, tp = _fit(ps, cfg, diag)
-    op = _timed(diag, "exact_operator", exact.build_operator, norm_ps, tp.rho, tp.eta)
-    res = _timed(diag, "exact_solve", exact.solve, op) if op.contraction < 1.0 else None
+    op = _timed(diag, "exact_operator", model.build_operator, norm_ps, tp.rho)
+    q = op.contraction(tp.eta)
+    res = _timed(diag, "exact_solve", exact.solve, op, tp.eta) if q < 1.0 else None
     report = verify_error_bound(tp, quasi_coefficients(norm_ps.normals, tp.rho, tp.eta), res)
     row = {
         "n": len(norm_ps),
@@ -143,9 +144,9 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
         "bound_a_posteriori": report.bound_a_posteriori,
         "delta_a_inf": op.delta_a_inf,
         "a_bar_over_delta_a": report.a_bar / op.delta_a_inf,
-        "d_inv_inf": op.d_inv_inf,
-        "contraction_exact": op.d_inv_inf * op.delta_a_inf,
-        "q": op.contraction,
+        "d_inv_inf": op.d_inv_inf(tp.eta),
+        "contraction_exact": op.d_inv_inf(tp.eta) * op.delta_a_inf,
+        "q": q,
         "applicable": report.applicable,
         "holds": report.holds,
         "method": "none" if res is None else "neumann",

@@ -424,7 +424,7 @@ def assemble_whole(ps, rho, eta) -> AssembledSystem:
     test, the blocks from ``kernel.value``, ``kernel_gradient`` and
     ``kernel_hessian`` and the row sums of |block - D| each take every
     support pair at once.  The reference
-    for ``exact.SupportOperator``."""
+    for ``model.SupportOperator``."""
     points = np.asarray(ps.points, dtype=np.float64)
     normals = np.asarray(ps.normals, dtype=np.float64)
     n = len(points)

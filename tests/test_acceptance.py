@@ -17,10 +17,11 @@ from scipy.sparse.csgraph import connected_components
 
 from hrbfsurf import exact, kernel
 from hrbfsurf.covers import CoverParams, density_weights, quadric_error, select_centers
-from hrbfsurf.dualcontour import boundary_edge_count, extract_surface, face_components
+from hrbfsurf.dualcontour import extract_surface, face_components
 from hrbfsurf.metrics import two_sided_distance
 from hrbfsurf.model import (
     build_model,
+    build_operator,
     model_from_arrays,
     quasi_lambda,
     tune_parameters,
@@ -127,7 +128,7 @@ def test_criterion_3_isolated_center_exactness():
     assert dists.min() > rho.max(), "setup failure: supports are not isolated"
     eta = 0.7
     model = model_from_arrays(pts, normals, rho, eta)
-    res = exact.solve(exact.build_operator(ps, rho, eta))
+    res = exact.solve(build_operator(ps, rho), eta)
     assert np.max(np.abs(quasi_lambda(model.b_coeffs) - res.lam)) <= 1e-12
 
 
@@ -248,10 +249,10 @@ def test_criterion_7_regularization_necessity():
     assert condition_estimate(assemble_whole(norm_ps, tp.rho, 0.0)) > limit
     assert condition_estimate(assemble_whole(norm_ps, tp.rho, tp.eta)) <= limit
     # the exact solver refuses the undamped system and solves the tuned one
-    bare = exact.build_operator(norm_ps, tp.rho, 0.0)
+    op = build_operator(norm_ps, tp.rho)
     with pytest.raises(ValueError, match=r"q = .* >= 1"):
-        exact.solve(bare)
-    res = exact.solve(exact.build_operator(norm_ps, tp.rho, tp.eta))
+        exact.solve(op, 0.0)
+    res = exact.solve(op, tp.eta)
     assert np.all(np.isfinite(res.lam))
 
 

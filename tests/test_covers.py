@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from hrbfsurf import kernel
 from hrbfsurf.cli import main as cli_main
 from hrbfsurf.covers import (
     CoverParams,

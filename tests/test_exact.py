@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from hrbfsurf import exact, kernel
-from hrbfsurf.exact import IllConditionedError, _neumann_ceiling, build_operator, solve
-from hrbfsurf.model import RadiusBands, _candidate_pairs, _cuts, _support_pairs, model_from_arrays, quasi_lambda
+from hrbfsurf.exact import IllConditionedError, _neumann_ceiling, solve
+from hrbfsurf.model import (
+    RadiusBands,
+    _candidate_pairs,
+    _cuts,
+    _support_pairs,
+    build_operator,
+    model_from_arrays,
+    quasi_lambda,
+)
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pointset import HermitePointSet
 from hrbfsurf.sampling import sphere_points, torus_points
@@ -31,21 +39,21 @@ def _random_ps(n, seed, spread=1.0):
     return HermitePointSet(pts, random_unit_vectors(n, rng))
 
 
-def _dense(op):
-    """A + eta I column by column, as ``apply`` gives it."""
-    return np.column_stack([op.apply(e) for e in np.eye(4 * op.n)])
+def _dense(op, eta):
+    """A + eta I column by column, as ``apply(e) + eta * e``."""
+    return np.column_stack([op.apply(e) + eta * e for e in np.eye(4 * op.n)])
 
 
 def test_single_point_block():
     ps = HermitePointSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
     rho, eta = 1.5, 0.25
-    op = build_operator(ps, rho, eta)
-    dense = _dense(op)
+    op = build_operator(ps, rho)
+    dense = _dense(op, eta)
     # the self block is diag(1, 20/rho^2, ...) plus eta on the diagonal
     expect = np.diag([1.0, 20.0 / rho**2, 20.0 / rho**2, 20.0 / rho**2]) + eta * np.eye(4)
     np.testing.assert_allclose(dense, expect, atol=1e-14)
     assert op.delta_a_inf == 0.0
-    res = solve(op)
+    res = solve(op, eta)
     np.testing.assert_allclose(res.lam[1:], ps.normals[0] / (20.0 / rho**2 + eta))
 
 
@@ -79,7 +87,7 @@ def test_assembly_matches_dense_oracle():
     ps = _random_ps(25, 0, spread=0.8)
     rho = np.random.default_rng(9).uniform(0.6, 1.1, 25)  # per-center radii
     eta = 0.1
-    op = build_operator(ps, rho, eta)
+    op = build_operator(ps, rho)
     pts = ps.points
     dense = eta * np.eye(100)
     for i in range(25):
@@ -93,16 +101,17 @@ def test_assembly_matches_dense_oracle():
             blk[1:, 0] = kernel_gradient(d[None], rho[j])[0]
             blk[1:, 1:] = -kernel_hessian(d[None], rho[j])[0]
             dense[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] += blk
-    np.testing.assert_allclose(_dense(op), dense, atol=1e-13)
+    np.testing.assert_allclose(_dense(op, eta), dense, atol=1e-13)
     lam = np.random.default_rng(10).normal(size=100)
-    np.testing.assert_allclose(op.apply(lam), dense @ lam, rtol=0.0, atol=1e-12 * np.max(np.abs(dense @ lam)))
+    want = dense @ lam
+    np.testing.assert_allclose(op.apply(lam) + eta * lam, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
     # row sums of |dA| and of |D^-1 dA| against the same dense assembly
     d_diag = np.repeat(20.0 / rho**2, 4) + eta
     d_diag[0::4] = 1.0 + eta
     row_sums = np.abs(dense - np.diag(d_diag)).sum(1)
     assert op.delta_a_inf == pytest.approx(row_sums.max(), rel=1e-12, abs=0.0)
-    assert op.contraction == pytest.approx((row_sums / d_diag).max(), rel=1e-12, abs=0.0)
-    assert op.contraction <= op.d_inv_inf * op.delta_a_inf * (1 + 1e-12)
+    assert op.contraction(eta) == pytest.approx((row_sums / d_diag).max(), rel=1e-12, abs=0.0)
+    assert op.contraction(eta) <= op.d_inv_inf(eta) * op.delta_a_inf * (1 + 1e-12)
 
 
 def test_isolated_centers_match_quasi_solution():
@@ -112,8 +121,8 @@ def test_isolated_centers_match_quasi_solution():
     nrm = random_unit_vectors(6, rng)
     ps = HermitePointSet(pts, nrm)
     eta = 0.5
-    op = build_operator(ps, 1.0, eta)
-    res = solve(op)
+    op = build_operator(ps, 1.0)
+    res = solve(op, eta)
     model = model_from_arrays(pts, nrm, 1.0, eta)
     assert np.max(np.abs(res.lam - quasi_lambda(model.b_coeffs))) < 1e-12
     assert op.delta_a_inf == 0.0
@@ -131,11 +140,11 @@ def test_interpolation_constraints_without_regularization():
 
 def test_d_inv_inf_formula():
     ps = _random_ps(10, 3)
-    op = build_operator(ps, 1.0, 2.0)
+    op = build_operator(ps, 1.0)
     # for rho < sqrt(20) the value-block diagonal dominates
-    assert op.d_inv_inf == pytest.approx(1.0 / 3.0)
-    op_wide = build_operator(ps, 4.9, 2.0)  # past the rho^2 = 20 crossover
-    assert op_wide.d_inv_inf == pytest.approx(4.9**2 / (20.0 + 2.0 * 4.9**2))
+    assert op.d_inv_inf(2.0) == pytest.approx(1.0 / 3.0)
+    op_wide = build_operator(ps, 4.9)  # past the rho^2 = 20 crossover
+    assert op_wide.d_inv_inf(2.0) == pytest.approx(4.9**2 / (20.0 + 2.0 * 4.9**2))
 
 
 def test_solver_cap():
@@ -143,13 +152,13 @@ def test_solver_cap():
     # centers at eta = 0 already give q >= 1), and takes any n at q < 1
     ps = _random_ps(30, 4)
     twin = HermitePointSet(np.zeros((2, 3)), ps.normals[:2])
-    for bare in (build_operator(twin, 1.0, 0.0), build_operator(ps, 1.0, 0.0)):
-        assert bare.contraction >= 1.0
-        with pytest.raises(ValueError, match=re.escape(f"q = {bare.contraction:.3g} >= 1")):
-            solve(bare)
-    neumann = build_operator(ps, 1.0, 50.0)
-    assert neumann.contraction < 1.0
-    assert solve(neumann).iterations > 0
+    op = build_operator(ps, 1.0)
+    for bare in (build_operator(twin, 1.0), op):
+        assert bare.contraction(0.0) >= 1.0
+        with pytest.raises(ValueError, match=re.escape(f"q = {bare.contraction(0.0):.3g} >= 1")):
+            solve(bare, 0.0)
+    assert op.contraction(50.0) < 1.0
+    assert solve(op, 50.0).iterations > 0
 
 
 def test_residual_gate_factors_nothing(monkeypatch):
@@ -159,10 +168,10 @@ def test_residual_gate_factors_nothing(monkeypatch):
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", no_lu)
     monkeypatch.setattr(exact, "_RESIDUAL_TOL", -1.0)
-    op = build_operator(_random_ps(30, 4), 1.0, 50.0)
-    assert op.contraction < 1.0
+    op = build_operator(_random_ps(30, 4), 1.0)
+    assert op.contraction(50.0) < 1.0
     with pytest.raises(IllConditionedError, match="residual") as info:
-        solve(op)
+        solve(op, 50.0)
     assert info.value.residual >= 0.0
     assert "eta" not in str(info.value)
 
@@ -220,10 +229,10 @@ def test_eval_exact_gradient_matches_fd():
 
 def test_tuned_eta_keeps_exact_near_quasi(sphere_ps):
     norm_ps, tp, model = tuned_model(sphere_ps)
-    op = build_operator(norm_ps, tp.rho, tp.eta)
-    res = solve(op)
+    op = build_operator(norm_ps, tp.rho)
+    res = solve(op, tp.eta)
     err = np.max(np.abs(res.lam - quasi_lambda(model.b_coeffs)))
-    assert op.d_inv_inf * op.delta_a_inf < 1.0
+    assert op.d_inv_inf(tp.eta) * op.delta_a_inf < 1.0
     assert err <= 1e-4
 
 
@@ -242,18 +251,18 @@ def _lu_oracle(ps, rho, eta):
 @pytest.mark.parametrize("shape", ["sphere", "torus"])
 @pytest.mark.parametrize("s", [1.0, 2.0, 3.5])
 def test_neumann_matches_lu_oracle(shape, s):
-    args = _tuned_input(shape, s)
-    op = build_operator(*args)
-    res = solve(op)
-    q = op.contraction
-    assert q <= op.d_inv_inf * op.delta_a_inf * (1 + 1e-12)
+    ps, rho, eta = _tuned_input(shape, s)
+    op = build_operator(ps, rho)
+    res = solve(op, eta)
+    q = op.contraction(eta)
+    assert q <= op.d_inv_inf(eta) * op.delta_a_inf * (1 + 1e-12)
     assert 0 < res.iterations < _neumann_ceiling(q)
-    oracle = _lu_oracle(*args)
+    oracle = _lu_oracle(ps, rho, eta)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(res.lam - oracle)) <= 1e-12 * scale
     assert res.residual_inf <= 1e-13
     # the first Neumann step bounds the distance from the quasi-solution D^-1 y
-    quasi_err = np.max(np.abs(op.y / op.d_diag - oracle))
+    quasi_err = np.max(np.abs(op.y / op.d_diag(eta) - oracle))
     assert quasi_err <= res.bound_a_posteriori
 
 
@@ -264,31 +273,35 @@ def test_operator_matches_whole_assembly(case, budget, monkeypatch):
     # a row longer than the budget becomes a slice of its own; None keeps
     # the default slices
     if budget is not None:
-        monkeypatch.setattr("hrbfsurf.exact._PAIR_SLICE", budget)
         monkeypatch.setattr("hrbfsurf.model._PAIR_SLICE", budget)
     if case == "bands":  # per-center radii over three factor-2 bands
         ps = _random_ps(200, 14, spread=0.8)
         rho = np.random.default_rng(15).uniform(0.15, 0.9, 200)
         assert len(RadiusBands(ps.points, rho).groups) == 3
-        eta = 0.0
+        etas = (0.0, 0.5)
     elif case == "wide":  # the 600-point sphere's tuned radii times 10
         ps, tp, _ = tuned_model(sphere_points(600, seed=1))
-        rho, eta = 10.0 * tp.rho, tp.eta
+        rho, etas = 10.0 * tp.rho, (tp.eta, 0.0)
     else:  # verify3k's input, and the torus at s = 2
         ps = sphere_points(3000, seed=1) if case == "sphere" else torus_points(2000, seed=3)
         ps, tp, _ = tuned_model(ps, s=1.0 if case == "sphere" else 2.0)
-        rho, eta = tp.rho, tp.eta
-    op, ref = build_operator(ps, rho, eta), assemble_whole(ps, rho, eta)
-    assert op.y.tobytes() == ref.y.tobytes() and op.d_diag.tobytes() == ref.d_diag.tobytes()
-    # ||dA||inf and q to the bit: the row sums add each block row's |entries|
-    # in the order the oracle's sums over stored blocks do
-    assert op.delta_a_inf == ref.delta_a_inf and op.contraction == ref.contraction
+        rho, etas = tp.rho, (tp.eta, 0.0)
+    # one build serves every damping: A + eta I is apply(lam) + eta lam, and
+    # the row sums of |dA| are the same at every eta
+    op = build_operator(ps, rho)
+    lam = np.random.default_rng(16).normal(size=4 * len(ps))
+    for eta in etas:
+        ref = assemble_whole(ps, rho, eta)
+        assert op.y.tobytes() == ref.y.tobytes() and op.d_diag(eta).tobytes() == ref.d_diag.tobytes()
+        # ||dA||inf and q to the bit: the row sums add each block row's
+        # |entries| in the order the oracle's sums over stored blocks do
+        assert op.row_sums.tobytes() == ref.row_sums.tobytes()
+        assert op.delta_a_inf == ref.delta_a_inf and op.contraction(eta) == ref.contraction
+        want = ref.matrix @ lam
+        assert np.max(np.abs(op.apply(lam) + eta * lam - want)) <= 1e-12 * np.max(np.abs(want))
     # gradient rows hold ||dA||inf on tuned radii; on wide supports (phi near
     # 1 and H = O(1 / rho^2)) a value row does, and pins that row's sum
     assert (np.argmax(ref.row_sums) % 4 == 0) == (case == "wide")
-    lam = np.random.default_rng(16).normal(size=4 * len(ps))
-    want = ref.matrix @ lam
-    assert np.max(np.abs(op.apply(lam) - want)) <= 1e-12 * np.max(np.abs(want))
     # the operator holds the oracle's support pairs, in the oracle's order
     np.testing.assert_array_equal(op.indptr, ref.matrix.indptr)
     np.testing.assert_array_equal(op.cols, ref.matrix.indices)
@@ -304,21 +317,21 @@ def test_operator_matches_whole_assembly(case, budget, monkeypatch):
         if case == "torus":  # s = 2 gives rows longer than the budget
             lone = cuts[:-1][np.diff(cuts) == 1]
             assert np.any(np.diff(op.indptr)[lone] > budget)
-    if case == "bands":  # eta = 0: q >= 1, which solve refuses
-        assert op.contraction >= 1.0
-        with pytest.raises(ValueError, match="q = "):
-            solve(op)
+    # eta = 0: q >= 1, which solve refuses
+    assert op.contraction(0.0) >= 1.0
+    with pytest.raises(ValueError, match="q = "):
+        solve(op, 0.0)
 
 
 def test_neumann_ceiling_alone_reaches_rounding_level(monkeypatch):
     # with the a-posteriori stop disabled the iteration runs to the ceiling,
     # which must already leave the iterate at rounding level
-    args = _tuned_input("sphere", 2.0)
-    op = build_operator(*args)
+    ps, rho, eta = _tuned_input("sphere", 2.0)
+    op = build_operator(ps, rho)
     monkeypatch.setattr(exact, "_STOP_ULPS", -1.0)
-    res = solve(op)
-    assert res.iterations == _neumann_ceiling(op.contraction)
-    oracle = _lu_oracle(*args)
+    res = solve(op, eta)
+    assert res.iterations == _neumann_ceiling(op.contraction(eta))
+    oracle = _lu_oracle(ps, rho, eta)
     assert np.max(np.abs(res.lam - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
@@ -333,7 +346,7 @@ def test_support_operator_memory_grows_with_pairs():
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            op = build_operator(ps, tp.rho, tp.eta)
+            op = build_operator(ps, tp.rho)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()

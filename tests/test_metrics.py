@@ -13,7 +13,7 @@ from hrbfsurf.metrics import (
     surface_distance,
     two_sided_distance,
 )
-from hrbfsurf.pointset import HermitePointSet, QuadMesh
+from hrbfsurf.pointset import QuadMesh
 from hrbfsurf.sampling import icosphere, sphere_points
 
 

@@ -20,7 +20,6 @@ from hrbfsurf.model import (
     _segment_sums,
     _unique,
     axis_edge_roots,
-    build_model,
     model_from_arrays,
     quasi_coefficients,
     quasi_lambda,
