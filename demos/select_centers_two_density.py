@@ -13,7 +13,7 @@ either.
 
 import numpy as np
 
-from hrbfsurf.covers import CoverParams, select_centers
+from hrbfsurf.covers import select_centers
 from hrbfsurf.octree import build_octree
 from hrbfsurf.pipeline import ReconConfig, reconstruct_points
 from hrbfsurf.pointset import normalize_to_unit_box
@@ -23,7 +23,7 @@ from hrbfsurf.sampling import two_density_sphere
 def main():
     ps, _ = normalize_to_unit_box(two_density_sphere(6000, 60, seed=0))
     idx = build_octree(ps)
-    cover = select_centers(ps, idx, CoverParams(), seed=0)
+    cover = select_centers(ps, idx, seed=0)
     dense = cover.centers[:, 0] >= 0.0
     print(f"input points:      {len(ps)}")
     print(f"selected centers:  {cover.n_centers}")

@@ -32,7 +32,7 @@ from .model import (
     verify_error_bound,
 )
 from .exact import ExactSolveResult, solve
-from .covers import SphericalCover, CoverParams, quadric_error, select_centers
+from .covers import SphericalCover, quadric_error, select_centers
 from .dualcontour import extract_surface, remove_small_fragments, boundary_edge_count
 from .metrics import (
     NoiseSpec,

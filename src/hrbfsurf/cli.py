@@ -11,12 +11,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from .covers import CoverParams, select_centers
+from .covers import select_centers
 from .octree import build_octree
 from .pipeline import (
     ReconConfig,
     StageError,
     _timed,
+    check_noise_bench,
     reconstruct_points,
     run_noise_bench,
     verify_bound_on_points,
@@ -36,7 +37,6 @@ def _add_tuning(p):
     given; ``noise-bench`` sets the support mode per noise level."""
     p.add_argument("--noisy-mode", action="store_true",
                    help="uniform (minimal) support size for highly noisy input")
-    p.add_argument("--eta-override", type=float, default=None)
 
 
 def _add_extraction(p):
@@ -75,21 +75,22 @@ def build_parser():
     _add_fit(p)
     _add_extraction(p)
 
-    cover = CoverParams()
     p = sub.add_parser("select-centers", help="spherical-cover center selection dump")
     p.add_argument("input")
     p.add_argument("--csv", required=True)
-    p.add_argument("--g-min", type=float, default=cover.g_min)
-    p.add_argument("--q-err", type=float, default=cover.q_err)
-    p.add_argument("--candidates", type=int, default=cover.varpi)
     p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _cfg_from(args):
-    """A ReconConfig from the parsed options that name its fields."""
+def _config(args):
+    """A ReconConfig from the parsed options that name its fields, with
+    noise-bench's levels and samples checked, so that a bad value fails
+    before any work."""
     names = {f.name for f in fields(ReconConfig)}
-    return ReconConfig(**{k: v for k, v in vars(args).items() if k in names})
+    cfg = ReconConfig(**{k: v for k, v in vars(args).items() if k in names})
+    if args.command == "noise-bench":
+        check_noise_bench(args.levels, cfg, args.samples)
+    return cfg
 
 
 def write_diagnostics(diag, path):
@@ -117,11 +118,12 @@ def _check_output_dirs(paths):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        cfg = _timed({}, "config", _config, args)
         outputs = [getattr(args, k, None) for k in ("output", "diagnostics", "csv")]
         _timed({}, "write", _check_output_dirs, [p for p in outputs if p])
         ps = _timed({}, "load", load_points, args.input)
         if args.command == "reconstruct":
-            mesh, diag = reconstruct_points(ps, _cfg_from(args))
+            mesh, diag = reconstruct_points(ps, cfg)
             _timed({}, "write", save_mesh, mesh, args.output)
             diag["output"] = str(args.output)
             if args.diagnostics:
@@ -129,7 +131,7 @@ def main(argv=None):
             for k, v in diag.items():
                 print(f"{k}={v}")
         elif args.command == "verify-bound":
-            report, row = verify_bound_on_points(ps, _cfg_from(args))
+            report, row = verify_bound_on_points(ps, cfg)
             if args.csv:
                 _timed({}, "write", _write_csv, args.csv, [row])
             for k, v in row.items():
@@ -138,7 +140,7 @@ def main(argv=None):
                 return 1
         elif args.command == "noise-bench":
             ref = _timed({}, "load", load_mesh, args.reference_mesh)
-            rows = run_noise_bench(ps, ref, args.levels, _cfg_from(args), n_samples=args.samples)
+            rows = run_noise_bench(ps, ref, args.levels, cfg, n_samples=args.samples)
             if args.csv:
                 _timed({}, "write", _write_csv, args.csv, rows)
             for row in rows:
@@ -146,11 +148,7 @@ def main(argv=None):
         elif args.command == "select-centers":
             norm_ps, tfm = _timed({}, "normalize", normalize_to_unit_box, ps)
             idx = build_octree(norm_ps)
-            cover = select_centers(
-                norm_ps, idx,
-                CoverParams(g_min=args.g_min, q_err=args.q_err, varpi=args.candidates),
-                seed=args.seed,
-            )
+            cover = select_centers(norm_ps, idx, seed=args.seed)
             # the cover of the unit box, mapped back to the input's units
             rows = np.column_stack([tfm.inverse().apply(cover.centers), cover.radii / tfm.scale])
             _timed({}, "write", np.savetxt, args.csv, rows, delimiter=",", header="cx,cy,cz,r", comments="")

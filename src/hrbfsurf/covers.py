@@ -17,17 +17,13 @@ from .octree import PointOctree
 
 DELTA_NEIGHBORS = 15
 BISECTION_STEPS = 20
+G_MIN = 1.5  # target degree of coverage of every point
+Q_ERR = 5e-4  # quadric-error threshold, as a fraction of l_bar
+VARPI = 15  # under-covered points drawn per pick
 
 
 class EmptySphereError(ValueError):
     pass
-
-
-@dataclass
-class CoverParams:
-    g_min: float = 1.5
-    q_err: float = 5e-4
-    varpi: int = 15
 
 
 @dataclass
@@ -37,7 +33,6 @@ class SphericalCover:
     radii: np.ndarray  # (l,)
     center_indices: np.ndarray  # (l,) indices into the input set
     doc: np.ndarray  # (n,) tracked degree of coverage per input point
-    params: CoverParams
     l_bar: float  # bbox diagonal of the input points
 
     @property
@@ -65,9 +60,9 @@ def _ball(idx: PointOctree, c, r):
 def quadric_error(ps, idx: PointOctree, c, r, delta):
     """Density-weighted mean squared distance from ``c`` to the tangent planes
     of the points inside the sphere, a length squared.  ``select_centers``
-    compares it with q_err * l_bar, a length, as it stands: that reads the
-    product as a squared length, an RMS plane distance of sqrt(q_err * l_bar).
-    (q_err * l_bar)**2 gave 1,589 centers on criterion 5's input, above its cap of 1,200."""
+    compares it with Q_ERR * l_bar, a length, as it stands: that reads the
+    product as a squared length, an RMS plane distance of sqrt(Q_ERR * l_bar).
+    (Q_ERR * l_bar)**2 gave 1,589 centers on criterion 5's input, above its cap of 1,200."""
     if r <= 0:
         raise ValueError("radius must be positive")
     points = np.asarray(ps.points, dtype=np.float64)
@@ -104,8 +99,7 @@ def _max_radius(ps, idx, c, delta, r_lo, r_hi, threshold):
     return best
 
 
-def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> SphericalCover:
-    params = params or CoverParams()
+def select_centers(ps, idx: PointOctree, seed=0) -> SphericalCover:
     rng = np.random.default_rng(seed)
     points = np.asarray(ps.points, dtype=np.float64)
     normals = np.asarray(ps.normals, dtype=np.float64)
@@ -116,7 +110,7 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
     l_bar = float(np.linalg.norm(hi - lo))
     if l_bar == 0.0:
         l_bar = 1.0
-    threshold = params.q_err * l_bar
+    threshold = Q_ERR * l_bar
     delta = density_weights(ps, idx)
     # smallest radius tried at each point: the distance to its nearest other point
     r_low = idx.tree.query(points, k=2)[0][:, 1] if n > 1 else np.full(n, l_bar / 4.0)
@@ -124,10 +118,10 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
     doc = np.zeros(n)
     sel_idx, radii = [], []
     while True:
-        under = np.flatnonzero(doc < params.g_min)
+        under = np.flatnonzero(doc < G_MIN)
         if len(under) == 0:
             break
-        pool = rng.choice(under, size=min(params.varpi, len(under)), replace=False)
+        pool = rng.choice(under, size=min(VARPI, len(under)), replace=False)
         # smallest tracked coverage wins; ties broken by index for determinism
         order = np.lexsort((pool, doc[pool]))
         k = int(pool[order[0]])
@@ -138,9 +132,9 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
         r = _max_radius(ps, idx, c, delta, r_lo, r_hi, threshold)
 
         inside = _ball(idx, c, r)
-        below = inside[doc[inside] < params.g_min]
+        below = inside[doc[inside] < G_MIN]
         doc[below] += kernel.value(points[below] - c, r)
-        doc[k] = params.g_min  # never a candidate again; guarantees termination
+        doc[k] = G_MIN  # never a candidate again; guarantees termination
         sel_idx.append(k)
         radii.append(r)
 
@@ -153,7 +147,6 @@ def select_centers(ps, idx: PointOctree, params: CoverParams = None, seed=0) -> 
         radii=radii,
         center_indices=sel_idx,
         doc=doc,
-        params=params,
         l_bar=l_bar,
     )
 

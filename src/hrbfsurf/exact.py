@@ -3,9 +3,10 @@
 ``solve(op, eta)`` solves (A + eta I) lambda = y on a ``model.SupportOperator``
 by the Neumann series that starts at the quasi-solution D^-1 y (Jacobi
 iteration, Saad, Iterative Methods for Sparse Linear Systems, ch. 4).  It
-converges for any q = ||D^-1 dA||inf < 1, which the tuned eta guarantees, at
-any n.  When q >= 1 (eta = 0, small eta overrides) the series diverges and
-``solve`` refuses the system: its a-posteriori bound exists only for q < 1.
+converges for any q = ||D^-1 dA||inf < 1 at any n; the tuned eta guarantees
+q < 1 only with uniform radii (``model._a_bar``).  When q >= 1 (eta = 0, say)
+the series diverges and ``solve`` refuses the system: its a-posteriori bound
+exists only for q < 1.
 """
 
 from __future__ import annotations

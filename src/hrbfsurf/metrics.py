@@ -17,7 +17,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.delta_percent <= 100.0:
-            raise ValueError("delta_percent must be in [0, 100]")
+            raise ValueError(f"delta_percent must be in [0, 100], got {self.delta_percent:g}")
 
 
 @dataclass

@@ -46,21 +46,19 @@ class TuningParams:
         return _a_bar(self.m, self.rho_min)
 
     def check(self):
-        _check_rho_max(self.rho_max)
+        if not (self.rho_max < np.sqrt(kernel.D2_PEAK)):
+            raise ValueError("rho_max must stay below sqrt(20); model not normalized?")
         if not (self.eta > self.a_bar - 1.0):
             raise ValueError("eta below the regularization threshold")
-
-
-def _check_rho_max(rho_max):
-    if not (rho_max < np.sqrt(kernel.D2_PEAK)):
-        raise ValueError("rho_max must stay below sqrt(20); model not normalized?")
 
 
 def _a_bar(m, rho_min):
     """A_bar = m (first + second_diag + 2 second_mixed) at the smallest radius.
 
     Built from the per-entry bounds of ``kernel.derivative_bounds``; the
-    tuned damping keeps eta > A_bar - 1 so that the error bound applies.
+    tuned damping keeps eta > A_bar - 1.  m caps the points per support (a
+    column), not the supports per point (a row), so the tuned eta guarantees
+    q < 1 only with uniform radii (noisy mode); otherwise q is measured.
     """
     db = kernel.derivative_bounds(rho_min)
     return m * (db.first + db.second_diag + 2.0 * db.second_mixed)
@@ -162,7 +160,6 @@ def tune_parameters(
     idx: PointOctree,
     s=1.0,
     noisy_mode=False,
-    eta_override=None,
     workers=1,
 ) -> TuningParams:
     """Choose per-center support radii, the cover cap m, and eta.
@@ -180,9 +177,6 @@ def tune_parameters(
         raise ValueError("need at least 2 points to tune supports")
     if s < 1.0:
         raise ValueError("amplifier s must be >= 1")
-    # eta < 0 passes the bound's test A_bar/(1 + eta) < 1 and can zero 20 + eta rho^2
-    if eta_override is not None and not eta_override >= 0:
-        raise ValueError(f"eta_override must be >= 0, got {eta_override:g}")
 
     d_bar = 0.75 * idx.mean_leaf_diagonal
     rho0 = s * d_bar
@@ -195,8 +189,7 @@ def tune_parameters(
 
     rho_min = float(rho.min())
     rho_max = float(rho.max())
-    threshold = _a_bar(m, rho_min) - 1.0
-    eta = float(eta_override) if eta_override is not None else threshold + ETA_MARGIN
+    eta = _a_bar(m, rho_min) - 1.0 + ETA_MARGIN
 
     tp = TuningParams(
         s=s,
@@ -209,10 +202,7 @@ def tune_parameters(
         uniform_support=noisy_mode,
         ball_counts=n + queried,
     )
-    if eta_override is None:
-        tp.check()
-    else:
-        _check_rho_max(tp.rho_max)
+    tp.check()
     return tp
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import exact, model
-from .covers import CoverParams, select_centers, selected_pointset
+from .covers import select_centers, selected_pointset
 from .dualcontour import boundary_edge_count, extract_surface, remove_small_fragments
 from .metrics import NoiseSpec, estimate_normals_pca, inject_noise, two_sided_distance
 from .model import build_model, quasi_coefficients, tune_parameters, verify_error_bound
@@ -31,7 +31,6 @@ class ReconConfig:
     voxel_width: float = 0.01
     center_select: bool = False
     noisy_mode: bool = False
-    eta_override: float | None = None
     min_fragment_faces: int = 10
     threads: int = 1
     seed: int = 0
@@ -64,15 +63,12 @@ def _fit(ps: HermitePointSet, cfg: ReconConfig, diag):
     working = norm_ps
     if cfg.center_select:
         idx0 = _timed(diag, "octree", build_octree, working)
-        cover = _timed(diag, "center_select", select_centers, working, idx0, CoverParams(), cfg.seed)
+        cover = _timed(diag, "center_select", select_centers, working, idx0, cfg.seed)
         diag["n_selected_centers"] = cover.n_centers
         working = selected_pointset(cover)
 
     idx = _timed(diag, "octree_centers", build_octree, working)
-    tp = _timed(
-        diag, "tune", tune_parameters, working, idx,
-        cfg.s, cfg.noisy_mode, cfg.eta_override, cfg.threads,
-    )
+    tp = _timed(diag, "tune", tune_parameters, working, idx, cfg.s, cfg.noisy_mode, cfg.threads)
     diag.update(
         d_bar=tp.d_bar, m=tp.m, rho_min=tp.rho_min, rho_max=tp.rho_max,
         eta=tp.eta, n_centers=len(working), uniform_support=tp.uniform_support,
@@ -83,8 +79,6 @@ def _fit(ps: HermitePointSet, cfg: ReconConfig, diag):
         warnings.append(
             f"{n_capped} of {len(tp.rho)} support radii clamped at RHO_HARD_CAP = {model.RHO_HARD_CAP:g}"
         )
-    if cfg.eta_override is not None:
-        warnings.append(f"eta_override = {cfg.eta_override:g} is set: the error bound need not apply")
     return working, tfm, tp
 
 
@@ -94,9 +88,8 @@ def reconstruct_points(ps: HermitePointSet, cfg: ReconConfig):
     Returns (mesh in original coordinates, diagnostics dict).  The
     diagnostics' ``warnings`` list names every result that came from a
     path which would otherwise pass silently: support radii clamped at
-    ``RHO_HARD_CAP``, an ``eta_override`` (the error bound then need not
-    apply), input points the loader dropped for a zero-length normal and an
-    empty mesh.
+    ``RHO_HARD_CAP``, input points the loader dropped for a zero-length
+    normal and an empty mesh.
     """
     diag = {"n_input_points": len(ps), "s": cfg.s, "voxel_width": cfg.voxel_width}
     working, tfm, tp = _fit(ps, cfg, diag)
@@ -158,6 +151,19 @@ def verify_bound_on_points(ps: HermitePointSet, cfg: ReconConfig):
 NOISE_S_SCHEDULE = {10.0: 1.9, 30.0: 2.7, 60.0: 3.5}
 
 
+def check_noise_bench(delta_levels, cfg: ReconConfig, n_samples):
+    """Raise ValueError on what ``run_noise_bench`` cannot run: a level
+    outside [0, 100], fewer than one sample, or a ``cfg`` that sets
+    ``noisy_mode`` or ``center_select``, which it would drop."""
+    for name in ("noisy_mode", "center_select"):
+        if getattr(cfg, name):
+            raise ValueError(f"run_noise_bench does not take {name}")
+    for delta in delta_levels:
+        NoiseSpec(delta)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+
+
 def run_noise_bench(
     ps: HermitePointSet,
     ground_truth: QuadMesh,
@@ -169,14 +175,10 @@ def run_noise_bench(
 
     The amplifier per level follows the published schedule for 10/30/60%
     (``NOISE_S_SCHEDULE``); other levels keep ``cfg.s``.  Each level sets
-    ``noisy_mode`` from its noise level, tunes its own η and fits every
-    point, so a ``cfg`` that sets ``noisy_mode``, ``eta_override`` or
-    ``center_select`` raises ValueError rather than be run without them.
+    ``noisy_mode`` from its noise level and fits every point.  Arguments
+    that ``check_noise_bench`` refuses raise ValueError before any level runs.
     """
-    unset = ReconConfig()
-    for name in ("eta_override", "noisy_mode", "center_select"):
-        if getattr(cfg, name) != getattr(unset, name):
-            raise ValueError(f"run_noise_bench does not take {name} (got {getattr(cfg, name)!r})")
+    check_noise_bench(delta_levels, cfg, n_samples)
     rows = []
     for delta in delta_levels:
         level_cfg = replace(cfg, s=NOISE_S_SCHEDULE.get(float(delta), cfg.s), noisy_mode=delta > 0)

@@ -17,11 +17,11 @@ def torus_ps():
     return torus_points(800, seed=2)
 
 
-def tuned_model(ps, s=1.0, noisy_mode=False, eta_override=None):
+def tuned_model(ps, s=1.0, noisy_mode=False):
     """Normalize, index, tune, and build; returns (normalized points, tuning, model)."""
     norm_ps, _ = normalize_to_unit_box(ps)
     idx = build_octree(norm_ps)
-    tp = tune_parameters(norm_ps, idx, s, noisy_mode, eta_override)
+    tp = tune_parameters(norm_ps, idx, s, noisy_mode)
     return norm_ps, tp, build_model(norm_ps, tp)
 
 

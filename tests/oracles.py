@@ -537,7 +537,7 @@ def surface_error(field, points, distance, steps=8) -> SurfaceError:
     return SurfaceError(mean=float(d.mean()), p90=float(np.percentile(d, 90)), lost=len(x) - len(kept))
 
 
-def tune_radii_loop(ps, idx: PointOctree, s=1.0, noisy_mode=False, eta_override=None):
+def tune_radii_loop(ps, idx: PointOctree, s=1.0, noisy_mode=False):
     """(rho, m, eta) of ``tune_parameters``, with the radii grown in a loop.
 
     Every radius starts at s d_bar and steps up by GROWTH_FACTOR, clamped at
@@ -559,5 +559,4 @@ def tune_radii_loop(ps, idx: PointOctree, s=1.0, noisy_mode=False, eta_override=
             break
     if noisy_mode:
         rho = np.full(n, rho.min())
-    eta = float(eta_override) if eta_override is not None else _a_bar(m, float(rho.min())) - 1.0 + ETA_MARGIN
-    return rho, m, eta
+    return rho, m, _a_bar(m, float(rho.min())) - 1.0 + ETA_MARGIN

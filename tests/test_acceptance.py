@@ -16,7 +16,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hrbfsurf import exact, kernel
-from hrbfsurf.covers import CoverParams, density_weights, quadric_error, select_centers
+from hrbfsurf.covers import G_MIN, Q_ERR, density_weights, quadric_error, select_centers
 from hrbfsurf.dualcontour import extract_surface, face_components
 from hrbfsurf.metrics import two_sided_distance
 from hrbfsurf.model import (
@@ -178,11 +178,11 @@ def test_criterion_5_center_selection_contract():
     n_dense, n_sparse = 6000, 60
     ps, _ = normalize_to_unit_box(two_density_sphere(n_dense, n_sparse, seed=0))
     idx = build_octree(ps)
-    cover = select_centers(ps, idx, CoverParams(), seed=0)
+    cover = select_centers(ps, idx, seed=0)
 
-    assert cover.doc.min() >= cover.params.g_min
+    assert cover.doc.min() >= G_MIN
     delta = density_weights(ps, idx)
-    threshold = cover.params.q_err * cover.l_bar
+    threshold = Q_ERR * cover.l_bar
     worst = max(
         quadric_error(ps, idx, c, r, delta) for c, r in zip(cover.centers, cover.radii)
     )

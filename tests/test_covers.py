@@ -5,7 +5,8 @@ import pytest
 
 from hrbfsurf.cli import main as cli_main
 from hrbfsurf.covers import (
-    CoverParams,
+    G_MIN,
+    Q_ERR,
     EmptySphereError,
     density_weights,
     quadric_error,
@@ -21,7 +22,7 @@ from hrbfsurf.sampling import sphere_points, two_density_sphere
 def setup():
     ps, _ = normalize_to_unit_box(two_density_sphere(2000, 100, seed=3))
     idx = build_octree(ps)
-    cover = select_centers(ps, idx, CoverParams(), seed=0)
+    cover = select_centers(ps, idx, seed=0)
     return ps, idx, cover
 
 
@@ -63,13 +64,13 @@ def test_quadric_error_empty_sphere(setup):
 
 def test_all_points_reach_target_coverage(setup):
     _, _, cover = setup
-    assert cover.doc.min() >= cover.params.g_min
+    assert cover.doc.min() >= G_MIN
 
 
 def test_every_sphere_respects_error_threshold(setup):
     ps, idx, cover = setup
     delta = density_weights(ps, idx)
-    threshold = cover.params.q_err * cover.l_bar
+    threshold = Q_ERR * cover.l_bar
     for c, r in zip(cover.centers, cover.radii):
         assert quadric_error(ps, idx, c, r, delta) <= threshold + 1e-15
 
@@ -119,7 +120,7 @@ def test_cover_csv_dump(tmp_path, setup):
     save_points(HermitePointSet(100.0 + 10.0 * setup[0].points, setup[0].normals), src)
     raw = load_points(src)
     ps, tfm = normalize_to_unit_box(raw)
-    cover = select_centers(ps, build_octree(ps), CoverParams(), seed=0)
+    cover = select_centers(ps, build_octree(ps), seed=0)
     path = tmp_path / "cover.csv"
     assert cli_main(["select-centers", str(src), "--csv", str(path)]) == 0
     assert path.read_text().startswith("cx,cy,cz,r\n")

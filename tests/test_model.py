@@ -20,6 +20,7 @@ from hrbfsurf.model import (
     _segment_sums,
     _unique,
     axis_edge_roots,
+    build_operator,
     model_from_arrays,
     quasi_coefficients,
     quasi_lambda,
@@ -77,23 +78,6 @@ class TestTuning:
         # the contraction factor of the bound is then strictly below one
         assert tp.a_bar / (1.0 + tp.eta) < 1.0
 
-    def test_eta_override_respected(self, sphere_ps):
-        norm_ps, _ = normalize_to_unit_box(sphere_ps)
-        idx = build_octree(norm_ps)
-        tp = tune_parameters(norm_ps, idx, eta_override=3.5)
-        assert tp.eta == 3.5
-
-    def test_rejects_negative_eta_override(self, sphere_ps):
-        # eta < 0 passes the bound's test A_bar/(1 + eta) < 1 once 1 + eta < 0,
-        # and b_j = rho^2 n / (20 + eta rho^2) grows without bound as eta -> -20/rho^2;
-        # eta = 0 (no regularization) stays allowed
-        norm_ps, _ = normalize_to_unit_box(sphere_ps)
-        idx = build_octree(norm_ps)
-        for eta in (-5.0, -1e-9, float("nan")):
-            with pytest.raises(ValueError, match="eta_override"):
-                tune_parameters(norm_ps, idx, eta_override=eta)
-        assert tune_parameters(norm_ps, idx, eta_override=0.0).eta == 0.0
-
     def test_rejects_bad_args(self, sphere_ps):
         norm_ps, _ = normalize_to_unit_box(sphere_ps)
         idx = build_octree(norm_ps)
@@ -120,7 +104,6 @@ _LADDER_CASES = {
     # rho0 = 2.6 grows to the cap; rho0 = 10.4 steps down to it
     "two-points": (lambda: _TWO_POINTS, {}),
     "two-points-s4": (lambda: _TWO_POINTS, {"s": 4.0}),
-    "eta-override": (lambda: sphere_points(600, seed=1), {"eta_override": 0.5}),
 }
 
 
@@ -146,6 +129,19 @@ def test_ladder_search_matches_growth_loop(case, monkeypatch):
     if case.startswith("two-points"):
         assert np.all(tp.rho == RHO_HARD_CAP)
         assert (tp.s * tp.d_bar > RHO_HARD_CAP) == (case == "two-points-s4")
+
+
+@pytest.mark.parametrize("case", ["verify3k", "sphere10k", "torus-s2", "two-density"])
+def test_operator_fullest_support_holds_m_points(case):
+    # tuning counts a support's points with the kd-tree and nextafter
+    # (strict_counts), the operator lists them with sqrt(...) < rho
+    # (_support_pairs): two rounding rules for one strict ball, which must
+    # agree on the fullest support
+    make, kw = _LADDER_CASES[case]
+    norm_ps, _ = normalize_to_unit_box(make())
+    tp = tune_parameters(norm_ps, build_octree(norm_ps), **kw)
+    op = build_operator(norm_ps, tp.rho)
+    assert np.bincount(op.cols).max() == tp.m
 
 
 class TestCoefficients:

@@ -1,14 +1,15 @@
 """Pipeline drivers and CLI: reconstruction, bound verification, benchmarks."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hrbfsurf
-from hrbfsurf import exact, kernel
-from hrbfsurf.cli import main as cli_main, write_diagnostics
+from hrbfsurf import exact, kernel, pipeline
+from hrbfsurf.cli import build_parser, main as cli_main, write_diagnostics
 from hrbfsurf.pipeline import (
     NOISE_S_SCHEDULE,
     ReconConfig,
@@ -74,13 +75,6 @@ def test_warns_on_radii_at_hard_cap():
     assert diag["warnings"][0].startswith("2 of 2 support radii clamped at RHO_HARD_CAP")
 
 
-def test_warns_on_eta_override(sphere_ps):
-    _, diag = reconstruct_points(sphere_ps, ReconConfig(voxel_width=0.05, eta_override=1e-6))
-    assert diag["eta"] == 1e-6
-    assert len(diag["warnings"]) == 1
-    assert "eta_override" in diag["warnings"][0]
-
-
 def test_thread_count_does_not_change_mesh(sphere_ps):
     cfg1 = ReconConfig(voxel_width=0.03, threads=1)
     cfg2 = ReconConfig(voxel_width=0.03, threads=3)
@@ -143,15 +137,23 @@ def test_verify_bound_holds(sphere_ps):
     assert 0.0 < row["q"] <= row["contraction_exact"]
 
 
-def test_verify_bound_flags_inapplicable(sphere_ps):
+def _untune_eta(monkeypatch):
+    """Make the drivers' tuning keep its radii but return eta = 1e-6, far
+    below the tuned threshold, so that q >= 1."""
+    tune = pipeline.tune_parameters
+    monkeypatch.setattr(pipeline, "tune_parameters", lambda *a, **k: replace(tune(*a, **k), eta=1e-6))
+
+
+def test_verify_bound_flags_inapplicable(sphere_ps, monkeypatch):
     # an eta far below the tuned threshold breaks the bound's premise
-    report, row = verify_bound_on_points(sphere_ps, ReconConfig(eta_override=1e-6))
+    _untune_eta(monkeypatch)
+    report, row = verify_bound_on_points(sphere_ps, ReconConfig())
     assert not report.applicable
     assert row["applicable"] is False
     assert np.isinf(report.bound_value)
 
 
-def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps, capsys):
+def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps, capsys, monkeypatch):
     src = tmp_path / "in.xyz"
     save_points(sphere_ps, src)
     csv_path = tmp_path / "bound.csv"
@@ -163,9 +165,10 @@ def test_run_verify_bound_csv_and_cap(tmp_path, sphere_ps, capsys):
     assert "contraction_exact,q," in lines[0]
     assert lines[0].split(",") == list(row)
     assert row["method"] == "neumann"
-    # eta_override=1e-6 gives q >= 1: no exact solve, a row with the
+    # eta = 1e-6 gives q >= 1: no exact solve, a row with the
     # operator's norms and a bound that is not applicable, and exit 0
-    assert cli_main(["verify-bound", str(src), "--eta-override", "1e-6"]) == 0
+    _untune_eta(monkeypatch)
+    assert cli_main(["verify-bound", str(src)]) == 0
     out = capsys.readouterr().out
     assert "applicable=False" in out and "method=none" in out
     row = _printed(out)
@@ -210,10 +213,9 @@ def test_noise_bench_schedule_and_rows(sphere_ps):
         assert row["n_faces"] > 0
 
 
-@pytest.mark.parametrize("field, value", [("eta_override", 500.0), ("eta_override", 0.0),
-                                          ("noisy_mode", True), ("center_select", True)])
+@pytest.mark.parametrize("field, value", [("noisy_mode", True), ("center_select", True)])
 def test_noise_bench_refuses_settings_it_would_drop(sphere_ps, field, value):
-    # each level sets noisy_mode, tunes its own eta and fits every point
+    # each level sets noisy_mode and fits every point
     cfg = ReconConfig(voxel_width=0.03, **{field: value})
     with pytest.raises(ValueError, match=field):
         run_noise_bench(sphere_ps, icosphere(subdivisions=1), [0.0], cfg, n_samples=100)
@@ -357,10 +359,15 @@ def test_cli_noise_bench_short_reference_mesh_fails_load(tmp_path, capsys):
     [("verify-bound", ["-w", "0.5"]), ("verify-bound", ["--voxel-width", "0.5"]),
      ("verify-bound", ["--min-fragment-faces", "5"]), ("verify-bound", ["--seed", "7"]),
      ("noise-bench", ["--noisy-mode"]), ("noise-bench", ["--eta-override", "500"]),
-     ("verify-bound", ["--exact-cap", "10"])],
+     ("verify-bound", ["--exact-cap", "10"]), ("reconstruct", ["--eta-override", "0.5"]),
+     ("verify-bound", ["--eta-override", "0.5"]), ("select-centers", ["--g-min", "2"]),
+     ("select-centers", ["--q-err", "1e-3"]), ("select-centers", ["--candidates", "0"])],
 )
 def test_cli_rejects_options_its_driver_does_not_read(tmp_path, capsys, command, option):
-    positional = [str(tmp_path / "in.xyz")] + ([str(tmp_path / "ref.obj")] if command == "noise-bench" else [])
+    positional = [str(tmp_path / "in.xyz")] + {
+        "reconstruct": [str(tmp_path / "o.obj")], "noise-bench": [str(tmp_path / "ref.obj")],
+        "select-centers": ["--csv", str(tmp_path / "c.csv")],
+    }.get(command, [])
     with pytest.raises(SystemExit) as info:
         cli_main([command, *positional, *option])
     assert info.value.code == 2
@@ -368,17 +375,43 @@ def test_cli_rejects_options_its_driver_does_not_read(tmp_path, capsys, command,
     assert err.startswith("usage: hrbfsurf") and f"unrecognized arguments: {' '.join(option)}" in err
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "verify-bound"])
-def test_cli_negative_eta_override_fails_tune(tmp_path, capsys, command):
-    # a negative eta used to pass as a certificate (applicable=True with a
-    # negative bound) and as a reconstruction with only a warning
-    src = tmp_path / "in.xyz"
-    save_points(sphere_points(400, seed=3), src)
-    extra = [str(tmp_path / "o.obj")] if command == "reconstruct" else []
-    assert cli_main([command, str(src), *extra, "--eta-override", "-5"]) == 2
+# every option of each subcommand, by its dest; a new knob is an edit here
+_CLI_OPTIONS = {
+    "reconstruct": {"input", "output", "diagnostics", "center_select", "s", "threads", "noisy_mode",
+                    "voxel_width", "min_fragment_faces", "seed"},
+    "verify-bound": {"input", "csv", "s", "threads", "noisy_mode"},
+    "noise-bench": {"input", "reference_mesh", "levels", "csv", "samples", "s", "threads",
+                    "voxel_width", "min_fragment_faces", "seed"},
+    "select-centers": {"input", "csv", "seed"},
+}
+
+
+def test_cli_surface_is_pinned():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    dests = {name: {a.dest for a in p._actions if a.dest != "help"} for name, p in subparsers.items()}
+    assert dests == _CLI_OPTIONS
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reconstruct", "in.xyz", "o.obj", "-w", "0"], "voxel width must be positive"),
+    (["reconstruct", "in.xyz", "o.obj", "-s", "0.5"], "s must be >= 1"),
+    (["verify-bound", "in.xyz", "--csv", "v.csv", "-s", "0.5"], "s must be >= 1"),
+    (["noise-bench", "in.xyz", "ref.obj", "--csv", "b.csv", "--levels", "0", "150"], "delta_percent must be in [0, 100]"),
+    (["noise-bench", "in.xyz", "ref.obj", "--csv", "b.csv", "--samples", "0"], "n_samples must be >= 1"),
+], ids=["reconstruct-w0", "reconstruct-s0.5", "verify-bound-s0.5", "noise-bench-levels150", "noise-bench-samples0"])
+def test_cli_bad_option_value_fails_before_work(tmp_path, capsys, monkeypatch, argv, message):
+    # a bad value is a [config] failure (2) before the input is loaded, not
+    # a traceback (1, the code of a bound that does not hold) after a run
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("load_points", "reconstruct_points", "verify_bound_on_points", "run_noise_bench"):
+        monkeypatch.setattr(f"hrbfsurf.cli.{name}", never)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 2
     captured = capsys.readouterr()
-    assert "[tune]" in captured.err
-    assert "applicable=" not in captured.out
+    assert captured.err.startswith("[config]") and message in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_cli_verify_bound(tmp_path, sphere_ps, capsys):
